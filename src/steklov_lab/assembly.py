@@ -386,9 +386,9 @@ def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
                              quad_order: int | None = None) -> sp.csr_matrix:
     """Quadrature factor C of a boundary form, B = C C^T in free numbering.
 
-    Columns correspond to boundary quadrature points; the low column count
-    exposes the effective rank of the form, which the spectral range solver
-    exploits to reduce the pencil exactly.
+    Columns correspond to boundary quadrature points, so the form's value at
+    a free vector u is ||C^T u||^2, a sum of squares that needs no n x n
+    matrix.
     """
     if not kind.on_boundary:
         raise ValueError("factored assembly is for boundary forms")

@@ -45,11 +45,6 @@ class Mesh:
         yy = np.tile(self.ys, self.nx + 1)
         return np.column_stack([xx, yy])
 
-    def elem_nodes(self, ex, ey):
-        """Counterclockwise corner nodes (bl, br, tr, tl)."""
-        return (self.node(ex, ey), self.node(ex + 1, ey),
-                self.node(ex + 1, ey + 1), self.node(ex, ey + 1))
-
     def hx(self, ex) -> float:
         return self.xs[ex + 1] - self.xs[ex]
 
@@ -79,33 +74,6 @@ class Mesh:
     def corner_nodes(self):
         return np.array([self.node(0, 0), self.node(self.nx, 0),
                          self.node(self.nx, self.ny), self.node(0, self.ny)])
-
-    def gamma_nodes(self):
-        """Nodes on the Gamma (top) boundary."""
-        return self.top_nodes()
-
-    def sigma_nodes(self):
-        """Nodes on the Sigma boundary (bottom plus lateral sides)."""
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        for arr in (self.bottom_nodes(), self.left_nodes(), self.right_nodes()):
-            mask[arr] = True
-        return np.nonzero(mask)[0]
-
-    def edge_tag(self, side: str) -> str:
-        return "Gamma" if side == "top" else "Sigma"
-
-    def dump(self) -> str:
-        """Plain-text node/element listing for debugging."""
-        lines = []
-        coords = self.node_coords()
-        for i, (x, y) in enumerate(coords):
-            lines.append(f"node {i} {x!r} {y!r}")
-        for ex in range(self.nx):
-            for ey in range(self.ny):
-                e = ex * self.ny + ey
-                n0, n1, n2, n3 = self.elem_nodes(ex, ey)
-                lines.append(f"elem {e} {n0} {n1} {n2} {n3}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

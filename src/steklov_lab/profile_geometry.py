@@ -138,10 +138,6 @@ class BoundaryProfile:
         vals = self.eval(y)
         return float(np.max(vals) - np.min(vals)) > 0.0
 
-    def max_value(self) -> float:
-        y = np.linspace(-0.5, 0.5, _PERIOD_SAMPLES, endpoint=False)
-        return float(np.max(self.eval(y)))
-
     def min_value(self) -> float:
         y = np.linspace(-0.5, 0.5, _PERIOD_SAMPLES, endpoint=False)
         return float(np.min(self.eval(y)))
@@ -272,11 +268,6 @@ class DiffeoField:
     def phi(self, x, y):
         """Reference image (x, y - h(x, y)) of a physical point."""
         return np.asarray(x, dtype=float), np.asarray(y, dtype=float) - self.h(x, y)
-
-    def dphi(self, x, y):
-        """Jacobian entries of Phi: rows [[1, 0], [-h_x, 1 - h_y]]."""
-        _, hx, hy, *_ = self.h_derivs(x, y)
-        return -hx, 1.0 - hy
 
     def det(self, x, y):
         _, _, hy, *_ = self.h_derivs(x, y)

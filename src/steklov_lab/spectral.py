@@ -5,17 +5,16 @@ form of low effective rank.  The smallest Steklov eigenvalues d are the
 reciprocals of the largest eigenvalues mu of B q = mu A q, so every method
 factorizes the well-conditioned A side and works on A^{-1} B; the huge kernel
 of B is deflated implicitly (kernel directions have mu = 0 and are never
-returned).  Methods:
+returned).  Every method solves the Jacobi-scaled pencil (DAD, DBD) with
+D = diag(A)^{-1/2}, and its residual certificates are taken there.  Methods:
 
   dense     full eigh of the scaled pencil, systems below 2000 DOFs;
   subspace  block iteration on A^{-1} B with A-orthogonalization;
-  lanczos   ARPACK on the same operator (robust for clustered mu);
-  range     exact reduction to range(B) via a factor B = C C^T; no
-            iteration, preferred when the factor is narrow enough.
+  lanczos   ARPACK on the same operator, the choice for every larger system.
 
 Subspace iteration stalls when the mu spectrum is nearly flat, which happens
-for the boundary pencils close to the critical oscillation exponent; the
-range and Lanczos routes exist for exactly that regime.
+for the boundary pencils close to the critical oscillation exponent; Krylov
+acceleration copes with that regime.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ class SteklovSpectrum:
 
     eigenvalues: np.ndarray
     modes: np.ndarray                  # columns, B-normalized
-    residuals: np.ndarray              # ||A q - d B q|| / ||A q||
+    residuals: np.ndarray              # ||As y - d Bs y|| / ||As y|| on the
+                                       # Jacobi-scaled pencil, y = D^{-1} q
     method: str
     clusters: tuple = field(default=())  # (start, size) per multiplicity group
 
@@ -81,8 +81,9 @@ def _cluster(eigs: np.ndarray, rel_gap: float = 1e-6) -> tuple:
 
 
 def _finalize(B, As, Bs, mu, Ys, k, method, unscale):
-    """Order the Ritz pairs, certify residuals on the scaled pencil and return
-    B-normalized modes of the original one."""
+    """Order the Ritz pairs and return B-normalized modes of the original
+    pencil.  The residuals ||As y - d Bs y|| / ||As y|| are certified on the
+    Jacobi-scaled pencil (As, Bs) = (DAD, DBD), with y = D^{-1} q."""
     order = np.argsort(mu)[::-1]
     mu = mu[order][:k]
     Ys = Ys[:, order][:, :k]
@@ -108,7 +109,7 @@ def _jacobi_scale(A, B):
     return (D @ A @ D).tocsr(), (D @ B @ D).tocsr(), s
 
 
-def _solve_dense(A, B, k, tol):
+def _solve_dense(A, B, k):
     As, Bs, s = _jacobi_scale(A, B)
     mu, V = sla.eigh(Bs.toarray(), As.toarray())   # B v = mu A v, ascending mu
     cutoff = max(mu.max(), 0.0) * 1e-10
@@ -163,7 +164,7 @@ def _solve_subspace(A, B, k, tol, max_iter, seed):
         best_residuals=best_res)
 
 
-def _solve_lanczos(A, B, k, tol, seed):
+def _solve_lanczos(A, B, k, seed):
     """Implicitly restarted Lanczos (ARPACK) on B q = mu A q with the
     factorized A side as inner solver; Krylov acceleration copes with the
     moderately clustered mu spectra of the wide boundary pencils."""
@@ -184,51 +185,12 @@ def _solve_lanczos(A, B, k, tol, seed):
     return _finalize(B, As, Bs, mu, V, k, "lanczos", unscale=scale)
 
 
-def _solve_range(A, B, C, k, tol):
-    """Exact reduction to range(B): with B = C C^T the nonzero part of the
-    pencil is S z = mu z for S = C^T A^{-1} C, and q = A^{-1} C z.
-
-    No iteration is involved, which is what makes this path robust for the
-    near-critical pencils whose mu spectrum is too flat for subspace
-    iteration to converge.
-    """
-    As, _, scale = _jacobi_scale(A, B)
-    Cs = sp.diags(scale) @ C              # factor of the scaled B = (DC)(DC)^T
-    lu = spla.splu(As.tocsc())
-    n, r = Cs.shape
-    S = np.empty((r, r))
-    Ysol = np.empty((n, r))
-    step = max(1, min(r, int(2e7 // max(n, 1))))
-    for j0 in range(0, r, step):
-        block = Cs[:, j0:j0 + step].toarray()
-        Y = lu.solve(block)
-        Ysol[:, j0:j0 + step] = Y
-        S[:, j0:j0 + step] = Cs.T @ Y
-    S = 0.5 * (S + S.T)
-    mu, Z = sla.eigh(S)
-    keep = mu > max(mu.max(), 0.0) * 1e-12
-    if not np.any(keep):
-        raise NoSteklovEigenvalues("boundary form has no positive directions")
-    mu, Z = mu[keep], Z[:, keep]
-    if mu.size < k:
-        raise NoSteklovEigenvalues(
-            f"only {mu.size} positive pencil directions, {k} requested")
-    top = np.argsort(mu)[::-1][:k]
-    mu, Z = mu[top], Z[:, top]
-    Ys = Ysol @ Z                          # scaled modes for the leading mu
-    Ys /= np.linalg.norm(Ys, axis=0)
-    Bs = (Cs @ Cs.T).tocsr()
-    return _finalize(B, As, Bs, mu, Ys, k, "range", unscale=scale)
-
-
 def solve_steklov(A, B, k: int = 1, tol: float = 1e-9, method: str = "auto",
-                  max_iter: int = 1000, seed: int = 0,
-                  b_factor=None) -> SteklovSpectrum:
+                  max_iter: int = 1000, seed: int = 0) -> SteklovSpectrum:
     """k smallest eigenvalues of A q = d B q restricted to the B-nontrivial subspace.
 
-    `b_factor` is an optional quadrature factor C with B = C C^T (see
-    assembly.assemble_boundary_factor); when present the robust exact range
-    reduction is preferred for large systems.
+    `auto` takes `dense` below DENSE_CUTOFF DOFs and `lanczos` above; `tol`
+    and `max_iter` bound the `subspace` iteration only.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -240,22 +202,13 @@ def solve_steklov(A, B, k: int = 1, tol: float = 1e-9, method: str = "auto",
     if bscale == 0.0 or bscale < 1e-300:
         raise NoSteklovEigenvalues("boundary form is numerically zero")
     if method == "auto":
-        if A.shape[0] < DENSE_CUTOFF:
-            method = "dense"
-        elif b_factor is not None and b_factor.shape[1] <= 2048:
-            method = "range"
-        else:
-            method = "lanczos"
+        method = "dense" if A.shape[0] < DENSE_CUTOFF else "lanczos"
     if method == "dense":
-        return _solve_dense(A, B, k, tol)
+        return _solve_dense(A, B, k)
     if method == "subspace":
         return _solve_subspace(A, B, k, tol, max_iter, seed)
     if method == "lanczos":
-        return _solve_lanczos(A, B, k, tol, seed)
-    if method == "range":
-        if b_factor is None:
-            raise ValueError("range method needs the boundary factor C")
-        return _solve_range(A, B, sp.csr_matrix(b_factor), k, tol)
+        return _solve_lanczos(A, B, k, seed)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -76,7 +76,7 @@ def test_mesh_rule_resolves_steep_profile():
         dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
         A = assemble(HESSIAN_ENERGY, m, dm, dif, cfg.quad_order)
         B = assemble(normal_trace("All"), m, dm, dif, cfg.quad_order)
-        lam.append(solve_steklov(A, B, k=1, tol=cfg.tol).eigenvalues[0])
+        lam.append(solve_steklov(A, B, k=1).eigenvalues[0])
     assert abs(lam[0] - lam[1]) <= 0.01 * lam[1]
 
 
@@ -117,7 +117,6 @@ def test_metric_row_verdicts_recomputable():
     for row in rep.metric_rows:
         assert (row.verdict == "Satisfied") == (row.value <= row.reference)
     assert not rep.all_satisfied
-    assert rep.summary() == {2.0: "Violated"}
 
 
 def test_emit_deterministic(tmp_path):

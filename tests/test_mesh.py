@@ -16,15 +16,6 @@ def test_uniform_4x4_tags_by_coordinate():
     m = build_mesh(4, 4)
     assert np.allclose(np.diff(m.xs), 0.25)
     assert np.allclose(np.diff(m.ys), 0.25)
-    coords = m.node_coords()
-    gamma = m.gamma_nodes()
-    assert np.allclose(coords[gamma, 1], 0.0)
-    sigma = m.sigma_nodes()
-    on_sigma = (np.isclose(coords[sigma, 1], -1.0)
-                | np.isclose(coords[sigma, 0], 0.0)
-                | np.isclose(coords[sigma, 0], 1.0))
-    assert on_sigma.all()
-    assert len(set(gamma) & set(sigma)) == 2  # the two top corners
 
 
 def test_graded_spacings_form_geometric_sequence():
@@ -67,17 +58,6 @@ def test_unknown_bc_token():
     m = build_mesh(2, 2)
     with pytest.raises(ValueError):
         mark_essential(m, DofMap.unconstrained(m), "DirichletAll+ClampTop")
-
-
-def test_dump_format():
-    m = build_mesh(2, 1)
-    text = m.dump()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("node 0 ")
-    assert sum(1 for ln in lines if ln.startswith("node ")) == m.n_nodes
-    elems = [ln for ln in lines if ln.startswith("elem ")]
-    assert len(elems) == m.n_elems
-    assert elems[0].split()[1:] == ["0", "0", "2", "3", "1"]
 
 
 def test_constrained_functions_vanish_on_boundary():
