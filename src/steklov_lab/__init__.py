@@ -3,7 +3,7 @@ subgraph domains: spectral stability, strange-curvature shift and
 degeneration to clamped conditions."""
 
 from .profile_geometry import (BoundaryProfile, DomainSpec, KappaLayer,
-                               EpsilonLayer, DiffeoField, AssumptionReport,
+                               DiffeoField, AssumptionReport,
                                eval_profile, build_diffeo, fit_kappa_layer,
                                default_kappa, check_assumptions, ProfileError,
                                GeometryError)
@@ -11,7 +11,8 @@ from .mesh import Mesh, DofMap, build_mesh, mark_essential
 from .assembly import (FormKind, MASS, GRAD_MASS, LAPLACIAN_ENERGY,
                        HESSIAN_ENERGY, MIXED_U_DELTA, normal_trace,
                        boundary_mass, FeSystem, FeFunction, assemble,
-                       assemble_navier_load, e_distance, sobolev_forms)
+                       assemble_many, assemble_navier_load, e_distance,
+                       sobolev_forms)
 from .spectral import (SteklovSpectrum, solve_steklov, rayleigh,
                        NoSteklovEigenvalues, SpectralConvergenceError)
 from .cell_problem import CellSolution, solve_cell, cell_energy_density

@@ -31,7 +31,7 @@ from .profile_geometry import DiffeoField, GeometryError
 __all__ = [
     "FormKind", "MASS", "GRAD_MASS", "LAPLACIAN_ENERGY", "HESSIAN_ENERGY",
     "MIXED_U_DELTA", "normal_trace", "boundary_mass",
-    "FeSystem", "FeFunction", "assemble", "assemble_navier_load",
+    "FeSystem", "FeFunction", "assemble", "assemble_many", "assemble_navier_load",
     "e_distance", "sobolev_forms", "gauss01",
 ]
 
@@ -175,30 +175,39 @@ def _elem_gdofs(mesh: Mesh, ex_arr, ey: int) -> np.ndarray:
 
 
 class _CooAccumulator:
-    def __init__(self, n_free):
-        self.n_free = n_free
-        self.rows, self.cols, self.vals = [], [], []
+    """COO triplets of several forms that share one scatter pattern."""
 
-    def add(self, local: np.ndarray, gdofs: np.ndarray, free_idx: np.ndarray):
+    def __init__(self, n_free, n_forms=1):
+        self.n_free = n_free
+        self.rows, self.cols = [], []
+        self.vals = [[] for _ in range(n_forms)]
+
+    def add(self, locals_, gdofs: np.ndarray, free_idx: np.ndarray):
+        """Scatter one local matrix per form, each (nel, 16, 16) or
+        broadcastable to it."""
         nel = gdofs.shape[0]
-        if local.ndim == 2:
-            local = np.broadcast_to(local, (nel, 16, 16))
         fi = free_idx[gdofs]
         rows = np.repeat(fi, 16, axis=1).ravel()
         cols = np.tile(fi, (1, 16)).ravel()
-        vals = np.ascontiguousarray(local).reshape(-1)
         keep = (rows >= 0) & (cols >= 0)
         self.rows.append(rows[keep].astype(np.int32))
         self.cols.append(cols[keep].astype(np.int32))
-        self.vals.append(vals[keep])
+        for vals, local in zip(self.vals, locals_):
+            local = np.broadcast_to(local, (nel, 16, 16))
+            vals.append(np.ascontiguousarray(local).reshape(-1)[keep])
 
-    def tocsr(self) -> sp.csr_matrix:
-        if not self.rows:
-            return sp.csr_matrix((self.n_free, self.n_free))
+    def tocsr(self) -> list:
+        """One CSR matrix per form.  The triplets are released as they are
+        converted, so a pass over several forms peaks little above one."""
         r = np.concatenate(self.rows)
         c = np.concatenate(self.cols)
-        v = np.concatenate(self.vals)
-        return sp.coo_matrix((v, (r, c)), shape=(self.n_free, self.n_free)).tocsr()
+        self.rows = self.cols = None
+        shape = (self.n_free, self.n_free)
+        out = []
+        while self.vals:
+            v = np.concatenate(self.vals.pop(0))
+            out.append(sp.coo_matrix((v, (r, c)), shape=shape).tocsr())
+        return out
 
 
 def _combine(kind: FormKind, B, w):
@@ -228,6 +237,18 @@ def _combine(kind: FormKind, B, w):
     return np.einsum("eqi,eqj,eq->eij", P, Q, w, optimize=True)
 
 
+def _quad_order(domain: DiffeoField | None, quad_order: int | None) -> int:
+    """Gauss points per direction: 4 on the flat strip and 6 pulled back by
+    default, and at least that many."""
+    if quad_order is None:
+        quad_order = 4 if domain is None else 6
+    if quad_order < 4:
+        raise ValueError("quadrature order must be >= 4")
+    if domain is not None and quad_order < 6:
+        raise ValueError("pulled-back assembly needs quadrature order >= 6")
+    return quad_order
+
+
 def _resolution_warning(mesh: Mesh, domain: DiffeoField | None):
     if domain is None:
         return
@@ -245,7 +266,8 @@ def _resolution_warning(mesh: Mesh, domain: DiffeoField | None):
 def _chain_arrays(domain: DiffeoField, xref, yref):
     """Physical chain-rule data at reference quadrature points.
 
-    Returns (a, b, hxx, hxy, hyy, det) arrays shaped like xref.
+    Returns (a, b, hxx, hxy, hyy, det, y) arrays shaped like xref, where y is
+    the physical ordinate of each point.
     """
     shape = xref.shape
     x = xref.ravel()
@@ -254,7 +276,7 @@ def _chain_arrays(domain: DiffeoField, xref, yref):
     det = 1.0 - hy
     if np.min(det) <= 0.0:
         raise GeometryError("det DPhi <= 0 at a quadrature point")
-    return tuple(arr.reshape(shape) for arr in (hx, hy, hxx, hxy, hyy, det))
+    return tuple(arr.reshape(shape) for arr in (hx, hy, hxx, hxy, hyy, det, y))
 
 
 def _physical_B(Bref, a, b, hxx, hxy, hyy):
@@ -273,38 +295,39 @@ def _physical_B(Bref, a, b, hxx, hxy, hyy):
     return out
 
 
-def _assemble_volume(kind, mesh, dofmap, domain, quad_order, acc, free_idx):
+# derivative tag -> (x order, y order) of the basis arrays
+_DERIVS = {"v": (0, 0), "x": (1, 0), "y": (0, 1),
+           "xx": (2, 0), "xy": (1, 1), "yy": (0, 2)}
+
+
+def _volume_rows(mesh: Mesh, domain: DiffeoField | None, quad_order: int):
+    """The one quadrature/geometry pass over the mesh: per element row, yield
+    (gdofs, B, w, x, y).
+
+    B maps derivative tags to physical-derivative basis arrays (nel, nq*nq,
+    16) and w (nel, nq*nq) holds the quadrature weights, 1/det DPhi included;
+    x and y (nx, nq*nq) are the physical quadrature points.  On the flat
+    strip every element of a row has the same B and w, so there nel = 1.
+    """
     nq = quad_order
     tq, wq = gauss01(nq)
     ex_all = np.arange(mesh.nx)
     hx = mesh.w_len / mesh.nx
+    xq = mesh.xs[:-1, None] + hx * tq[None, :]                       # (nx, nq)
+    xref = np.repeat(xq[:, :, None], nq, axis=2).reshape(mesh.nx, nq * nq)
     for ey in range(mesh.ny):
         hy = mesh.hy(ey)
-        Bref = {
-            "v": _tensor_basis(tq, tq, hx, hy, 0, 0),
-            "x": _tensor_basis(tq, tq, hx, hy, 1, 0),
-            "y": _tensor_basis(tq, tq, hx, hy, 0, 1),
-            "xx": _tensor_basis(tq, tq, hx, hy, 2, 0),
-            "xy": _tensor_basis(tq, tq, hx, hy, 1, 1),
-            "yy": _tensor_basis(tq, tq, hx, hy, 0, 2),
-        }
-        w2 = (np.outer(wq * hx, wq * hy)).ravel()
+        Bref = {tag: _tensor_basis(tq, tq, hx, hy, *orders)[None, :, :]
+                for tag, orders in _DERIVS.items()}
+        w = np.outer(wq * hx, wq * hy).ravel()[None, :]
+        yq = mesh.ys[ey] + hy * tq                                   # (nq,)
+        yref = np.broadcast_to(np.tile(yq, nq), xref.shape)
         gdofs = _elem_gdofs(mesh, ex_all, ey)
         if domain is None:
-            B1 = {k: v[None, :, :] for k, v in Bref.items()}
-            local = _combine(kind, B1, w2[None, :])[0]
-            acc.add(local, gdofs, free_idx)
+            yield gdofs, Bref, w, xref, yref
         else:
-            # reference quad points for the whole row
-            xq = mesh.xs[:-1, None] + hx * tq[None, :]               # (nx, nq)
-            xref = np.repeat(xq[:, :, None], nq, axis=2).reshape(mesh.nx, nq * nq)
-            yq = mesh.ys[ey] + hy * tq                               # (nq,)
-            yref = np.broadcast_to(np.tile(yq, nq), (mesh.nx, nq * nq))
-            a, b, hxx, hxy, hyy, det = _chain_arrays(domain, xref, yref)
-            Bphys = _physical_B(Bref, a, b, hxx, hxy, hyy)
-            w = w2[None, :] / det
-            local = _combine(kind, Bphys, w)
-            acc.add(local, gdofs, free_idx)
+            a, b, hxx, hxy, hyy, det, y = _chain_arrays(domain, xref, yref)
+            yield gdofs, _physical_B(Bref, a, b, hxx, hxy, hyy), w / det, xref, y
 
 
 def _boundary_edges(kind_part: str):
@@ -365,7 +388,8 @@ def _boundary_batches(kind, mesh, domain, quad_order):
                     w = (wq * hy)[None, :]
                 else:
                     xr = np.full_like(yq, x_edge)
-                    a, b, _, _, _, det = _chain_arrays(domain, xr[None, :], yq[None, :])
+                    a, b, _, _, _, det, _ = _chain_arrays(domain, xr[None, :],
+                                                          yq[None, :])
                     if kind.name == "NormalTrace":
                         LY = _edge_basis(tq, hy, hx, edge, 0, 1)
                         P = sgn * (LX[None, :, :] - a[:, :, None] * LY[None, :, :])
@@ -373,12 +397,6 @@ def _boundary_batches(kind, mesh, domain, quad_order):
                         P = L0[None, :, :]
                     w = (wq * hy)[None, :] / det
                 yield P, np.ascontiguousarray(w), gdofs
-
-
-def _assemble_boundary(kind, mesh, dofmap, domain, quad_order, acc, free_idx):
-    for P, w, gdofs in _boundary_batches(kind, mesh, domain, quad_order):
-        local = np.einsum("eqi,eqj,eq->eij", P, P, w, optimize=True)
-        acc.add(local, gdofs, free_idx)
 
 
 def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
@@ -392,10 +410,7 @@ def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     """
     if not kind.on_boundary:
         raise ValueError("factored assembly is for boundary forms")
-    if quad_order is None:
-        quad_order = 4 if domain is None else 6
-    if domain is not None and quad_order < 6:
-        raise ValueError("pulled-back assembly needs quadrature order >= 6")
+    quad_order = _quad_order(domain, quad_order)
     free_idx = dofmap.free_index()
     rows, cols, vals = [], [], []
     col0 = 0
@@ -418,6 +433,33 @@ def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     return C.tocsr()
 
 
+def _systems(kinds, matrices, mesh, dofmap, domain, quad_order) -> list:
+    out = []
+    for kind, A in zip(kinds, matrices):
+        if kind.symmetric:
+            A = (A + A.T) * 0.5
+            A.sum_duplicates()
+        out.append(FeSystem(matrix=A, mesh=mesh, dofmap=dofmap, kind=kind,
+                            domain=domain, quad_order=quad_order))
+    return out
+
+
+def assemble_many(kinds, mesh: Mesh, dofmap: DofMap,
+                  domain: DiffeoField | None = None,
+                  quad_order: int | None = None) -> list:
+    """Assemble several volume forms in one pass over the element rows, so
+    the geometry of each row is computed once; one FeSystem per kind."""
+    if any(kind.on_boundary for kind in kinds):
+        raise ValueError("assemble_many takes volume forms only")
+    quad_order = _quad_order(domain, quad_order)
+    _resolution_warning(mesh, domain)
+    free_idx = dofmap.free_index()
+    acc = _CooAccumulator(dofmap.n_free, len(kinds))
+    for gdofs, B, w, _, _ in _volume_rows(mesh, domain, quad_order):
+        acc.add([_combine(kind, B, w) for kind in kinds], gdofs, free_idx)
+    return _systems(kinds, acc.tocsr(), mesh, dofmap, domain, quad_order)
+
+
 def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
              domain: DiffeoField | None = None,
              quad_order: int | None = None) -> FeSystem:
@@ -426,27 +468,16 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     `domain=None` integrates over the flat reference strip; a DiffeoField pulls
     the form back from the perturbed domain it describes.
     """
-    if quad_order is None:
-        quad_order = 4 if domain is None else 6
-    if quad_order < 4:
-        raise ValueError("quadrature order must be >= 4")
-    if domain is not None and quad_order < 6:
-        raise ValueError("pulled-back assembly needs quadrature order >= 6")
-    if domain is not None:
-        _resolution_warning(mesh, domain)
-
+    if not kind.on_boundary:
+        return assemble_many((kind,), mesh, dofmap, domain, quad_order)[0]
+    quad_order = _quad_order(domain, quad_order)
+    _resolution_warning(mesh, domain)
     free_idx = dofmap.free_index()
     acc = _CooAccumulator(dofmap.n_free)
-    if kind.on_boundary:
-        _assemble_boundary(kind, mesh, dofmap, domain, quad_order, acc, free_idx)
-    else:
-        _assemble_volume(kind, mesh, dofmap, domain, quad_order, acc, free_idx)
-    A = acc.tocsr()
-    if kind.symmetric:
-        A = (A + A.T) * 0.5
-        A.sum_duplicates()
-    return FeSystem(matrix=A, mesh=mesh, dofmap=dofmap, kind=kind,
-                    domain=domain, quad_order=quad_order)
+    for P, w, gdofs in _boundary_batches(kind, mesh, domain, quad_order):
+        acc.add([np.einsum("eqi,eqj,eq->eij", P, P, w, optimize=True)],
+                gdofs, free_idx)
+    return _systems((kind,), acc.tocsr(), mesh, dofmap, domain, quad_order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +591,7 @@ def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
     domain it acts as the restriction of a function of space) or a triple of
     callables (f, f_x, f_y).
     """
-    if quad_order is None:
-        quad_order = 4 if domain is None else 6
-    if domain is not None and quad_order < 6:
-        raise ValueError("pulled-back assembly needs quadrature order >= 6")
+    quad_order = _quad_order(domain, quad_order)
     if isinstance(f, FeFunction):
         fv = f.value
         fgx = lambda x, y: f.eval(x, y, 1, 0)
@@ -571,45 +599,18 @@ def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
     else:
         fv, fgx, fgy = f
 
-    nq = quad_order
-    tq, wq = gauss01(nq)
-    hx = mesh.w_len / mesh.nx
-    ex_all = np.arange(mesh.nx)
     free_idx = dofmap.free_index()
     load = np.zeros(dofmap.n_free)
-    for ey in range(mesh.ny):
-        hy = mesh.hy(ey)
-        Bref = {
-            "v": _tensor_basis(tq, tq, hx, hy, 0, 0),
-            "x": _tensor_basis(tq, tq, hx, hy, 1, 0),
-            "y": _tensor_basis(tq, tq, hx, hy, 0, 1),
-            "xx": _tensor_basis(tq, tq, hx, hy, 2, 0),
-            "xy": _tensor_basis(tq, tq, hx, hy, 1, 1),
-            "yy": _tensor_basis(tq, tq, hx, hy, 0, 2),
-        }
-        w2 = (np.outer(wq * hx, wq * hy)).ravel()
-        xq = mesh.xs[:-1, None] + hx * tq[None, :]
-        xref = np.repeat(xq[:, :, None], nq, axis=2).reshape(mesh.nx, nq * nq)
-        yq = mesh.ys[ey] + hy * tq
-        yref = np.broadcast_to(np.tile(yq, nq), (mesh.nx, nq * nq)).copy()
-        if domain is None:
-            xphys, yphys = xref, yref
-            B = {k: np.broadcast_to(v, (mesh.nx,) + v.shape) for k, v in Bref.items()}
-            w = np.broadcast_to(w2, (mesh.nx, w2.size))
-        else:
-            a, b, hxx, hxy, hyy, det = _chain_arrays(domain, xref, yref)
-            B = _physical_B(Bref, a, b, hxx, hxy, hyy)
-            w = w2[None, :] / det
-            xphys = xref
-            yphys = domain.physical_y(xref.ravel(), yref.ravel()).reshape(xref.shape)
-        fval = fv(xphys, yphys)
-        fgxv = fgx(xphys, yphys)
-        fgyv = fgy(xphys, yphys)
+    for gdofs, B, w, x, y in _volume_rows(mesh, domain, quad_order):
+        # spread the flat strip's shared row arrays over the elements: einsum
+        # may sum in another order over a size-1 element axis
+        shape = x.shape + (16,)
+        B = {tag: np.broadcast_to(B[tag], shape) for tag in ("x", "y", "xx", "yy")}
+        w = np.broadcast_to(w, x.shape)
         lap = B["xx"] + B["yy"]
-        loc = np.einsum("eq,eqi,eq->ei", fval, lap, w, optimize=True)
-        loc += np.einsum("eq,eqi,eq->ei", fgxv, B["x"], w, optimize=True)
-        loc += np.einsum("eq,eqi,eq->ei", fgyv, B["y"], w, optimize=True)
-        gdofs = _elem_gdofs(mesh, ex_all, ey)
+        loc = np.einsum("eq,eqi,eq->ei", fv(x, y), lap, w, optimize=True)
+        loc += np.einsum("eq,eqi,eq->ei", fgx(x, y), B["x"], w, optimize=True)
+        loc += np.einsum("eq,eqi,eq->ei", fgy(x, y), B["y"], w, optimize=True)
         fi = free_idx[gdofs]
         keep = fi >= 0
         np.add.at(load, fi[keep], loc[keep])
@@ -619,12 +620,9 @@ def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
 def sobolev_forms(mesh: Mesh, domain: DiffeoField | None = None,
                   quad_order: int | None = None) -> dict:
     """Full-DOF Mass / GradMass / Hessian matrices for norm evaluation."""
-    full = DofMap.unconstrained(mesh)
-    return {
-        "mass": assemble(MASS, mesh, full, domain, quad_order).matrix,
-        "grad": assemble(GRAD_MASS, mesh, full, domain, quad_order).matrix,
-        "hess": assemble(HESSIAN_ENERGY, mesh, full, domain, quad_order).matrix,
-    }
+    systems = assemble_many((MASS, GRAD_MASS, HESSIAN_ENERGY), mesh,
+                            DofMap.unconstrained(mesh), domain, quad_order)
+    return {name: s.matrix for name, s in zip(("mass", "grad", "hess"), systems)}
 
 
 def e_distance(u_hat: FeFunction, u: FeFunction,

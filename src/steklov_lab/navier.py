@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (FeFunction, FeSystem, GRAD_MASS, LAPLACIAN_ENERGY,
-                       HESSIAN_ENERGY, MIXED_U_DELTA, assemble,
+                       HESSIAN_ENERGY, MIXED_U_DELTA, assemble, assemble_many,
                        assemble_navier_load, boundary_mass, gauss01)
 from .mesh import DOF_V, DOF_VX, DOF_VY, DofMap, Mesh, mark_essential
 from .profile_geometry import DiffeoField
@@ -88,10 +88,9 @@ def _conormal_operator(mesh: Mesh, domain: DiffeoField | None,
                        quad_order: int | None = None) -> sp.csr_matrix:
     """Matrix of u -> [ int (Lap(u) psi_m + grad u . grad psi_m) ]_m over the
     full Hermite basis."""
-    full = DofMap.unconstrained(mesh)
-    M = assemble(MIXED_U_DELTA, mesh, full, domain, quad_order).matrix
-    G = assemble(GRAD_MASS, mesh, full, domain, quad_order).matrix
-    return (M + G).tocsr()
+    M, G = assemble_many((MIXED_U_DELTA, GRAD_MASS), mesh,
+                         DofMap.unconstrained(mesh), domain, quad_order)
+    return (M.matrix + G.matrix).tocsr()
 
 
 def normal_derivative_functional(sol: NavierSolution,
@@ -149,7 +148,9 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
         trace_dofs = np.unique(np.concatenate(
             [trace_dofs, np.asarray(extra_dofs, dtype=np.int64)]))
     full = DofMap.unconstrained(mesh)
-    K = assemble(GRAD_MASS, mesh, full, domain, quad_order).matrix.tocsc()
+    G, M = assemble_many((GRAD_MASS, MIXED_U_DELTA), mesh, full, domain,
+                         quad_order)
+    K = G.matrix.tocsc()
     n_dofs = full.n_dofs
     comp = np.setdiff1d(np.arange(n_dofs), trace_dofs)
 
@@ -164,7 +165,7 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
     # Navier solves for every basis function
     dofmap = mark_essential(mesh, full, "DirichletAll")
     system = assemble(LAPLACIAN_ENERGY, mesh, dofmap, domain, quad_order)
-    conorm = _conormal_operator(mesh, domain, quad_order)
+    conorm = (M.matrix + G.matrix).tocsr()
     loads = (conorm.T @ C)[dofmap.free]
     lu_a = spla.splu(system.matrix.tocsc())
     U_free = lu_a.solve(loads)

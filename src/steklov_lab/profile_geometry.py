@@ -26,7 +26,6 @@ __all__ = [
     "BoundaryProfile",
     "DomainSpec",
     "KappaLayer",
-    "EpsilonLayer",
     "DiffeoField",
     "AssumptionReport",
     "eval_profile",
@@ -203,11 +202,6 @@ class KappaLayer:
     k_hat: float = 8.0
 
 
-@dataclass(frozen=True)
-class EpsilonLayer:
-    """Blending layer anchored at the fixed depth y = -eps."""
-
-
 @dataclass
 class DiffeoField:
     """Evaluable layer map h, the flattening diffeomorphism Phi and their derivatives.
@@ -217,16 +211,13 @@ class DiffeoField:
     """
 
     spec: DomainSpec
-    layer: object
+    layer: KappaLayer
     det_min: float = 1.0
     det_max: float = 1.0
 
     def layer_bottom(self, x):
         """Physical height below which the map is the identity."""
-        x = np.asarray(x, dtype=float)
-        if isinstance(self.layer, KappaLayer):
-            return self.spec.g(x) - self.layer.k_hat * self.layer.kappa_eps
-        return np.full_like(x, -self.spec.epsilon)
+        return self.spec.g(x) - self.layer.k_hat * self.layer.kappa_eps
 
     def h_derivs(self, x, y):
         """h, h_x, h_y, h_xx, h_xy, h_yy at physical points (vectorized)."""
@@ -235,31 +226,17 @@ class DiffeoField:
         g = self.spec.g(x)
         gp = self.spec.g(x, 1)
         gpp = self.spec.g(x, 2)
-        if isinstance(self.layer, KappaLayer):
-            d = self.layer.k_hat * self.layer.kappa_eps
-            t = (y - (g - d)) / d
-            t = np.clip(t, 0.0, None)
-            t2, t3 = t * t, t * t * t
-            h = g * t3
-            hx = gp * t3 - 3.0 * g * gp * t2 / d
-            hy = 3.0 * g * t2 / d
-            hxx = (gpp * t3 - 6.0 * gp * gp * t2 / d
-                   + 6.0 * g * gp * gp * t / d ** 2 - 3.0 * g * gpp * t2 / d)
-            hxy = 3.0 * gp * t2 / d - 6.0 * g * gp * t / d ** 2
-            hyy = 6.0 * g * t / d ** 2
-        else:
-            eps = self.spec.epsilon
-            d = g + eps
-            t = (y + eps) / d
-            t = np.clip(t, 0.0, None)
-            t2, t3 = t * t, t * t * t
-            h = g * t3
-            hx = gp * t3 * (1.0 - 3.0 * g / d)
-            hy = 3.0 * g * t2 / d
-            hxx = t3 * (gpp - 6.0 * gp * gp / d
-                        + 12.0 * g * gp * gp / d ** 2 - 3.0 * g * gpp / d)
-            hxy = 3.0 * gp * t2 / d - 9.0 * g * gp * t2 / d ** 2
-            hyy = 6.0 * g * t / d ** 2
+        d = self.layer.k_hat * self.layer.kappa_eps
+        t = (y - (g - d)) / d
+        t = np.clip(t, 0.0, None)
+        t2, t3 = t * t, t * t * t
+        h = g * t3
+        hx = gp * t3 - 3.0 * g * gp * t2 / d
+        hy = 3.0 * g * t2 / d
+        hxx = (gpp * t3 - 6.0 * gp * gp * t2 / d
+               + 6.0 * g * gp * gp * t / d ** 2 - 3.0 * g * gpp * t2 / d)
+        hxy = 3.0 * gp * t2 / d - 6.0 * g * gp * t / d ** 2
+        hyy = 6.0 * g * t / d ** 2
         return h, hx, hy, hxx, hxy, hyy
 
     def h(self, x, y):
@@ -313,24 +290,21 @@ def default_kappa(alpha: float, eps: float) -> float:
     return eps ** (2.0 * atilde / 3.0)
 
 
-def build_diffeo(spec: DomainSpec, layer, n_sample: int = 200) -> DiffeoField:
+def build_diffeo(spec: DomainSpec, layer: KappaLayer,
+                 n_sample: int = 200) -> DiffeoField:
     """Build the flattening diffeomorphism and certify det DPhi > 0 on a sample grid."""
-    if isinstance(layer, KappaLayer):
-        if layer.k_hat <= 6.0:
-            raise ProfileError(f"k_hat = {layer.k_hat} must exceed 6")
-        if layer.kappa_eps <= spec.sup_g():
-            raise ProfileError(
-                f"layer too thin: kappa_eps = {layer.kappa_eps:.4g} "
-                f"<= sup g_eps = {spec.sup_g():.4g}")
-        depth = layer.k_hat * layer.kappa_eps
-        if depth >= 1.0 + spec.epsilon ** spec.alpha * spec.profile.min_value():
-            raise ProfileError(
-                f"layer too deep: k_hat*kappa_eps = {depth:.4g} reaches the bottom")
-    elif isinstance(layer, EpsilonLayer):
-        if spec.epsilon > 0.5:
-            raise ProfileError("EpsilonLayer requires eps <= 1/2")
-    else:
+    if not isinstance(layer, KappaLayer):
         raise ProfileError(f"unknown layer kind {layer!r}")
+    if layer.k_hat <= 6.0:
+        raise ProfileError(f"k_hat = {layer.k_hat} must exceed 6")
+    if layer.kappa_eps <= spec.sup_g():
+        raise ProfileError(
+            f"layer too thin: kappa_eps = {layer.kappa_eps:.4g} "
+            f"<= sup g_eps = {spec.sup_g():.4g}")
+    depth = layer.k_hat * layer.kappa_eps
+    if depth >= 1.0 + spec.epsilon ** spec.alpha * spec.profile.min_value():
+        raise ProfileError(
+            f"layer too deep: k_hat*kappa_eps = {depth:.4g} reaches the bottom")
 
     field_ = DiffeoField(spec=spec, layer=layer)
     xs = np.linspace(0.0, spec.w_len, n_sample)

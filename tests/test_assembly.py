@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from steklov_lab.assembly import (FeFunction, GRAD_MASS, HESSIAN_ENERGY,
                                   LAPLACIAN_ENERGY, MASS, MIXED_U_DELTA,
-                                  assemble, assemble_navier_load,
+                                  assemble, assemble_many, assemble_navier_load,
                                   boundary_mass, e_distance, gauss01,
                                   hermite1d, normal_trace, sobolev_forms)
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
@@ -171,6 +171,82 @@ def test_pulled_back_volume_matches_area():
     # mean of g = eps^2 * mean(1 + cos) = eps^2; the layer interface kinks the
     # weight inside elements, so equality holds to quadrature accuracy only
     assert area == pytest.approx(1.0 + 0.125 ** 2, rel=5e-8)
+
+
+@pytest.mark.parametrize("pulled_back", [False, True])
+def test_assemble_many_matches_assemble(pulled_back):
+    # one pass for several forms gives each form's matrix bit for bit
+    m = build_mesh(16, 4, grading=0.8)
+    dm = dirichlet(m)
+    dif = cos_diffeo(alpha=2.0, eps=0.125) if pulled_back else None
+    kinds = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY, MIXED_U_DELTA)
+    for kind, many in zip(kinds, assemble_many(kinds, m, dm, dif)):
+        one = assemble(kind, m, dm, dif).matrix
+        assert many.kind == kind and many.domain is dif
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(many.matrix, attr), getattr(one, attr))
+    with pytest.raises(ValueError):
+        assemble_many((MASS, normal_trace("All")), m, dm, dif)
+
+
+def _fd_derivs(f, x, y, d=1e-4):
+    """f, f_x, f_y, f_xx, f_xy, f_yy by fourth-order central differences."""
+    def first(step):
+        m2, m1, p1, p2 = (f(*step(s)) for s in (-2, -1, 1, 2))
+        return (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * d)
+
+    def second(step):
+        m2, m1, c0, p1, p2 = (f(*step(s)) for s in (-2, -1, 0, 1, 2))
+        return (-p2 + 16 * p1 - 30 * c0 + 16 * m1 - m2) / (12 * d * d)
+
+    def cross(h):
+        return (f(x + h, y + h) - f(x + h, y - h)
+                - f(x - h, y + h) + f(x - h, y - h)) / (4 * h * h)
+
+    along_x = lambda s: (x + s * d, y)
+    along_y = lambda s: (x, y + s * d)
+    return (f(x, y), first(along_x), first(along_y), second(along_x),
+            (4.0 * cross(d) - cross(2 * d)) / 3.0, second(along_y))
+
+
+def test_pullback_chain_rule_against_finite_differences():
+    # u = u_hat o Phi on a nontrivial layer map, 8 elements per period; the
+    # forms and the load are integrated at the mapped Gauss points with the
+    # weights divided by det DPhi, and every derivative of the composition is
+    # taken by finite differences instead of the chain rule
+    dif = cos_diffeo(alpha=2.0, eps=0.25)
+    m = build_mesh(32, 6, grading=0.7)
+    full = DofMap.unconstrained(m)
+    u_hat = FeFunction(m, np.random.default_rng(8).standard_normal(4 * m.n_nodes))
+    t, wq = gauss01(6)
+    xr = (m.xs[:-1, None] + m.hx(0) * t).ravel()
+    yr = (m.ys[:-1, None] + np.diff(m.ys)[:, None] * t).ravel()
+    wr = np.outer(np.full(m.nx, m.hx(0))[:, None] * wq,
+                  np.diff(m.ys)[:, None] * wq).ravel()
+    X, Yr = (a.ravel() for a in np.meshgrid(xr, yr, indexing="ij"))
+    Y = dif.physical_y(X, Yr)
+    w = wr / dif.det(X, Y)
+    u, ux, uy, uxx, uxy, uyy = _fd_derivs(
+        lambda x, y: u_hat.value(*dif.phi(x, y)), X, Y)
+    expected = {
+        MASS: np.sum(w * u ** 2),
+        GRAD_MASS: np.sum(w * (ux ** 2 + uy ** 2)),
+        LAPLACIAN_ENERGY: np.sum(w * (uxx + uyy) ** 2),
+        HESSIAN_ENERGY: np.sum(w * (uxx ** 2 + 2 * uxy ** 2 + uyy ** 2)),
+    }
+    c = u_hat.coeffs
+    for kind, value in expected.items():
+        A = assemble(kind, m, full, dif).matrix
+        assert c @ (A @ c) == pytest.approx(value, rel=1e-8), kind
+    # the experiments' datum, and one that also sees where the points lie in y
+    k = np.pi / m.w_len
+    data = ((lambda x, y: np.sin(k * x), lambda x, y: k * np.cos(k * x),
+             lambda x, y: np.zeros_like(x)),
+            (lambda x, y: x * y ** 2, lambda x, y: y ** 2, lambda x, y: 2 * x * y))
+    for f, fx, fy in data:
+        F = assemble_navier_load((f, fx, fy), m, full, dif)
+        value = np.sum(w * (f(X, Y) * (uxx + uyy) + fx(X, Y) * ux + fy(X, Y) * uy))
+        assert c @ F == pytest.approx(value, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,7 +32,6 @@ def test_parse_config_text():
     ny = 24
     grading = 0.7
     out_dir = results
-    cell_fem_check = true
     """
     d = parse_config_text(text)
     assert d["alphas"] == (2.0, 1.5, 1.2)
@@ -36,7 +39,6 @@ def test_parse_config_text():
     assert d["ny"] == 24
     assert d["grading"] == 0.7
     assert d["out_dir"] == "results"
-    assert d["cell_fem_check"] is True
 
 
 def test_parse_config_rejects_garbage():
@@ -47,6 +49,9 @@ def test_parse_config_rejects_garbage():
 def test_load_config_rejects_unknown_keys(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("nonsense_key = 3\n")
+    with pytest.raises(ConfigError):
+        load_config("trichotomy", str(p))
+    p.write_text("cell_fem_check = true\n")      # a retired key
     with pytest.raises(ConfigError):
         load_config("trichotomy", str(p))
 
@@ -141,6 +146,26 @@ def test_emit_unwritable_path(tmp_path):
     rep = ExperimentReport("trichotomy")
     with pytest.raises(OSError):
         emit(rep, "csv", target)
+
+
+def _compare_reports(old, new):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+    return subprocess.run([sys.executable, str(script), str(old), str(new)],
+                          capture_output=True, text=True)
+
+
+def test_compare_reports_tolerance(tmp_path):
+    def write(name, header, value):
+        rep = ExperimentReport("trichotomy", header=(header,))
+        rep.add(2.0, 0.125, 64, 32, 1, value, 1.0, value - 1.0, "Info")
+        rep.metric(2.0, -1, 0.01, 0.02)
+        return emit(rep, "csv", tmp_path / name)
+
+    old = write("old", "seed=0", 3.0)
+    assert _compare_reports(old, write("head", "seed=1", 3.0)).returncode == 0
+    moved = _compare_reports(old, write("moved", "seed=0", 3.0 * (1 + 2e-9)))
+    assert moved.returncode == 1
+    assert "value: largest relative change 2e-09" in moved.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
-                                          EpsilonLayer, GeometryError,
                                           KappaLayer, ProfileError,
                                           build_diffeo, check_assumptions,
                                           default_kappa, eval_profile,
@@ -97,13 +96,12 @@ def test_identity_below_layer():
 
 
 def test_graph_maps_to_flat_top():
-    for layer in (KappaLayer(kappa_eps=0.1, k_hat=8.0), EpsilonLayer()):
-        spec = spec_for(2.0, 0.125)
-        dif = build_diffeo(spec, layer)
-        x = np.linspace(0, 1, 33)
-        g = spec.g(x)
-        xr, yr = dif.phi(x, g)
-        assert np.max(np.abs(yr)) < 1e-14
+    spec = spec_for(2.0, 0.125)
+    dif = build_diffeo(spec, KappaLayer(kappa_eps=0.1, k_hat=8.0))
+    x = np.linspace(0, 1, 33)
+    g = spec.g(x)
+    xr, yr = dif.phi(x, g)
+    assert np.max(np.abs(yr)) < 1e-14
 
 
 def test_jacobian_bounds_inside_certified_window():
@@ -122,16 +120,9 @@ def test_layer_parameter_errors():
     with pytest.raises(ProfileError):
         build_diffeo(spec, KappaLayer(kappa_eps=spec.sup_g() * 0.5, k_hat=8.0))
     with pytest.raises(ProfileError):
-        build_diffeo(DomainSpec(epsilon=0.55, profile=cos_profile(2.0), w_len=1.1),
-                     EpsilonLayer())
-
-
-def test_epsilon_layer_degenerates_for_tall_profiles():
-    # at the critical exponent the graph exceeds eps/2 for moderate eps and
-    # the fixed-depth map folds over; this is why runs use the kappa layer
-    spec = spec_for(1.5, 0.125)
-    with pytest.raises(GeometryError):
-        build_diffeo(spec, EpsilonLayer())
+        build_diffeo(spec, KappaLayer(kappa_eps=0.13, k_hat=8.0))   # too deep
+    with pytest.raises(ProfileError):
+        build_diffeo(spec, "no layer")
 
 
 def _layer_points(spec, dif, n, rng):
@@ -142,8 +133,7 @@ def _layer_points(spec, dif, n, rng):
     return x, y
 
 
-@pytest.mark.parametrize("layer", [KappaLayer(kappa_eps=0.1, k_hat=8.0),
-                                   EpsilonLayer()])
+@pytest.mark.parametrize("layer", [KappaLayer(kappa_eps=0.1, k_hat=8.0)])
 def test_h_bounds_and_top_match(layer):
     spec = spec_for(2.0, 0.125)
     dif = build_diffeo(spec, layer)
@@ -172,8 +162,7 @@ def _fd2(f, x, y, which, d=2e-5):
     return (4.0 * cross(d) - cross(2 * d)) / 3.0  # Richardson to O(d^4)
 
 
-@pytest.mark.parametrize("layer", [KappaLayer(kappa_eps=0.1, k_hat=8.0),
-                                   EpsilonLayer()])
+@pytest.mark.parametrize("layer", [KappaLayer(kappa_eps=0.1, k_hat=8.0)])
 def test_second_derivatives_match_finite_differences(layer):
     spec = spec_for(2.0, 0.125)
     dif = build_diffeo(spec, layer)
