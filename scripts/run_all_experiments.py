@@ -7,25 +7,18 @@ Usage: python scripts/run_all_experiments.py [outdir]
 import sys
 import time
 
-from steklov_lab.lab_cli import EXPERIMENTS, RUNNERS, emit, load_config
+from steklov_lab.lab_cli import EXPERIMENTS, main as lab_main
 
 
 def main():
     out = sys.argv[1] if len(sys.argv) > 1 else "out"
     overall_ok = True
     for name in EXPERIMENTS:
-        cfg = load_config(name, out_dir=out)
         t0 = time.time()
-        rep = RUNNERS[name](cfg)
-        path = emit(rep, "csv", out)
-        emit(rep, "svg", out)
-        ok = rep.all_satisfied
+        ok = lab_main([name, "--out", out]) == 0
         overall_ok &= ok
         print(f"{name:18s} {'Satisfied' if ok else 'Violated ':9s} "
-              f"[{time.time() - t0:6.1f}s] -> {path}")
-        for row in rep.metric_rows:
-            print(f"    [{row.verdict:9s}] alpha={row.alpha:g} n={row.n}: "
-                  f"value={row.value:.6g} threshold={row.reference:.6g}")
+              f"[{time.time() - t0:6.1f}s]")
     return 0 if overall_ok else 1
 
 

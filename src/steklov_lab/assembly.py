@@ -45,8 +45,9 @@ def gauss01(n: int):
     return 0.5 * (p + 1.0), 0.5 * w
 
 
-def hermite1d(t: np.ndarray, h: float, deriv: int) -> np.ndarray:
-    """Cubic Hermite basis on an interval of length h at normalized points t.
+def hermite1d(t: np.ndarray, h: float | np.ndarray, deriv: int) -> np.ndarray:
+    """Cubic Hermite basis on an interval of length h at normalized points t;
+    h is one length or one per point.
 
     Rows: value-left, slope-left, value-right, slope-right.  Slope functions
     carry the factor h so that the associated DOF is the physical derivative;
@@ -502,12 +503,12 @@ class FeFunction:
         return FeFunction(mesh=mesh, coeffs=full)
 
     @staticmethod
-    def interpolate(mesh: Mesh, f, fx=None, fy=None, fxy=None,
-                    fd_step: float = 1e-6) -> "FeFunction":
-        """Hermite interpolant from nodal data; missing derivatives by central FD."""
+    def interpolate(mesh: Mesh, f, fx=None, fy=None, fxy=None) -> "FeFunction":
+        """Hermite interpolant from nodal data; missing derivatives by central
+        differences with step 1e-6."""
         pts = mesh.node_coords()
         x, y = pts[:, 0], pts[:, 1]
-        d = fd_step
+        d = 1e-6
 
         def fdx(g):
             return lambda xx, yy: (g(xx + d, yy) - g(xx - d, yy)) / (2 * d)
@@ -544,20 +545,7 @@ class FeFunction:
         tx = (x.ravel() - mesh.xs[ix]) / hx
         ty = (y.ravel() - mesh.ys[iy]) / hys[iy]
         X = hermite1d(tx, hx, dx_order)                    # (4, npts)
-        # vertical element size varies with grading: rescale the unit-size basis
-        Y = hermite1d(ty, 1.0, dy_order).copy()
-        hy_pt = hys[iy]
-        if dy_order == 0:
-            Y[1] *= hy_pt
-            Y[3] *= hy_pt
-        elif dy_order == 1:
-            Y[0] /= hy_pt
-            Y[2] /= hy_pt
-        else:
-            Y[0] /= hy_pt ** 2
-            Y[2] /= hy_pt ** 2
-            Y[1] /= hy_pt
-            Y[3] /= hy_pt
+        Y = hermite1d(ty, hys[iy], dy_order)               # per-point height
         nyp = mesh.ny + 1
         n0 = ix * nyp + iy
         nodes = np.stack([n0, n0 + nyp, n0 + nyp + 1, n0 + 1], axis=0)  # (4, npts)
@@ -627,7 +615,7 @@ def sobolev_forms(mesh: Mesh, domain: DiffeoField | None = None,
 
 def e_distance(u_hat: FeFunction, u: FeFunction,
                diffeo: DiffeoField | None, norm: str = "H2",
-               quad_order: int | None = None, forms: dict | None = None) -> float:
+               forms: dict | None = None) -> float:
     """Sobolev distance || (u_hat - u) o Phi || over the perturbed domain.
 
     With E u = u o Phi this is the transplantation distance ||u_eps - E u||;
@@ -642,7 +630,7 @@ def e_distance(u_hat: FeFunction, u: FeFunction,
     if norm not in ("L2", "H1", "H2"):
         raise ValueError("norm must be 'L2', 'H1' or 'H2'")
     if forms is None:
-        forms = sobolev_forms(u_hat.mesh, diffeo, quad_order)
+        forms = sobolev_forms(u_hat.mesh, diffeo)
     w = u_hat.coeffs - u.coeffs
     val = w @ (forms["mass"] @ w)
     if norm in ("H1", "H2"):

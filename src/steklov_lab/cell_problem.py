@@ -29,8 +29,6 @@ from .profile_geometry import BoundaryProfile, ProfileError
 __all__ = ["CellMode", "CellSolution", "solve_cell", "cell_energy_density",
            "mode_energy_closed_form", "solve_cell_fem"]
 
-_FFT_SAMPLES = 8192
-
 
 @dataclass(frozen=True)
 class CellMode:
@@ -74,22 +72,9 @@ def mode_energy_closed_form(omega: float, beta: float) -> float:
 
 
 def _fourier_amplitudes(profile: BoundaryProfile, k_max: int):
-    """Per-frequency trig amplitudes beta_k with beta_k^2 = c_k^2 + s_k^2."""
-    if profile.kind == "fourier":
-        betas = {}
-        for k, c in enumerate(profile.coefficients):
-            if 1 <= k <= k_max and c != 0.0:
-                betas[k] = abs(c)
-        return betas
-    y = np.linspace(-0.5, 0.5, _FFT_SAMPLES, endpoint=False)
-    vals = profile.eval(y)
-    spec = np.fft.rfft(vals) / _FFT_SAMPLES
-    betas = {}
-    for k in range(1, min(k_max, spec.size - 1) + 1):
-        amp = 2.0 * abs(spec[k])
-        if amp > 1e-12 * (1.0 + np.max(np.abs(vals))):
-            betas[k] = amp
-    return betas
+    """Per-frequency trig amplitudes beta_k = |c_k| of the cosine series."""
+    return {k: abs(c) for k, c in enumerate(profile.coefficients)
+            if 1 <= k <= k_max and c != 0.0}
 
 
 def solve_cell(profile: BoundaryProfile, k_max: int = 16) -> CellSolution:

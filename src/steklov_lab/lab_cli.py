@@ -135,10 +135,14 @@ class ExperimentConfig:
 
 
 def _parse_scalar(tok: str):
+    """An int, a float, a fraction p/q of two numbers, or else the string."""
     tok = tok.strip()
-    if "/" in tok:
-        num, den = tok.split("/", 1)
-        return float(num) / float(den)
+    num, slash, den = tok.partition("/")
+    if slash:
+        try:
+            return float(num) / float(den)
+        except ValueError:
+            return tok
     for cast in (int, float):
         try:
             return cast(tok)
@@ -174,6 +178,10 @@ def load_config(experiment: str, path: str | None = None, **overrides) -> Experi
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    for name, fld in ExperimentConfig.__dataclass_fields__.items():
+        if isinstance(fld.default, tuple) and not isinstance(
+                values.get(name, ()), tuple):
+            values[name] = (values[name],)
     return ExperimentConfig(**values)
 
 

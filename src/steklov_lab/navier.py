@@ -43,8 +43,6 @@ __all__ = ["NavierSolution", "NtnOperator", "solve_navier",
 class NavierSolution:
     u: FeFunction
     residual: float
-    form: str
-    bc: str
     domain: DiffeoField | None
     dofmap: DofMap
     system: FeSystem
@@ -60,28 +58,25 @@ def _energy_form(form: str):
 
 
 def solve_navier(mesh: Mesh, f, form: str = "Laplacian",
-                 bc: str = "DirichletAll", domain: DiffeoField | None = None,
-                 quad_order: int | None = None,
-                 system: FeSystem | None = None) -> NavierSolution:
-    """Discrete solution of a(u, phi) = int (f Lap(phi) + grad f . grad phi).
+                 domain: DiffeoField | None = None,
+                 quad_order: int | None = None) -> NavierSolution:
+    """Discrete solution of a(u, phi) = int (f Lap(phi) + grad f . grad phi)
+    with u = 0 on the whole boundary.
 
     `f` is an FeFunction or a (f, f_x, f_y) triple of callables evaluated at
-    physical points.  Pass a preassembled `system` to reuse the energy matrix.
+    physical points.
     """
     kind = _energy_form(form)
-    if system is None:
-        dofmap = mark_essential(mesh, DofMap.unconstrained(mesh), bc)
-        system = assemble(kind, mesh, dofmap, domain, quad_order)
-    else:
-        dofmap = system.dofmap
+    dofmap = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
+    system = assemble(kind, mesh, dofmap, domain, quad_order)
     F = assemble_navier_load(f, mesh, dofmap, domain, quad_order)
     A = system.matrix.tocsc()
     u_free = spla.splu(A).solve(F)
     fn = float(np.linalg.norm(F))
     res = float(np.linalg.norm(system.matrix @ u_free - F)) / fn if fn > 0 else 0.0
     u = FeFunction.from_free_vector(dofmap, mesh, u_free)
-    return NavierSolution(u=u, residual=res, form=form, bc=bc, domain=domain,
-                          dofmap=dofmap, system=system, load=F)
+    return NavierSolution(u=u, residual=res, domain=domain, dofmap=dofmap,
+                          system=system, load=F)
 
 
 def _conormal_operator(mesh: Mesh, domain: DiffeoField | None,
@@ -297,14 +292,13 @@ def q2_eval(mesh: Mesh, nodal: np.ndarray, x, y, deriv: str = "value"):
     return np.einsum("pi,ip->p", c, shape)
 
 
-def relative_h1_error(u, oracle_mesh: Mesh, oracle_nodal: np.ndarray,
-                      nq: int = 4) -> float:
+def relative_h1_error(u, oracle_mesh: Mesh, oracle_nodal: np.ndarray) -> float:
     """Full H^1 distance between a function and a Q2 oracle field, relative to
     the oracle norm, integrated on the oracle mesh.
 
-    `u` is an FeFunction or a (u, u_x, u_y) triple of callables.  With nq = 4
-    the integrand is exact for a Hermite function whose mesh the oracle mesh
-    refines.
+    `u` is an FeFunction or a (u, u_x, u_y) triple of callables.  With 4 Gauss
+    points per direction the integrand is exact for a Hermite function whose
+    mesh the oracle mesh refines.
     """
     if isinstance(u, FeFunction):
         uv, ugx, ugy = (u.value, lambda x, y: u.eval(x, y, 1, 0),
@@ -312,7 +306,7 @@ def relative_h1_error(u, oracle_mesh: Mesh, oracle_nodal: np.ndarray,
     else:
         uv, ugx, ugy = u
     m = oracle_mesh
-    t, w = gauss01(nq)
+    t, w = gauss01(4)
     hx, hy = np.diff(m.xs), np.diff(m.ys)
     xq = (m.xs[:-1, None] + hx[:, None] * t).ravel()
     yq = (m.ys[:-1, None] + hy[:, None] * t).ravel()

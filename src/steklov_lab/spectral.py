@@ -30,6 +30,7 @@ __all__ = ["SteklovSpectrum", "NoSteklovEigenvalues", "SpectralConvergenceError"
            "solve_steklov", "rayleigh"]
 
 DENSE_CUTOFF = 2000
+SUBSPACE_MAX_ITER = 1000
 
 
 class NoSteklovEigenvalues(RuntimeError):
@@ -123,7 +124,7 @@ def _solve_dense(A, B, k):
     return _finalize(B, As, Bs, mu, V, k, "dense", unscale=s)
 
 
-def _solve_subspace(A, B, k, tol, max_iter, seed):
+def _solve_subspace(A, B, k, tol, seed):
     As, Bs, scale = _jacobi_scale(A, B)
     n = As.shape[0]
     rank_cap = int(np.sum(np.abs(Bs.diagonal()) > 0)) + 8
@@ -134,7 +135,7 @@ def _solve_subspace(A, B, k, tol, max_iter, seed):
     X = rng.standard_normal((n, m))
     lu = spla.splu(As.tocsc())
     best_res = None
-    for it in range(max_iter):
+    for it in range(SUBSPACE_MAX_ITER):
         Y = lu.solve(Bs @ X)
         G = Y.T @ (As @ Y)
         # A-orthonormalize; eigen route is robust to rank loss in the block
@@ -160,7 +161,8 @@ def _solve_subspace(A, B, k, tol, max_iter, seed):
         if mu.size >= k and np.max(res) <= tol:
             return _finalize(B, As, Bs, mu, X, k, "subspace", unscale=scale)
     raise SpectralConvergenceError(
-        f"subspace iteration did not reach tol={tol} in {max_iter} iterations",
+        f"subspace iteration did not reach tol={tol} in {SUBSPACE_MAX_ITER} "
+        "iterations",
         best_residuals=best_res)
 
 
@@ -186,11 +188,12 @@ def _solve_lanczos(A, B, k, seed):
 
 
 def solve_steklov(A, B, k: int = 1, tol: float = 1e-9, method: str = "auto",
-                  max_iter: int = 1000, seed: int = 0) -> SteklovSpectrum:
+                  seed: int = 0) -> SteklovSpectrum:
     """k smallest eigenvalues of A q = d B q restricted to the B-nontrivial subspace.
 
     `auto` takes `dense` below DENSE_CUTOFF DOFs and `lanczos` above; `tol`
-    and `max_iter` bound the `subspace` iteration only.
+    bounds the `subspace` iteration only, which stops after SUBSPACE_MAX_ITER
+    sweeps.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -206,7 +209,7 @@ def solve_steklov(A, B, k: int = 1, tol: float = 1e-9, method: str = "auto",
     if method == "dense":
         return _solve_dense(A, B, k)
     if method == "subspace":
-        return _solve_subspace(A, B, k, tol, max_iter, seed)
+        return _solve_subspace(A, B, k, tol, seed)
     if method == "lanczos":
         return _solve_lanczos(A, B, k, seed)
     raise ValueError(f"unknown method {method!r}")

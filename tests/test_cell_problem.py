@@ -98,14 +98,6 @@ def test_truncation_depth_error_bound():
         assert tail <= 2e-4 * sol.gamma  # truncation at L >= 1 is already tiny
 
 
-def test_sampled_profile_projection():
-    y = np.linspace(-0.5, 0.5, 128, endpoint=False)
-    samp = BoundaryProfile.sampled(1.0 + np.cos(2 * np.pi * y), alpha=1.5)
-    gs = solve_cell(samp).gamma
-    gf = solve_cell(cos_profile()).gamma
-    assert gs == pytest.approx(gf, rel=1e-6)
-
-
 def test_fem_strip_cross_check():
     p = cos_profile((1.0, 0.8, 0.3))
     closed = solve_cell(p).gamma

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ def test_parse_config_text():
     ny = 24
     grading = 0.7
     out_dir = results
+    k_hat = 1/8
     """
     d = parse_config_text(text)
     assert d["alphas"] == (2.0, 1.5, 1.2)
@@ -39,6 +41,10 @@ def test_parse_config_text():
     assert d["ny"] == 24
     assert d["grading"] == 0.7
     assert d["out_dir"] == "results"
+    assert d["k_hat"] == 0.125
+    # a slash is a fraction only between two numbers
+    d = parse_config_text("out_dir = results/run1")
+    assert d["out_dir"] == "results/run1"
 
 
 def test_parse_config_rejects_garbage():
@@ -54,6 +60,43 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     p.write_text("cell_fem_check = true\n")      # a retired key
     with pytest.raises(ConfigError):
         load_config("trichotomy", str(p))
+
+
+SMOKE_LINES = "ny = 6\nreference_nx = 16\nk = 2\neps_list = 1/8, 1/16\n"
+
+
+def test_scalar_eps_list_is_rejected(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("eps_list = 1/8\n")
+    with pytest.raises(ConfigError):
+        load_config("trichotomy", str(p))
+
+
+def test_scalar_alphas_runs_one_exponent(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text(SMOKE_LINES + "alphas = 2.0\n")
+    cfg = load_config("trichotomy", str(p))
+    assert cfg.alphas == (2.0,)
+    rep = run_trichotomy(cfg)
+    assert {r.alpha for r in rep.rows if r.eps > 0} == {2.0}
+
+
+def test_scalar_coefficients_give_flat_profile(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text(SMOKE_LINES + "alphas = 2.0\ncoefficients = 1.0\n")
+    cfg = load_config("trichotomy", str(p))
+    assert cfg.coefficients == (1.0,)
+    assert not cfg.profile(2.0).nonconstant
+    gamma = [r for r in run_trichotomy(cfg).rows if r.n == 0][0]
+    assert gamma.value == 0.0
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    code = ("import sys, steklov_lab.lab_cli; "
+            "sys.exit('scipy.interpolate' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_config_validation():

@@ -60,17 +60,6 @@ def test_nonconstant_flag():
     assert not BoundaryProfile.fourier_cosine([0.0], 2.0).nonconstant
 
 
-def test_sampled_profile_matches_fourier():
-    y = np.linspace(-0.5, 0.5, 64, endpoint=False)
-    samp = BoundaryProfile.sampled(1.0 + np.cos(2 * np.pi * y), alpha=2.0)
-    four = cos_profile(2.0)
-    yy = np.linspace(-0.5, 0.5, 257)
-    assert np.max(np.abs(samp.eval(yy) - four.eval(yy))) < 1e-6
-    assert np.max(np.abs(samp.eval(yy, 1) - four.eval(yy, 1))) < 1e-3
-    # periodic continuation
-    assert samp.eval(np.array([0.3])) == pytest.approx(samp.eval(np.array([1.3])))
-
-
 def test_domain_spec_periodic_fit():
     with pytest.raises(ProfileError):
         DomainSpec(epsilon=0.3, profile=cos_profile(2.0))
