@@ -47,6 +47,7 @@ class NavierSolution:
     dofmap: DofMap
     system: FeSystem
     load: np.ndarray
+    factor: object             # factor of system.matrix, for defect solves
 
 
 def _energy_form(form: str):
@@ -70,13 +71,13 @@ def solve_navier(mesh: Mesh, f, form: str = "Laplacian",
     dofmap = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
     system = assemble(kind, mesh, dofmap, domain, quad_order)
     F = assemble_navier_load(f, mesh, dofmap, domain, quad_order)
-    A = system.matrix.tocsc()
-    u_free = spla.splu(A).solve(F)
+    factor = spla.splu(system.matrix.tocsc())
+    u_free = factor.solve(F)
     fn = float(np.linalg.norm(F))
     res = float(np.linalg.norm(system.matrix @ u_free - F)) / fn if fn > 0 else 0.0
     u = FeFunction.from_free_vector(dofmap, mesh, u_free)
     return NavierSolution(u=u, residual=res, domain=domain, dofmap=dofmap,
-                          system=system, load=F)
+                          system=system, load=F, factor=factor)
 
 
 def _conormal_operator(mesh: Mesh, domain: DiffeoField | None,
