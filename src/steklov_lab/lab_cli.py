@@ -14,14 +14,14 @@ row itself.  The metric legend and the acceptance thresholds are echoed as
 from __future__ import annotations
 
 import argparse
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 # assemble_navier_load has no caller here, but perfbench/tracer.py times the
 # module's calls by wrapping this name, so it stays importable from lab_cli
@@ -34,7 +34,7 @@ from .mesh import DofMap, Mesh, build_mesh, mark_essential
 from .navier import solve_navier
 from .profile_geometry import (BoundaryProfile, DomainSpec, build_diffeo,
                                check_assumptions, fit_kappa_layer)
-from .spectral import solve_steklov
+from .spectral import factor_spd, solve_steklov
 
 __all__ = ["ExperimentConfig", "ReportRow", "ExperimentReport",
            "run_trichotomy", "run_dbs_convergence", "run_degeneration",
@@ -143,6 +143,8 @@ def _parse_scalar(tok: str):
             return float(num) / float(den)
         except ValueError:
             return tok
+        except ZeroDivisionError:
+            raise ConfigError(f"{tok!r} divides by zero") from None
     for cast in (int, float):
         try:
             return cast(tok)
@@ -168,6 +170,25 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _checked(name, value, default):
+    """A config value checked against the type of its key's default; an
+    array key given one value becomes an array of one."""
+    if isinstance(default, tuple):
+        items = value if isinstance(value, tuple) else (value,)
+        for v in items:
+            _checked(name, v, 0.0)
+        return items
+    if isinstance(default, str):
+        ok, kind = isinstance(value, str), "text"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, numbers.Integral), "an integer"
+    else:
+        ok, kind = isinstance(value, numbers.Real), "a number"
+    if not ok or isinstance(value, bool):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def load_config(experiment: str, path: str | None = None, **overrides) -> ExperimentConfig:
     values = dict(EXPERIMENT_DEFAULTS.get(experiment, {}))
     if path is not None:
@@ -179,9 +200,8 @@ def load_config(experiment: str, path: str | None = None, **overrides) -> Experi
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     for name, fld in ExperimentConfig.__dataclass_fields__.items():
-        if isinstance(fld.default, tuple) and not isinstance(
-                values.get(name, ()), tuple):
-            values[name] = (values[name],)
+        if name in values and fld.default is not MISSING:
+            values[name] = _checked(name, values[name], fld.default)
     return ExperimentConfig(**values)
 
 
@@ -697,13 +717,13 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
             sol_0 = flat_solution(mesh, "Hessian")
             Bg_ref = assemble(normal_trace("Gamma"), mesh, dm).matrix
             A_gam = sol_0.system.matrix + gamma * Bg_ref
-            lu_gam = spla.splu(A_gam.tocsc())
-            u_gam = lu_gam.solve(sol_0.load)
+            factor_gam = factor_spd(A_gam)
+            u_gam = factor_gam.solve(sol_0.load)
             # u_eps - u_gam in defect form, A_gam^{-1} (A_gam u_eps - F_0)
             w = np.zeros(dm.n_dofs)
             w[dm.free] = _defect_solve(
-                lu_gam, A_gam, A_gam @ sol_e.u.coeffs[dm.free] - sol_0.load)
-            del lu_gam
+                factor_gam, A_gam, A_gam @ sol_e.u.coeffs[dm.free] - sol_0.load)
+            del factor_gam          # freed before the mass/gradient pass
             mass, grad = assemble_many((MASS, GRAD_MASS), mesh,
                                        DofMap.unconstrained(mesh))
             ug_full = np.zeros(dm.n_dofs)

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (FeFunction, FeSystem, GRAD_MASS, LAPLACIAN_ENERGY,
                        HESSIAN_ENERGY, MIXED_U_DELTA, assemble, assemble_many,
                        assemble_navier_load, boundary_mass, gauss01)
 from .mesh import DOF_V, DOF_VX, DOF_VY, DofMap, Mesh, mark_essential
 from .profile_geometry import DiffeoField
+from .spectral import factor_spd
 
 __all__ = ["NavierSolution", "NtnOperator", "solve_navier",
            "normal_derivative_functional", "build_ntn", "ntn_eigenvalues",
@@ -71,7 +71,7 @@ def solve_navier(mesh: Mesh, f, form: str = "Laplacian",
     dofmap = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
     system = assemble(kind, mesh, dofmap, domain, quad_order)
     F = assemble_navier_load(f, mesh, dofmap, domain, quad_order)
-    factor = spla.splu(system.matrix.tocsc())
+    factor = factor_spd(system.matrix)
     u_free = factor.solve(F)
     fn = float(np.linalg.norm(F))
     res = float(np.linalg.norm(system.matrix @ u_free - F)) / fn if fn > 0 else 0.0
@@ -153,18 +153,18 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
     # harmonic extension of each unit of trace data
     Kcc = K[comp][:, comp]
     Kct = K[comp][:, trace_dofs]
-    lu = spla.splu(Kcc.tocsc())
+    factor = factor_spd(Kcc)
     C = np.zeros((n_dofs, trace_dofs.size))
     C[trace_dofs, np.arange(trace_dofs.size)] = 1.0
-    C[comp] = -lu.solve(Kct.toarray())
+    C[comp] = -factor.solve(Kct.toarray())
 
     # Navier solves for every basis function
     dofmap = mark_essential(mesh, full, "DirichletAll")
     system = assemble(LAPLACIAN_ENERGY, mesh, dofmap, domain, quad_order)
     conorm = (M.matrix + G.matrix).tocsr()
     loads = (conorm.T @ C)[dofmap.free]
-    lu_a = spla.splu(system.matrix.tocsc())
-    U_free = lu_a.solve(loads)
+    factor_a = factor_spd(system.matrix)
+    U_free = factor_a.solve(loads)
     U = np.zeros((n_dofs, trace_dofs.size))
     U[dofmap.free] = U_free
 
@@ -259,14 +259,14 @@ def mixed_splitting_solve(mesh: Mesh, f_trace) -> tuple[np.ndarray, np.ndarray]:
     on_bdry[:, [0, -1]] = True
     on_bdry = on_bdry.ravel()
     inner = np.nonzero(~on_bdry)[0]
-    lu = spla.splu(K[inner][:, inner].tocsc())
+    factor = factor_spd(K[inner][:, inner])
     X, Y = np.meshgrid(xq, yq, indexing="ij")
     v = np.zeros(K.shape[0])
     v[on_bdry] = f_trace(X.ravel()[on_bdry], Y.ravel()[on_bdry])
-    v[inner] = lu.solve(-(K[inner][:, on_bdry] @ v[on_bdry]))
+    v[inner] = factor.solve(-(K[inner][:, on_bdry] @ v[on_bdry]))
     # int grad u . grad phi = - int v phi  for phi in H^1_0
     u = np.zeros_like(v)
-    u[inner] = lu.solve(-(M @ v)[inner])
+    u[inner] = factor.solve(-(M @ v)[inner])
     return v, u
 
 

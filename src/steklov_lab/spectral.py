@@ -15,6 +15,12 @@ D = diag(A)^{-1/2}, and its residual certificates are taken there.  Methods:
 Subspace iteration stalls when the mu spectrum is nearly flat, which happens
 for the boundary pencils close to the critical oscillation exponent; Krylov
 acceleration copes with that regime.
+
+`factor_spd` is the one factorization of the lab: every SPD system (the
+inner solves here, the Navier solves, the Navier-to-Neumann extensions and
+the Q2 oracle) is factored by a banded Cholesky in the matrix's own DOF
+order.  On the tensor meshes the column-major Hermite numbering is already
+banded, with half-bandwidth 4 (ny + 2) - 1.
 """
 
 from __future__ import annotations
@@ -27,10 +33,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = ["SteklovSpectrum", "NoSteklovEigenvalues", "SpectralConvergenceError",
-           "solve_steklov", "rayleigh"]
+           "SpdFactor", "factor_spd", "solve_steklov", "rayleigh"]
 
 DENSE_CUTOFF = 2000
 SUBSPACE_MAX_ITER = 1000
+SPD_FACTOR_BUDGET = 1 << 30            # bytes of band storage per factor
 
 
 class NoSteklovEigenvalues(RuntimeError):
@@ -56,6 +63,41 @@ class SteklovSpectrum:
 
     def __len__(self):
         return self.eigenvalues.size
+
+
+class SpdFactor:
+    """Cholesky factor U^T U of a banded SPD matrix, U in LAPACK upper band
+    storage (`dpbtrf`); `solve` takes a vector or a block of columns."""
+
+    def __init__(self, band_factor: np.ndarray):
+        self.band_factor = band_factor
+
+    def solve(self, b):
+        return sla.cho_solve_banded((self.band_factor, False), b,
+                                    check_finite=False)
+
+
+def factor_spd(A) -> SpdFactor:
+    """Banded Cholesky factor of a sparse SPD matrix in its own DOF order.
+
+    The half-bandwidth is read off the upper triangle.  A band whose storage,
+    8 (band + 1) n bytes, would exceed SPD_FACTOR_BUDGET raises MemoryError
+    before the band is allocated; a matrix that is not positive definite
+    raises LinAlgError.
+    """
+    U = sp.triu(A, format="coo")
+    U.sum_duplicates()
+    n = A.shape[0]
+    band = int(np.max(U.col - U.row)) if U.nnz else 0
+    need = 8 * (band + 1) * n
+    if need > SPD_FACTOR_BUDGET:
+        raise MemoryError(
+            f"banded Cholesky of order {n} with half-bandwidth {band} needs "
+            f"{need / 2**20:.0f} MB, above the {SPD_FACTOR_BUDGET / 2**20:.0f} "
+            "MB SPD factor budget")
+    ab = np.zeros((band + 1, n), order="F")   # LAPACK's layout: no copy
+    ab[band + U.row - U.col, U.col] = U.data
+    return SpdFactor(sla.cholesky_banded(ab, overwrite_ab=True, lower=False))
 
 
 def _as_matrix(A):
@@ -133,10 +175,10 @@ def _solve_subspace(A, B, k, tol, seed):
     m = min(max(2 * k + 4, k + 28), n, rank_cap)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, m))
-    lu = spla.splu(As.tocsc())
+    factor = factor_spd(As)
     best_res = None
     for it in range(SUBSPACE_MAX_ITER):
-        Y = lu.solve(Bs @ X)
+        Y = factor.solve(Bs @ X)
         G = Y.T @ (As @ Y)
         # A-orthonormalize; eigen route is robust to rank loss in the block
         w, U = sla.eigh(G)
@@ -171,9 +213,9 @@ def _solve_lanczos(A, B, k, seed):
     factorized A side as inner solver; Krylov acceleration copes with the
     moderately clustered mu spectra of the wide boundary pencils."""
     As, Bs, scale = _jacobi_scale(A, B)
-    lu = spla.splu(As.tocsc())
+    factor = factor_spd(As)
     n = As.shape[0]
-    Minv = spla.LinearOperator((n, n), matvec=lu.solve)
+    Minv = spla.LinearOperator((n, n), matvec=factor.solve)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     try:

@@ -72,6 +72,16 @@ def test_scalar_eps_list_is_rejected(tmp_path):
         load_config("trichotomy", str(p))
 
 
+@pytest.mark.parametrize("line", [
+    "ny = abc", "grading = 1/3/2", "eps_list = 1/0, 1/16",
+    "eps_list = 1/8, x/16"])
+def test_load_config_rejects_ill_typed_values(tmp_path, line):
+    p = tmp_path / "c.cfg"
+    p.write_text(line + "\n")
+    with pytest.raises(ConfigError):
+        load_config("trichotomy", str(p))
+
+
 def test_scalar_alphas_runs_one_exponent(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text(SMOKE_LINES + "alphas = 2.0\n")

@@ -1,5 +1,10 @@
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from steklov_lab.assembly import (LAPLACIAN_ENERGY, HESSIAN_ENERGY, assemble,
@@ -7,8 +12,8 @@ from steklov_lab.assembly import (LAPLACIAN_ENERGY, HESSIAN_ENERGY, assemble,
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
 from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
                                           build_diffeo, fit_kappa_layer)
-from steklov_lab.spectral import (NoSteklovEigenvalues, rayleigh,
-                                  solve_steklov)
+from steklov_lab.spectral import (SPD_FACTOR_BUDGET, NoSteklovEigenvalues,
+                                  factor_spd, rayleigh, solve_steklov)
 
 
 def square_pencil(n, form=LAPLACIAN_ENERGY, part="All", grading=1.0):
@@ -157,3 +162,61 @@ def test_cluster_grouping():
     B = sp.csr_matrix(np.eye(3))
     s = solve_steklov(A, B, k=3)
     assert s.clusters == ((0, 3),)
+
+
+# ---------------------------------------------------------------------------
+# the banded SPD factor
+
+def test_factor_spd_solves_match_dense():
+    A, _ = square_pencil(8, grading=0.8)
+    M = A.matrix
+    dense = M.toarray()
+    factor = factor_spd(M)
+    rng = np.random.default_rng(1)
+    for b in (rng.standard_normal(M.shape[0]),
+              rng.standard_normal((M.shape[0], 5))):
+        x = factor.solve(b)
+        ref = sla.solve(dense, b, assume_a="pos")
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_factor_spd_refuses_a_band_over_budget():
+    n = 20_000
+    A = sp.eye(n, format="lil") * 4.0
+    A[0, n - 1] = A[n - 1, 0] = 1.0          # half-bandwidth n - 1
+    A = A.tocsr()
+    assert 8 * n * n > SPD_FACTOR_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="SPD factor budget"):
+            factor_spd(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20                 # the band was never allocated
+
+
+def test_factor_spd_rejects_indefinite_matrix():
+    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
+                                [1.0, -3.0, 1.0],
+                                [0.0, 1.0, 2.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        factor_spd(A)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than double here")
+def test_eig_reference_matches_dense():
+    # the reference of scripts/eig_reference.py starts from random vectors
+    # here, not from the reported modes
+    path = Path(__file__).resolve().parents[1] / "scripts" / "eig_reference.py"
+    spec = importlib.util.spec_from_file_location("eig_reference", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    A, B = square_pencil(8, grading=0.8)
+    assert A.matrix.shape[0] < 2000
+    dense = solve_steklov(A, B, k=3, method="dense").eigenvalues
+    ref, change = mod.reference_eigenvalues(A.matrix, B.matrix, 3)
+    assert change <= 1e-13
+    assert np.max(np.abs(ref - dense) / dense) <= 1e-10
