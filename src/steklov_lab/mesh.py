@@ -32,10 +32,6 @@ class Mesh:
     def n_nodes(self) -> int:
         return (self.nx + 1) * (self.ny + 1)
 
-    @property
-    def n_elems(self) -> int:
-        return self.nx * self.ny
-
     def node(self, ix, iy):
         return ix * (self.ny + 1) + iy
 

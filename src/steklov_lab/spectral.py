@@ -61,9 +61,6 @@ class SteklovSpectrum:
     method: str
     clusters: tuple = field(default=())  # (start, size) per multiplicity group
 
-    def __len__(self):
-        return self.eigenvalues.size
-
 
 class SpdFactor:
     """Cholesky factor U^T U of a banded SPD matrix, U in LAPACK upper band

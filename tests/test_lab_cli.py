@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from steklov_lab.assembly import HESSIAN_ENERGY, assemble, normal_trace
-from steklov_lab.lab_cli import (AssumptionViolatedError, ConfigError,
-                                 ExperimentConfig, ExperimentReport,
-                                 ReportRow, emit, load_config, main,
+from steklov_lab.lab_cli import (RUNNERS, AssumptionViolatedError,
+                                 ConfigError, ExperimentConfig,
+                                 ExperimentReport, emit, load_config, main,
                                  parse_config_text, run_dbs_convergence,
                                  run_degeneration, run_trichotomy)
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
@@ -110,12 +111,11 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="trichotomy", eps_list=(0.125,))
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="trichotomy", per_period=4)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="trichotomy", eps_list=(0.15, 0.075))
+    for bad in (dict(eps_list=(0.125,)), dict(per_period=4),
+                dict(eps_list=(0.15, 0.075)), dict(eps_list=(0.125, 0)),
+                dict(w_len=-1), dict(w_len=0), dict(threads=-1)):
+        with pytest.raises(ConfigError):
+            smoke_cfg("trichotomy", alphas=(2.0,), **bad)
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="bogus")
 
@@ -162,10 +162,11 @@ def test_empty_report_is_header_only():
 def test_one_row_roundtrip():
     rep = ExperimentReport("degeneration")
     rep.add(1.0, 1 / 3, 64, 32, 1, np.pi, np.e, np.pi - np.e, "Info")
-    back = ExperimentReport.from_csv(rep.to_csv())
-    (row,) = back.rows
-    assert row == ReportRow(1.0, 1 / 3, 64, 32, 1, np.pi, np.e,
-                            np.pi - np.e, "Info")
+    line = rep.to_csv().splitlines()[-1]
+    a, e, nx, ny, n, v, ref, gap, verdict = line.split(",")
+    assert [float(x) for x in (a, e, v, ref, gap)] == [1.0, 1 / 3, np.pi, np.e,
+                                                       np.pi - np.e]
+    assert (nx, ny, n, verdict) == ("64", "32", "1", "Info")
 
 
 def test_metric_row_verdicts_recomputable():
@@ -226,9 +227,6 @@ def test_compare_reports_tolerance(tmp_path):
 
 def test_trichotomy_smoke_runs_and_roundtrips():
     rep = run_trichotomy(smoke_cfg("trichotomy", alphas=(2.0, 1.2)))
-    text = rep.to_csv()
-    back = ExperimentReport.from_csv(text)
-    assert back.to_csv().splitlines()[1:] == text.splitlines()[1:]
     assert {r.alpha for r in rep.rows if r.n == 1 and r.eps > 0} == {2.0, 1.2}
     # gamma row present and recomputable target for the critical regime
     g = [r for r in rep.rows if r.n == 0][0]
@@ -242,12 +240,35 @@ def test_trichotomy_determinism():
     assert a == b
 
 
-def test_trichotomy_threads_match_serial():
-    cfg = smoke_cfg("trichotomy", alphas=(2.0, 1.5))
-    serial = run_trichotomy(cfg).to_csv()
-    threaded = run_trichotomy(smoke_cfg("trichotomy", alphas=(2.0, 1.5),
-                                        threads=2)).to_csv()
-    assert serial == threaded
+THREADS_SMOKE = {
+    "trichotomy": dict(alphas=(2.0, 1.5)),
+    "dbs-convergence": dict(),
+    "degeneration": dict(eps_list=(0.0625, 0.03125)),
+    "navier-stability": dict(),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(THREADS_SMOKE))
+def test_threads_match_serial(experiment):
+    serial = RUNNERS[experiment](smoke_cfg(experiment,
+                                           **THREADS_SMOKE[experiment]))
+    threaded = RUNNERS[experiment](smoke_cfg(experiment, threads=2,
+                                             **THREADS_SMOKE[experiment]))
+    assert serial.rows and serial.to_csv() == threaded.to_csv()
+
+
+def test_tracer_sites_resolve():
+    # the benchmark's tracer wraps these module names by path; a refactor
+    # that drops one makes install() raise
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+    finally:
+        t.uninstall()
 
 
 def test_dbs_refuses_violated_condition():
@@ -312,5 +333,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "metric n=-4" in out
     assert (tmp_path / "trichotomy.csv").exists()
     assert (tmp_path / "trichotomy.svg").exists()
-    rep = ExperimentReport.from_csv((tmp_path / "trichotomy.csv").read_text())
-    assert rc == (0 if rep.all_satisfied else 1)
+    rows = [ln.split(",") for ln in (tmp_path / "trichotomy.csv").read_text()
+            .splitlines() if not ln.startswith("#")][1:]
+    verdicts = {r[8] for r in rows if int(r[4]) <= 0} - {"Info"}
+    assert rc == (0 if verdicts <= {"Satisfied"} else 1)
