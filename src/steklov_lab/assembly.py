@@ -83,16 +83,18 @@ _NODE_SIDES = ((0, 0), (1, 0), (1, 1), (0, 1))
 _TYPE_SLOPES = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
+# 1D Hermite rows (in x and in y) of local DOF l = 4*node + type
+_X_ROWS = [2 * a + sx for a, _ in _NODE_SIDES for sx, _ in _TYPE_SLOPES]
+_Y_ROWS = [2 * b + sy for _, b in _NODE_SIDES for _, sy in _TYPE_SLOPES]
+
+
 def _tensor_basis(tx, ty, hx, hy, dx_order, dy_order):
-    """(nq, 16) array of local basis derivatives at the tensor Gauss points."""
-    X = hermite1d(tx, hx, dx_order)
-    Y = hermite1d(ty, hy, dy_order)
-    nqx, nqy = tx.size, ty.size
-    out = np.empty((nqx * nqy, 16))
-    for n, (a, b) in enumerate(_NODE_SIDES):
-        for t, (sx, sy) in enumerate(_TYPE_SLOPES):
-            out[:, 4 * n + t] = np.outer(X[2 * a + sx], Y[2 * b + sy]).ravel()
-    return out
+    """(nq, 16) array of local basis derivatives at the tensor Gauss points,
+    point index ix * nqy + iy.  It is C-contiguous: einsum's summation order,
+    and so the rounding of every assembled form, follows the layout."""
+    X = hermite1d(tx, hx, dx_order)[_X_ROWS].T                  # (nqx, 16)
+    Y = hermite1d(ty, hy, dy_order)[_Y_ROWS].T                  # (nqy, 16)
+    return np.multiply(X[:, None, :], Y[None, :, :], order="C").reshape(-1, 16)
 
 
 def _edge_basis(t, h_edge, h_other, edge, dx_order, dy_order):
@@ -211,6 +213,13 @@ class _CooAccumulator:
         return out
 
 
+# physical derivative tags that each volume form reads from B
+_FORM_TAGS = {"Mass": ("v",), "GradMass": ("x", "y"),
+              "LaplacianEnergy": ("xx", "yy"), "HessianEnergy": ("xx", "xy", "yy"),
+              "MixedUDelta": ("v", "xx", "yy")}
+_LOAD_TAGS = ("x", "y", "xx", "yy")
+
+
 def _combine(kind: FormKind, B, w):
     """Local matrices for a volume form from physical-derivative basis arrays.
 
@@ -280,35 +289,43 @@ def _chain_arrays(domain: DiffeoField, xref, yref):
     return tuple(arr.reshape(shape) for arr in (hx, hy, hxx, hxy, hyy, det, y))
 
 
-def _physical_B(Bref, a, b, hxx, hxy, hyy):
-    """Apply the pullback chain rule to reference-derivative basis arrays."""
-    BX, BY = Bref["x"], Bref["y"]
-    BXX, BXY, BYY = Bref["xx"], Bref["xy"], Bref["yy"]
+def _physical_B(Bref, tags, a, b, hxx, hxy, hyy):
+    """Apply the pullback chain rule to reference-derivative basis arrays,
+    for the physical derivative tags in `tags` only."""
     a_, b_ = a[:, :, None], b[:, :, None]
-    out = {
-        "v": np.broadcast_to(Bref["v"], (a.shape[0],) + Bref["v"].shape[-2:]),
-        "x": BX - a_ * BY,
-        "y": (1.0 - b_) * BY,
-        "xx": BXX - 2.0 * a_ * BXY + a_ ** 2 * BYY - hxx[:, :, None] * BY,
-        "xy": (1.0 - b_) * (BXY - a_ * BYY) - hxy[:, :, None] * BY,
-        "yy": (1.0 - b_) ** 2 * BYY - hyy[:, :, None] * BY,
+    rule = {
+        "v": lambda: np.broadcast_to(Bref["v"], (a.shape[0],) + Bref["v"].shape[-2:]),
+        "x": lambda: Bref["x"] - a_ * Bref["y"],
+        "y": lambda: (1.0 - b_) * Bref["y"],
+        "xx": lambda: (Bref["xx"] - 2.0 * a_ * Bref["xy"] + a_ ** 2 * Bref["yy"]
+                       - hxx[:, :, None] * Bref["y"]),
+        "xy": lambda: ((1.0 - b_) * (Bref["xy"] - a_ * Bref["yy"])
+                       - hxy[:, :, None] * Bref["y"]),
+        "yy": lambda: (1.0 - b_) ** 2 * Bref["yy"] - hyy[:, :, None] * Bref["y"],
     }
-    return out
+    return {tag: rule[tag]() for tag in tags}
 
 
 # derivative tag -> (x order, y order) of the basis arrays
 _DERIVS = {"v": (0, 0), "x": (1, 0), "y": (0, 1),
            "xx": (2, 0), "xy": (1, 1), "yy": (0, 2)}
 
+# physical derivative tag -> the reference tags its chain rule reads
+_CHAIN_READS = {"v": ("v",), "x": ("x", "y"), "y": ("y",),
+                "xx": ("xx", "xy", "yy", "y"), "xy": ("xy", "yy", "y"),
+                "yy": ("yy", "y")}
 
-def _volume_rows(mesh: Mesh, domain: DiffeoField | None, quad_order: int):
+
+def _volume_rows(mesh: Mesh, domain: DiffeoField | None, quad_order: int,
+                 tags):
     """The one quadrature/geometry pass over the mesh: per element row, yield
     (gdofs, B, w, x, y).
 
-    B maps derivative tags to physical-derivative basis arrays (nel, nq*nq,
-    16) and w (nel, nq*nq) holds the quadrature weights, 1/det DPhi included;
-    x and y (nx, nq*nq) are the physical quadrature points.  On the flat
-    strip every element of a row has the same B and w, so there nel = 1.
+    B maps each derivative tag in `tags` to physical-derivative basis arrays
+    (nel, nq*nq, 16) and w (nel, nq*nq) holds the quadrature weights, 1/det
+    DPhi included; x and y (nx, nq*nq) are the physical quadrature points.
+    On the flat strip every element of a row has the same B and w, so there
+    nel = 1.
     """
     nq = quad_order
     tq, wq = gauss01(nq)
@@ -316,10 +333,12 @@ def _volume_rows(mesh: Mesh, domain: DiffeoField | None, quad_order: int):
     hx = mesh.w_len / mesh.nx
     xq = mesh.xs[:-1, None] + hx * tq[None, :]                       # (nx, nq)
     xref = np.repeat(xq[:, :, None], nq, axis=2).reshape(mesh.nx, nq * nq)
+    ref_tags = set(tags) if domain is None else {
+        ref for tag in tags for ref in _CHAIN_READS[tag]}
     for ey in range(mesh.ny):
         hy = mesh.hy(ey)
-        Bref = {tag: _tensor_basis(tq, tq, hx, hy, *orders)[None, :, :]
-                for tag, orders in _DERIVS.items()}
+        Bref = {tag: _tensor_basis(tq, tq, hx, hy, *_DERIVS[tag])[None, :, :]
+                for tag in ref_tags}
         w = np.outer(wq * hx, wq * hy).ravel()[None, :]
         yq = mesh.ys[ey] + hy * tq                                   # (nq,)
         yref = np.broadcast_to(np.tile(yq, nq), xref.shape)
@@ -328,7 +347,8 @@ def _volume_rows(mesh: Mesh, domain: DiffeoField | None, quad_order: int):
             yield gdofs, Bref, w, xref, yref
         else:
             a, b, hxx, hxy, hyy, det, y = _chain_arrays(domain, xref, yref)
-            yield gdofs, _physical_B(Bref, a, b, hxx, hxy, hyy), w / det, xref, y
+            yield (gdofs, _physical_B(Bref, tags, a, b, hxx, hxy, hyy),
+                   w / det, xref, y)
 
 
 def _boundary_edges(kind_part: str):
@@ -445,6 +465,15 @@ def _systems(kinds, matrices, mesh, dofmap, domain, quad_order) -> list:
     return out
 
 
+def _volume_systems(kinds, mesh, dofmap, domain, quad_order) -> list:
+    free_idx = dofmap.free_index()
+    acc = _CooAccumulator(dofmap.n_free, len(kinds))
+    tags = {tag for kind in kinds for tag in _FORM_TAGS[kind.name]}
+    for gdofs, B, w, _, _ in _volume_rows(mesh, domain, quad_order, tags):
+        acc.add([_combine(kind, B, w) for kind in kinds], gdofs, free_idx)
+    return _systems(kinds, acc.tocsr(), mesh, dofmap, domain, quad_order)
+
+
 def assemble_many(kinds, mesh: Mesh, dofmap: DofMap,
                   domain: DiffeoField | None = None,
                   quad_order: int | None = None) -> list:
@@ -454,11 +483,7 @@ def assemble_many(kinds, mesh: Mesh, dofmap: DofMap,
         raise ValueError("assemble_many takes volume forms only")
     quad_order = _quad_order(domain, quad_order)
     _resolution_warning(mesh, domain)
-    free_idx = dofmap.free_index()
-    acc = _CooAccumulator(dofmap.n_free, len(kinds))
-    for gdofs, B, w, _, _ in _volume_rows(mesh, domain, quad_order):
-        acc.add([_combine(kind, B, w) for kind in kinds], gdofs, free_idx)
-    return _systems(kinds, acc.tocsr(), mesh, dofmap, domain, quad_order)
+    return _volume_systems(kinds, mesh, dofmap, domain, quad_order)
 
 
 def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
@@ -469,10 +494,10 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     `domain=None` integrates over the flat reference strip; a DiffeoField pulls
     the form back from the perturbed domain it describes.
     """
-    if not kind.on_boundary:
-        return assemble_many((kind,), mesh, dofmap, domain, quad_order)[0]
     quad_order = _quad_order(domain, quad_order)
     _resolution_warning(mesh, domain)
+    if not kind.on_boundary:
+        return _volume_systems((kind,), mesh, dofmap, domain, quad_order)[0]
     free_idx = dofmap.free_index()
     acc = _CooAccumulator(dofmap.n_free)
     for P, w, gdofs in _boundary_batches(kind, mesh, domain, quad_order):
@@ -589,11 +614,11 @@ def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
 
     free_idx = dofmap.free_index()
     load = np.zeros(dofmap.n_free)
-    for gdofs, B, w, x, y in _volume_rows(mesh, domain, quad_order):
+    for gdofs, B, w, x, y in _volume_rows(mesh, domain, quad_order, _LOAD_TAGS):
         # spread the flat strip's shared row arrays over the elements: einsum
         # may sum in another order over a size-1 element axis
         shape = x.shape + (16,)
-        B = {tag: np.broadcast_to(B[tag], shape) for tag in ("x", "y", "xx", "yy")}
+        B = {tag: np.broadcast_to(B[tag], shape) for tag in _LOAD_TAGS}
         w = np.broadcast_to(w, x.shape)
         lap = B["xx"] + B["yy"]
         loc = np.einsum("eq,eqi,eq->ei", fv(x, y), lap, w, optimize=True)

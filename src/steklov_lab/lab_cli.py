@@ -105,6 +105,14 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 0 (0: STEKLOV_LAB_THREADS or 1)")
         if self.per_period < 8:
             raise ConfigError("mesh rule requires >= 8 elements per period")
+        for key in ("k", "ny", "reference_nx"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if not 0.0 < self.grading <= 1.0:
+            raise ConfigError("grading must lie in (0, 1]")
+        if self.quad_order < 6:
+            # every experiment assembles pulled-back cells with quad_order
+            raise ConfigError("quad_order must be >= 6 (pulled-back assembly)")
         for e in self.eps_list:
             periods = self.w_len / e
             if abs(periods - round(periods)) > 1e-9:

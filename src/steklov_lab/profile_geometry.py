@@ -184,6 +184,16 @@ class DiffeoField:
         """Physical height below which the map is the identity."""
         return self.spec.g(x) - self.layer.k_hat * self.layer.kappa_eps
 
+    def _blend(self, g, y):
+        """(d, t, t^2, t^3, h, h_y): the layer depth d, the layer coordinate
+        t = (y - layer bottom) / d clipped at 0, and h = g t^3, h_y = 3 g t^2 / d,
+        for g = g_eps(x) given."""
+        d = self.layer.k_hat * self.layer.kappa_eps
+        t = (y - (g - d)) / d
+        t = np.clip(t, 0.0, None)
+        t2, t3 = t * t, t * t * t
+        return d, t, t2, t3, g * t3, 3.0 * g * t2 / d
+
     def h_derivs(self, x, y):
         """h, h_x, h_y, h_xx, h_xy, h_yy at physical points (vectorized)."""
         x = np.asarray(x, dtype=float)
@@ -191,13 +201,8 @@ class DiffeoField:
         g = self.spec.g(x)
         gp = self.spec.g(x, 1)
         gpp = self.spec.g(x, 2)
-        d = self.layer.k_hat * self.layer.kappa_eps
-        t = (y - (g - d)) / d
-        t = np.clip(t, 0.0, None)
-        t2, t3 = t * t, t * t * t
-        h = g * t3
+        d, t, t2, t3, h, hy = self._blend(g, y)
         hx = gp * t3 - 3.0 * g * gp * t2 / d
-        hy = 3.0 * g * t2 / d
         hxx = (gpp * t3 - 6.0 * gp * gp * t2 / d
                + 6.0 * g * gp * gp * t / d ** 2 - 3.0 * g * gpp * t2 / d)
         hxy = 3.0 * gp * t2 / d - 6.0 * g * gp * t / d ** 2
@@ -212,33 +217,34 @@ class DiffeoField:
         return np.asarray(x, dtype=float), np.asarray(y, dtype=float) - self.h(x, y)
 
     def det(self, x, y):
-        _, _, hy, *_ = self.h_derivs(x, y)
-        return 1.0 - hy
+        return 1.0 - self._blend(self.spec.g(x), np.asarray(y, dtype=float))[5]
 
     def physical_y(self, x, yhat):
         """Invert y - h(x, y) = yhat for y (vectorized safeguarded Newton).
 
         y -> y - h(x, y) is strictly increasing (det DPhi > 0), so the root is
         unique in [yhat, g_eps(x)].  Stops once the residual is below
-        1e-13 (1 + sup g_eps), after at most 60 steps.
+        1e-13 (1 + sup g_eps), after at most 60 steps.  g_eps(x) is evaluated
+        once; each step needs only h and h_y.
         """
         x = np.asarray(x, dtype=float)
         yhat = np.asarray(yhat, dtype=float)
-        lo = self.layer_bottom(x)
-        below = yhat <= lo
-        y = np.where(below, yhat, np.minimum(self.spec.g(x), yhat + self.spec.sup_g()))
-        scale = 1.0 + self.spec.sup_g()
+        g = self.spec.g(x)
+        sup_g = self.spec.sup_g()
+        below = yhat <= g - self.layer.k_hat * self.layer.kappa_eps
+        y = np.where(below, yhat, np.minimum(g, yhat + sup_g))
+        scale = 1.0 + sup_g
         for _ in range(60):
-            h, _, hy, *_ = self.h_derivs(x, y)
+            *_, h, hy = self._blend(g, y)
             f = y - h - yhat
             if np.max(np.abs(f)) < 1e-13 * scale:
                 break
             step = f / np.maximum(1.0 - hy, 1e-3)
             y = y - step
-            y = np.minimum(y, self.spec.g(x))
+            y = np.minimum(y, g)
             y = np.where(below, yhat, y)
         else:
-            h = self.h(x, y)
+            h = self._blend(g, y)[4]
             resid = float(np.max(np.abs(y - h - yhat)))
             if resid > 1e-9 * scale:
                 raise GeometryError(f"layer map inversion stalled, residual {resid:.2e}")
@@ -273,14 +279,12 @@ def build_diffeo(spec: DomainSpec, layer: KappaLayer,
             f"layer too deep: k_hat*kappa_eps = {depth:.4g} reaches the bottom")
 
     field_ = DiffeoField(spec=spec, layer=layer)
+    # n_sample heights from max(layer bottom, -1) to the graph in each of
+    # n_sample columns, as one (n_sample, n_sample) grid
     xs = np.linspace(0.0, spec.w_len, n_sample)
-    dets = []
-    for x in xs:
-        lo = float(field_.layer_bottom(np.array([x]))[0])
-        hi = float(spec.g(np.array([x]))[0])
-        ys = np.linspace(max(lo, -1.0), hi, n_sample)
-        dets.append(field_.det(np.full_like(ys, x), ys))
-    dets = np.concatenate(dets)
+    lo = np.maximum(field_.layer_bottom(xs), -1.0)
+    ys = np.linspace(lo, spec.g(xs), n_sample, axis=1)
+    dets = field_.det(np.broadcast_to(xs[:, None], ys.shape), ys)
     field_.det_min = float(np.min(dets))
     field_.det_max = float(np.max(dets))
     if field_.det_min <= 0.0:

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from steklov_lab.assembly import (FeFunction, GRAD_MASS, HESSIAN_ENERGY,
                                   LAPLACIAN_ENERGY, MASS, MIXED_U_DELTA,
-                                  assemble, assemble_many, assemble_navier_load,
-                                  boundary_mass, e_distance, gauss01,
-                                  hermite1d, normal_trace, sobolev_forms)
+                                  _tensor_basis, assemble, assemble_many,
+                                  assemble_navier_load, boundary_mass,
+                                  e_distance, gauss01, hermite1d,
+                                  normal_trace, sobolev_forms)
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
 from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
                                           KappaLayer, build_diffeo,
@@ -50,6 +51,22 @@ def test_element_mass_trace_against_high_order_quadrature():
         phi = FeFunction(m, c).value(X.ravel(), Y.ravel())
         trace += float(np.sum(W.ravel() * phi ** 2))
     assert np.trace(M) == pytest.approx(trace, rel=1e-13)
+
+
+@pytest.mark.parametrize("orders", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+def test_tensor_basis_matches_outer_products(orders):
+    # the broadcast product equals one outer product per local DOF, bit for
+    # bit, in the C-contiguous layout that einsum's summation order sees
+    tx, _ = gauss01(6)
+    ty = np.linspace(0.1, 0.9, 5)
+    X, Y = hermite1d(tx, 0.3, orders[0]), hermite1d(ty, 0.05, orders[1])
+    ref = np.empty((tx.size * ty.size, 16))
+    for n, (a, b) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
+        for t, (sx, sy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+            ref[:, 4 * n + t] = np.outer(X[2 * a + sx], Y[2 * b + sy]).ravel()
+    out = _tensor_basis(tx, ty, 0.3, 0.05, *orders)
+    assert out.flags["C_CONTIGUOUS"]
+    assert np.array_equal(out, ref)
 
 
 def test_hermite_basis_partition_of_unity():
@@ -155,6 +172,16 @@ def test_resolution_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assemble(MASS, m, dirichlet(m), domain=steep)
+
+
+@pytest.mark.parametrize("kind", [MASS, normal_trace("All")])
+def test_resolution_warning_names_the_caller(kind):
+    # a volume form goes through one more frame inside the module than a
+    # boundary form; both are reported at the line that called assemble
+    m = build_mesh(4, 3)
+    with pytest.warns(UserWarning, match="elements per oscillation period") as rec:
+        assemble(kind, m, dirichlet(m), domain=cos_diffeo())
+    assert [w.filename for w in rec] == [__file__]
 
 
 def test_pulled_back_volume_matches_area():

@@ -113,7 +113,10 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
 def test_config_validation():
     for bad in (dict(eps_list=(0.125,)), dict(per_period=4),
                 dict(eps_list=(0.15, 0.075)), dict(eps_list=(0.125, 0)),
-                dict(w_len=-1), dict(w_len=0), dict(threads=-1)):
+                dict(w_len=-1), dict(w_len=0), dict(threads=-1),
+                dict(k=0), dict(ny=0), dict(reference_nx=0), dict(grading=0.0),
+                dict(grading=-0.5), dict(grading=1.5), dict(quad_order=5),
+                dict(quad_order=0)):
         with pytest.raises(ConfigError):
             smoke_cfg("trichotomy", alphas=(2.0,), **bad)
     with pytest.raises(ConfigError):
@@ -208,18 +211,47 @@ def _compare_reports(old, new):
                           capture_output=True, text=True)
 
 
+def _write_report(out_dir, header, value):
+    """A one-row trichotomy report's CSV and SVG in out_dir; the CSV path."""
+    rep = ExperimentReport("trichotomy", header=(header,))
+    rep.add(2.0, 0.125, 64, 32, 1, value, 1.0, value - 1.0, "Info")
+    rep.metric(2.0, -1, 0.01, 0.02)
+    emit(rep, "svg", out_dir)
+    return emit(rep, "csv", out_dir)
+
+
 def test_compare_reports_tolerance(tmp_path):
     def write(name, header, value):
-        rep = ExperimentReport("trichotomy", header=(header,))
-        rep.add(2.0, 0.125, 64, 32, 1, value, 1.0, value - 1.0, "Info")
-        rep.metric(2.0, -1, 0.01, 0.02)
-        return emit(rep, "csv", tmp_path / name)
+        return _write_report(tmp_path / name, header, value)
 
     old = write("old", "seed=0", 3.0)
     assert _compare_reports(old, write("head", "seed=1", 3.0)).returncode == 0
     moved = _compare_reports(old, write("moved", "seed=0", 3.0 * (1 + 2e-9)))
     assert moved.returncode == 1
     assert "value: largest relative change 2e-09" in moved.stdout
+
+
+def test_compare_reports_directories(tmp_path):
+    def write(name, header, value):
+        return _write_report(tmp_path / name, header, value)
+
+    write("old", "seed=0", 3.0)
+    write("same", "seed=0", 3.0)
+    same = _compare_reports(tmp_path / "old", tmp_path / "same")
+    assert same.returncode == 0
+    assert "trichotomy.csv: byte-identical" in same.stdout
+    assert "trichotomy.svg: byte-identical" in same.stdout
+    # a header change alters the bytes but passes the check
+    write("head", "seed=1", 3.0)
+    head = _compare_reports(tmp_path / "old", tmp_path / "head")
+    assert head.returncode == 0
+    assert "trichotomy.csv: bytes differ" in head.stdout
+    write("moved", "seed=0", 3.0 * (1 + 2e-9))
+    assert _compare_reports(tmp_path / "old", tmp_path / "moved").returncode == 1
+    (tmp_path / "same" / "trichotomy.svg").unlink()
+    missing = _compare_reports(tmp_path / "old", tmp_path / "same")
+    assert missing.returncode == 1
+    assert "trichotomy.svg: missing from" in missing.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,32 @@ def test_physical_y_inverts_the_map():
     y = dif.physical_y(x, yhat)
     _, yr = dif.phi(x, y)
     assert np.max(np.abs(yr - yhat)) < 1e-12
+    # at or below the layer bottom the map is the identity: yhat comes back
+    # exactly; the flat top yhat = 0 comes back as the graph g_eps(x)
+    lo = dif.layer_bottom(x)
+    yhat = np.concatenate([lo, lo - rng.uniform(0.0, 1.0 + lo)])
+    xx = np.concatenate([x, x])
+    assert np.array_equal(dif.physical_y(xx, yhat), yhat)
+    top = dif.physical_y(x, np.zeros_like(x))
+    assert np.max(np.abs(top - spec.g(x))) < 1e-13
+
+
+def test_det_certificate_matches_column_loop():
+    # the vectorized certificate samples the same grid as a loop over the
+    # sample columns, so det_min and det_max agree bit for bit
+    for alpha, eps, n in ((2.0, 0.125, 200), (1.5, 0.0625, 200), (1.2, 0.125, 37)):
+        spec = spec_for(alpha, eps)
+        layer = fit_kappa_layer(spec)
+        dif = build_diffeo(spec, layer, n_sample=n)
+        dets = []
+        for x in np.linspace(0.0, spec.w_len, n):
+            lo = float(dif.layer_bottom(np.array([x]))[0])
+            hi = float(spec.g(np.array([x]))[0])
+            ys = np.linspace(max(lo, -1.0), hi, n)
+            dets.append(dif.det(np.full_like(ys, x), ys))
+        dets = np.concatenate(dets)
+        assert dif.det_min == float(np.min(dets))
+        assert dif.det_max == float(np.max(dets))
 
 
 # ---------------------------------------------------------------------------
