@@ -32,8 +32,9 @@ from .assembly import (FeFunction, GRAD_MASS, HESSIAN_ENERGY, LAPLACIAN_ENERGY,
 from .cell_problem import solve_cell
 from .mesh import DofMap, Mesh, build_mesh, mark_essential
 from .navier import solve_navier
-from .profile_geometry import (BoundaryProfile, DomainSpec, build_diffeo,
-                               check_assumptions, fit_kappa_layer)
+from .profile_geometry import (BoundaryProfile, DomainSpec, ProfileError,
+                               build_diffeo, check_assumptions, default_kappa,
+                               fit_kappa_layer)
 from .spectral import factor_spd, solve_steklov
 
 __all__ = ["ExperimentConfig", "ReportRow", "ExperimentReport",
@@ -103,6 +104,9 @@ class ExperimentConfig:
             raise ConfigError("w_len must be positive")
         if self.threads < 0:
             raise ConfigError("threads must be >= 0 (0: STEKLOV_LAB_THREADS or 1)")
+        self.n_threads()                # checks STEKLOV_LAB_THREADS
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.per_period < 8:
             raise ConfigError("mesh rule requires >= 8 elements per period")
         for key in ("k", "ny", "reference_nx"):
@@ -113,6 +117,15 @@ class ExperimentConfig:
         if self.quad_order < 6:
             # every experiment assembles pulled-back cells with quad_order
             raise ConfigError("quad_order must be >= 6 (pulled-back assembly)")
+        if self.k_hat <= 6:
+            raise ConfigError("k_hat must exceed 6 (blending layer depth)")
+        if self.kappa_exponent < 0:
+            raise ConfigError("kappa_exponent must be >= 0 (0: built-in kappa rule)")
+        for a in (self.alpha, *self.alphas):
+            try:
+                self.profile(a)
+            except ProfileError as exc:
+                raise ConfigError(f"profile at alpha = {a}: {exc}") from None
         for e in self.eps_list:
             periods = self.w_len / e
             if abs(periods - round(periods)) > 1e-9:
@@ -135,17 +148,26 @@ class ExperimentConfig:
     def reference_mesh(self) -> Mesh:
         return build_mesh(self.reference_nx, self.ny, self.grading, self.w_len)
 
+    def kappa(self, alpha: float, eps: float) -> float:
+        """kappa_eps = eps**kappa_exponent, or the built-in rule if that is 0."""
+        if self.kappa_exponent > 0:
+            return eps ** self.kappa_exponent
+        return default_kappa(alpha, eps)
+
     def diffeo(self, alpha: float, eps: float):
         spec = self.spec(alpha, eps)
-        kappa = eps ** self.kappa_exponent if self.kappa_exponent > 0 else None
-        layer = fit_kappa_layer(spec, kappa=kappa, k_hat=self.k_hat)
+        layer = fit_kappa_layer(spec, kappa=self.kappa(alpha, eps),
+                                k_hat=self.k_hat)
         return build_diffeo(spec, layer)
 
     def n_threads(self) -> int:
         if self.threads > 0:
             return self.threads
-        env = os.environ.get("STEKLOV_LAB_THREADS", "")
-        return max(1, int(env)) if env.strip().isdigit() else 1
+        env = os.environ.get("STEKLOV_LAB_THREADS", "").strip()
+        if env and (not env.isdecimal() or int(env) < 1):
+            raise ConfigError(
+                f"STEKLOV_LAB_THREADS must be an integer >= 1, got {env!r}")
+        return int(env) if env else 1
 
 
 def _parse_scalar(tok: str):
@@ -473,8 +495,7 @@ def run_dbs_convergence(config: ExperimentConfig) -> ExperimentReport:
     if cfg.alpha <= 1.5:
         raise ConfigError("DBS convergence requires alpha > 3/2")
     prof = cfg.profile(cfg.alpha)
-    rule = (lambda a, e: e ** cfg.kappa_exponent) if cfg.kappa_exponent > 0 else None
-    assumption = check_assumptions(prof, cfg.eps_list, kappa_rule=rule)
+    assumption = check_assumptions(prof, cfg.eps_list, kappa_rule=cfg.kappa)
     if assumption.verdict != "Satisfied":
         raise AssumptionViolatedError(assumption)
 

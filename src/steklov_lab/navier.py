@@ -128,8 +128,7 @@ def boundary_trace_dofs(mesh: Mesh) -> np.ndarray:
 
 
 def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
-              trace_dofs=None, quad_order: int | None = None,
-              extra_dofs=None) -> NtnOperator:
+              trace_dofs=None, quad_order: int | None = None) -> NtnOperator:
     """Assemble the Navier-to-Neumann pencil (N, J0) on a trace basis.
 
     Basis functions are Hermite functions carrying one unit of boundary-trace
@@ -140,9 +139,6 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
     if trace_dofs is None:
         trace_dofs = boundary_trace_dofs(mesh)
     trace_dofs = np.asarray(trace_dofs, dtype=np.int64)
-    if extra_dofs is not None:
-        trace_dofs = np.unique(np.concatenate(
-            [trace_dofs, np.asarray(extra_dofs, dtype=np.int64)]))
     full = DofMap.unconstrained(mesh)
     G, M = assemble_many((GRAD_MASS, MIXED_U_DELTA), mesh, full, domain,
                          quad_order)

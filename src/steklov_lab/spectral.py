@@ -9,12 +9,7 @@ returned).  Every method solves the Jacobi-scaled pencil (DAD, DBD) with
 D = diag(A)^{-1/2}, and its residual certificates are taken there.  Methods:
 
   dense     full eigh of the scaled pencil, systems below 2000 DOFs;
-  subspace  block iteration on A^{-1} B with A-orthogonalization;
-  lanczos   ARPACK on the same operator, the choice for every larger system.
-
-Subspace iteration stalls when the mu spectrum is nearly flat, which happens
-for the boundary pencils close to the critical oscillation exponent; Krylov
-acceleration copes with that regime.
+  lanczos   ARPACK on A^{-1} B, the choice for every larger system.
 
 `factor_spd` is the one factorization of the lab: every SPD system (the
 inner solves here, the Navier solves, the Navier-to-Neumann extensions and
@@ -25,7 +20,7 @@ banded, with half-bandwidth 4 (ny + 2) - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -36,7 +31,6 @@ __all__ = ["SteklovSpectrum", "NoSteklovEigenvalues", "SpectralConvergenceError"
            "SpdFactor", "factor_spd", "solve_steklov", "rayleigh"]
 
 DENSE_CUTOFF = 2000
-SUBSPACE_MAX_ITER = 1000
 SPD_FACTOR_BUDGET = 1 << 30            # bytes of band storage per factor
 
 
@@ -45,9 +39,7 @@ class NoSteklovEigenvalues(RuntimeError):
 
 
 class SpectralConvergenceError(RuntimeError):
-    def __init__(self, message, best_residuals=None):
-        super().__init__(message)
-        self.best_residuals = best_residuals
+    """The iterative eigensolver stopped before its Ritz pairs converged."""
 
 
 @dataclass
@@ -59,7 +51,6 @@ class SteklovSpectrum:
     residuals: np.ndarray              # ||As y - d Bs y|| / ||As y|| on the
                                        # Jacobi-scaled pencil, y = D^{-1} q
     method: str
-    clusters: tuple = field(default=())  # (start, size) per multiplicity group
 
 
 class SpdFactor:
@@ -110,34 +101,20 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     return modes
 
 
-def _cluster(eigs: np.ndarray, rel_gap: float = 1e-6) -> tuple:
-    groups = []
-    start = 0
-    for i in range(1, eigs.size + 1):
-        if i == eigs.size or abs(eigs[i] - eigs[i - 1]) > rel_gap * abs(eigs[i - 1]):
-            groups.append((start, i - start))
-            start = i
-    return tuple(groups)
-
-
 def _finalize(B, As, Bs, mu, Ys, k, method, unscale):
     """Order the Ritz pairs and return B-normalized modes of the original
     pencil.  The residuals ||As y - d Bs y|| / ||As y|| are certified on the
     Jacobi-scaled pencil (As, Bs) = (DAD, DBD), with y = D^{-1} q."""
-    order = np.argsort(mu)[::-1]
-    mu = mu[order][:k]
-    Ys = Ys[:, order][:, :k]
-    d = 1.0 / mu
-    idx = np.argsort(d)
-    d, Ys = d[idx], Ys[:, idx]
+    top = np.argsort(mu)[::-1][:k]         # largest mu: ascending d = 1/mu
+    d = 1.0 / mu[top]
+    Ys = Ys[:, top]
     Aq = As @ Ys
     res = np.linalg.norm(Aq - (Bs @ Ys) * d, axis=0) / np.linalg.norm(Aq, axis=0)
     Y = Ys * unscale[:, None]
     bnorm = np.sqrt(np.einsum("ij,ij->j", Y, B @ Y))
     Y = Y / bnorm
     Y = _fix_signs(Y)
-    return SteklovSpectrum(eigenvalues=d, modes=Y, residuals=res,
-                           method=method, clusters=_cluster(d))
+    return SteklovSpectrum(eigenvalues=d, modes=Y, residuals=res, method=method)
 
 
 def _jacobi_scale(A, B):
@@ -163,48 +140,6 @@ def _solve_dense(A, B, k):
     return _finalize(B, As, Bs, mu, V, k, "dense", unscale=s)
 
 
-def _solve_subspace(A, B, k, tol, seed):
-    As, Bs, scale = _jacobi_scale(A, B)
-    n = As.shape[0]
-    rank_cap = int(np.sum(np.abs(Bs.diagonal()) > 0)) + 8
-    # generous block: the mu spectrum of boundary pencils decays slowly, so
-    # extra vectors buy far more than they cost against one factorization
-    m = min(max(2 * k + 4, k + 28), n, rank_cap)
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, m))
-    factor = factor_spd(As)
-    best_res = None
-    for it in range(SUBSPACE_MAX_ITER):
-        Y = factor.solve(Bs @ X)
-        G = Y.T @ (As @ Y)
-        # A-orthonormalize; eigen route is robust to rank loss in the block
-        w, U = sla.eigh(G)
-        good = w > max(w.max(), 0.0) * 1e-13
-        if not np.any(good):
-            raise NoSteklovEigenvalues("boundary form is numerically zero")
-        Y = (Y @ U[:, good]) / np.sqrt(w[good])
-        H = Y.T @ (Bs @ Y)
-        mu, Q = sla.eigh(H)
-        order = np.argsort(mu)[::-1]
-        mu, Q = mu[order], Q[:, order]
-        X = Y @ Q
-        kk = min(k, mu.size)
-        lead = X[:, :kk]
-        mu_l = mu[:kk]
-        if np.any(mu_l <= 0):
-            continue
-        Aq = As @ lead
-        res = np.linalg.norm(Aq - (Bs @ lead) * (1.0 / mu_l), axis=0)
-        res = res / np.linalg.norm(Aq, axis=0)
-        best_res = res if best_res is None else np.minimum(best_res, res)
-        if mu.size >= k and np.max(res) <= tol:
-            return _finalize(B, As, Bs, mu, X, k, "subspace", unscale=scale)
-    raise SpectralConvergenceError(
-        f"subspace iteration did not reach tol={tol} in {SUBSPACE_MAX_ITER} "
-        "iterations",
-        best_residuals=best_res)
-
-
 def _solve_lanczos(A, B, k, seed):
     """Implicitly restarted Lanczos (ARPACK) on B q = mu A q with the
     factorized A side as inner solver; Krylov acceleration copes with the
@@ -226,13 +161,11 @@ def _solve_lanczos(A, B, k, seed):
     return _finalize(B, As, Bs, mu, V, k, "lanczos", unscale=scale)
 
 
-def solve_steklov(A, B, k: int = 1, tol: float = 1e-9, method: str = "auto",
+def solve_steklov(A, B, k: int = 1, method: str = "auto",
                   seed: int = 0) -> SteklovSpectrum:
-    """k smallest eigenvalues of A q = d B q restricted to the B-nontrivial subspace.
+    """k smallest eigenvalues of A q = d B q off the kernel of B.
 
-    `auto` takes `dense` below DENSE_CUTOFF DOFs and `lanczos` above; `tol`
-    bounds the `subspace` iteration only, which stops after SUBSPACE_MAX_ITER
-    sweeps.
+    `auto` takes `dense` below DENSE_CUTOFF DOFs and `lanczos` above.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -247,8 +180,6 @@ def solve_steklov(A, B, k: int = 1, tol: float = 1e-9, method: str = "auto",
         method = "dense" if A.shape[0] < DENSE_CUTOFF else "lanczos"
     if method == "dense":
         return _solve_dense(A, B, k)
-    if method == "subspace":
-        return _solve_subspace(A, B, k, tol, seed)
     if method == "lanczos":
         return _solve_lanczos(A, B, k, seed)
     raise ValueError(f"unknown method {method!r}")

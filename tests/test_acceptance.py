@@ -135,7 +135,7 @@ def test_criterion_5_spectral_consistency():
     A8 = assemble(LAPLACIAN_ENERGY, m8, dm8)
     B8 = assemble(normal_trace("All"), m8, dm8)
     dd = solve_steklov(A8, B8, k=3, method="dense").eigenvalues
-    di = solve_steklov(A8, B8, k=3, method="subspace", tol=1e-10).eigenvalues
+    di = solve_steklov(A8, B8, k=3, method="lanczos").eigenvalues
     err_iter = np.max(np.abs(dd - di) / dd)
     dt = time.time() - t0
     report(5, err_ntn <= 1e-6 and err_iter <= 1e-9 and dt < 30.0,

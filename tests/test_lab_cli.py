@@ -116,9 +116,12 @@ def test_config_validation():
                 dict(w_len=-1), dict(w_len=0), dict(threads=-1),
                 dict(k=0), dict(ny=0), dict(reference_nx=0), dict(grading=0.0),
                 dict(grading=-0.5), dict(grading=1.5), dict(quad_order=5),
-                dict(quad_order=0)):
+                dict(quad_order=0), dict(k_hat=6), dict(k_hat=2),
+                dict(k_hat=-1), dict(kappa_exponent=-1),
+                dict(coefficients=(1, 3)), dict(alpha=0), dict(alpha=-1.0),
+                dict(alphas=(2.0, 0.0)), dict(seed=-1)):
         with pytest.raises(ConfigError):
-            smoke_cfg("trichotomy", alphas=(2.0,), **bad)
+            smoke_cfg("trichotomy", **{"alphas": (2.0,), **bad})
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="bogus")
 
@@ -145,9 +148,20 @@ def test_threads_env_fallback(monkeypatch):
     cfg = ExperimentConfig(experiment="trichotomy")
     monkeypatch.setenv("STEKLOV_LAB_THREADS", "3")
     assert cfg.n_threads() == 3
+    monkeypatch.setenv("STEKLOV_LAB_THREADS", " ")
+    assert cfg.n_threads() == 1
     monkeypatch.delenv("STEKLOV_LAB_THREADS")
     assert cfg.n_threads() == 1
     assert ExperimentConfig(experiment="trichotomy", threads=2).n_threads() == 2
+    # a malformed value is refused when the config is loaded
+    for bad in ("abc", "-2", "2.5", "0"):
+        monkeypatch.setenv("STEKLOV_LAB_THREADS", bad)
+        with pytest.raises(ConfigError, match="STEKLOV_LAB_THREADS"):
+            load_config("trichotomy")
+        with pytest.raises(ConfigError, match="STEKLOV_LAB_THREADS"):
+            cfg.n_threads()
+    # an explicit thread count does not read the variable
+    assert load_config("trichotomy", threads=2).n_threads() == 2
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_ntn_basis_saturation():
     # zero-trace directions are deflated by construction: asking for them
     # back degenerates the boundary mass
     with pytest.raises(RuntimeError):
-        build_ntn(m, extra_dofs=[4 * m.node(2, 2)])
+        build_ntn(m, trace_dofs=np.union1d(full, [4 * m.node(2, 2)]))
 
 
 def test_ntn_symmetry():
