@@ -14,7 +14,8 @@ a = h_x, b = h_y evaluated at the physical point,
 
 and the volume element is dx = det(DPhi)^{-1} dx_hat.  On the oscillating
 graph the surface element is sqrt(1 + g'^2) dx' and the outward normal is
-(-g', 1)/sqrt(1 + g'^2).
+(-g', 1)/sqrt(1 + g'^2).  Volume and boundary integrals take this chain rule
+through one pull-back, `_pull_back`.
 """
 
 from __future__ import annotations
@@ -97,20 +98,6 @@ def _tensor_basis(tx, ty, hx, hy, dx_order, dy_order):
     return np.multiply(X[:, None, :], Y[None, :, :], order="C").reshape(-1, 16)
 
 
-def _edge_basis(t, h_edge, h_other, edge, dx_order, dy_order):
-    """Trace of the local basis on one element edge at normalized points t.
-
-    edge is "top"/"bottom" (t runs in x) or "left"/"right" (t runs in y).
-    """
-    if edge in ("top", "bottom"):
-        tx, ty = t, np.array([1.0 if edge == "top" else 0.0])
-        hx, hy = h_edge, h_other
-    else:
-        tx, ty = np.array([0.0 if edge == "left" else 1.0]), t
-        hx, hy = h_other, h_edge
-    return _tensor_basis(tx, ty, hx, hy, dx_order, dy_order)
-
-
 # ---------------------------------------------------------------------------
 # form kinds
 
@@ -156,10 +143,8 @@ class FeSystem:
 
     matrix: sp.csr_matrix
     mesh: Mesh
-    dofmap: DofMap
     kind: FormKind
     domain: DiffeoField | None
-    quad_order: int
 
     @property
     def n_free(self) -> int:
@@ -316,6 +301,24 @@ _CHAIN_READS = {"v": ("v",), "x": ("x", "y"), "y": ("y",),
                 "yy": ("yy", "y")}
 
 
+def _pull_back(domain: DiffeoField | None, tags, tx, ty, hx, hy, xref, yref):
+    """The one reference -> physical pull-back of every integral: (B, det, y).
+
+    B maps each derivative tag in `tags` to the physical-derivative basis
+    arrays (nel, npts, 16) of an hx-by-hy element at its tensor points
+    (tx, ty), whose reference coordinates are xref and yref (nel, npts); det
+    is det DPhi and y the physical ordinate there.  On the flat strip B is the
+    reference basis with nel = 1, det is 1 and y is yref.
+    """
+    if domain is None:
+        return ({tag: _tensor_basis(tx, ty, hx, hy, *_DERIVS[tag])[None, :, :]
+                 for tag in tags}, 1.0, yref)
+    Bref = {ref: _tensor_basis(tx, ty, hx, hy, *_DERIVS[ref])[None, :, :]
+            for ref in {ref for tag in tags for ref in _CHAIN_READS[tag]}}
+    a, b, hxx, hxy, hyy, det, y = _chain_arrays(domain, xref, yref)
+    return _physical_B(Bref, tags, a, b, hxx, hxy, hyy), det, y
+
+
 def _volume_rows(mesh: Mesh, domain: DiffeoField | None, quad_order: int,
                  tags):
     """The one quadrature/geometry pass over the mesh: per element row, yield
@@ -333,91 +336,74 @@ def _volume_rows(mesh: Mesh, domain: DiffeoField | None, quad_order: int,
     hx = mesh.w_len / mesh.nx
     xq = mesh.xs[:-1, None] + hx * tq[None, :]                       # (nx, nq)
     xref = np.repeat(xq[:, :, None], nq, axis=2).reshape(mesh.nx, nq * nq)
-    ref_tags = set(tags) if domain is None else {
-        ref for tag in tags for ref in _CHAIN_READS[tag]}
     for ey in range(mesh.ny):
         hy = mesh.hy(ey)
-        Bref = {tag: _tensor_basis(tq, tq, hx, hy, *_DERIVS[tag])[None, :, :]
-                for tag in ref_tags}
         w = np.outer(wq * hx, wq * hy).ravel()[None, :]
         yq = mesh.ys[ey] + hy * tq                                   # (nq,)
         yref = np.broadcast_to(np.tile(yq, nq), xref.shape)
-        gdofs = _elem_gdofs(mesh, ex_all, ey)
-        if domain is None:
-            yield gdofs, Bref, w, xref, yref
-        else:
-            a, b, hxx, hxy, hyy, det, y = _chain_arrays(domain, xref, yref)
-            yield (gdofs, _physical_B(Bref, tags, a, b, hxx, hxy, hyy),
-                   w / det, xref, y)
-
-
-def _boundary_edges(kind_part: str):
-    if kind_part == "Gamma":
-        return ("top",)
-    return ("top", "bottom", "left", "right")
+        B, det, y = _pull_back(domain, tags, tq, tq, hx, hy, xref, yref)
+        yield _elem_gdofs(mesh, ex_all, ey), B, w / det, xref, y
 
 
 def _boundary_batches(kind, mesh, domain, quad_order):
     """Yield (P, w, gdofs) per boundary batch: trace rows P (nel, nq, 16),
-    quadrature weights w (nel, nq) and the element DOF indices."""
+    quadrature weights w (nel, nq) and the element DOF indices.
+
+    The basis goes through `_pull_back`; each edge gives only its reference
+    points, 1-D weights, unnormalised normal and surface factor.  A normal
+    maps derivative tags to its nonzero components, so no zero term enters
+    the sum.  The forms square the normal derivative, so its sign is free:
+    the bottom keeps (0, 1).
+    """
     nq = quad_order
     tq, wq = gauss01(nq)
     hx = mesh.w_len / mesh.nx
     ex_all = np.arange(mesh.nx)
-    for edge in _boundary_edges(kind.part):
-        if edge in ("top", "bottom"):
-            ey = mesh.ny - 1 if edge == "top" else 0
-            hy = mesh.hy(ey)
-            T0 = _edge_basis(tq, hx, hy, edge, 0, 0)
-            TX = _edge_basis(tq, hx, hy, edge, 1, 0)
-            TY = _edge_basis(tq, hx, hy, edge, 0, 1)
-            gdofs = _elem_gdofs(mesh, ex_all, ey)
-            xq = mesh.xs[:-1, None] + hx * tq[None, :]               # (nx, nq)
-            if domain is None or edge == "bottom":
-                # bottom always sits in the identity region of the layer map
-                P = (TY if kind.name == "NormalTrace" else T0)[None, :, :]
-                P = np.broadcast_to(P, (mesh.nx,) + T0.shape)
-                w = np.broadcast_to(wq * hx, xq.shape)
-            else:
-                spec = domain.spec
-                g = spec.g(xq)
-                gp = spec.g(xq, 1)
-                _, a, b, *_ = domain.h_derivs(xq.ravel(), g.ravel())
-                a = a.reshape(xq.shape)[:, :, None]
-                b = b.reshape(xq.shape)[:, :, None]
-                if kind.name == "NormalTrace":
-                    ux = TX[None, :, :] - a * TY[None, :, :]
-                    uy = (1.0 - b) * TY[None, :, :]
-                    P = -gp[:, :, None] * ux + uy
-                    w = (wq * hx)[None, :] / np.sqrt(1.0 + gp ** 2)
-                else:
-                    P = np.broadcast_to(T0, (mesh.nx,) + T0.shape)
-                    w = (wq * hx)[None, :] * np.sqrt(1.0 + gp ** 2)
-            yield P, np.ascontiguousarray(np.broadcast_to(w, xq.shape)), gdofs
+    xq = mesh.xs[:-1, None] + hx * tq[None, :]                       # (nx, nq)
+    trace = kind.name == "NormalTrace"
+
+    def batch(ex, ey, tx, ty, xref, yref, normal):
+        """(P, det, gdofs) on the elements (ex, ey) at the points (tx, ty)."""
+        tags = tuple(normal) if trace else ("v",)
+        B, det, _ = _pull_back(domain, tags, tx, ty, hx, mesh.hy(ey), xref, yref)
+        if trace:
+            (tag, c), *rest = normal.items()
+            P = c * B[tag]
+            for tag, c in rest:
+                P = P + c * B[tag]
         else:
-            x_edge = 0.0 if edge == "left" else mesh.w_len
-            ex = 0 if edge == "left" else mesh.nx - 1
-            sgn = -1.0 if edge == "left" else 1.0
-            for ey in range(mesh.ny):
-                hy = mesh.hy(ey)
-                L0 = _edge_basis(tq, hy, hx, edge, 0, 0)
-                LX = _edge_basis(tq, hy, hx, edge, 1, 0)
-                gdofs = _elem_gdofs(mesh, np.array([ex]), ey)
-                yq = mesh.ys[ey] + hy * tq
-                if domain is None:
-                    P = (sgn * LX if kind.name == "NormalTrace" else L0)[None, :, :]
-                    w = (wq * hy)[None, :]
-                else:
-                    xr = np.full_like(yq, x_edge)
-                    a, b, _, _, _, det, _ = _chain_arrays(domain, xr[None, :],
-                                                          yq[None, :])
-                    if kind.name == "NormalTrace":
-                        LY = _edge_basis(tq, hy, hx, edge, 0, 1)
-                        P = sgn * (LX[None, :, :] - a[:, :, None] * LY[None, :, :])
-                    else:
-                        P = L0[None, :, :]
-                    w = (wq * hy)[None, :] / det
-                yield P, np.ascontiguousarray(w), gdofs
+            P = B["v"]
+        gdofs = _elem_gdofs(mesh, ex, ey)
+        return np.broadcast_to(P, (len(ex), nq, 16)), det, gdofs
+
+    # top, the graph y = g_eps(x) at y_hat = 0: normal (-g', 1) and
+    # dS = sqrt(1 + g'^2) dx, so the trace carries 1/sqrt(1 + g'^2)
+    w = np.tile(wq * hx, (mesh.nx, 1))                               # (nx, nq)
+    normal, w_top = {"y": 1.0}, w
+    if domain is not None:
+        gp = domain.spec.g(xq, 1)
+        normal = {"x": -gp[:, :, None], "y": 1.0}
+        s = np.sqrt(1.0 + gp ** 2)
+        w_top = w / s if trace else w * s
+    P, _, gdofs = batch(ex_all, mesh.ny - 1, tq, np.ones(1), xq,
+                        np.zeros_like(xq), normal)
+    yield P, w_top, gdofs
+    if kind.part == "Gamma":
+        return
+    # bottom, y = -1 below the layer: normal (0, 1), dS = dx
+    P, _, gdofs = batch(ex_all, 0, tq, np.zeros(1), xq,
+                        np.full_like(xq, mesh.ys[0]), {"y": 1.0})
+    yield P, w, gdofs
+    # sides x = 0 and x = w_len, one batch per element row: normal (-+1, 0),
+    # dS = dy_hat / det DPhi
+    for ex, tx, x_edge, sgn in ((0, 0.0, 0.0, -1.0),
+                                (mesh.nx - 1, 1.0, mesh.w_len, 1.0)):
+        for ey in range(mesh.ny):
+            hy = mesh.hy(ey)
+            yq = (mesh.ys[ey] + hy * tq)[None, :]
+            P, det, gdofs = batch(np.array([ex]), ey, np.array([tx]), tq,
+                                  np.full_like(yq, x_edge), yq, {"x": sgn})
+            yield P, (wq * hy)[None, :] / det, gdofs
 
 
 def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
@@ -454,14 +440,13 @@ def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     return C.tocsr()
 
 
-def _systems(kinds, matrices, mesh, dofmap, domain, quad_order) -> list:
+def _systems(kinds, matrices, mesh, domain) -> list:
     out = []
     for kind, A in zip(kinds, matrices):
         if kind.symmetric:
             A = (A + A.T) * 0.5
             A.sum_duplicates()
-        out.append(FeSystem(matrix=A, mesh=mesh, dofmap=dofmap, kind=kind,
-                            domain=domain, quad_order=quad_order))
+        out.append(FeSystem(matrix=A, mesh=mesh, kind=kind, domain=domain))
     return out
 
 
@@ -471,7 +456,7 @@ def _volume_systems(kinds, mesh, dofmap, domain, quad_order) -> list:
     tags = {tag for kind in kinds for tag in _FORM_TAGS[kind.name]}
     for gdofs, B, w, _, _ in _volume_rows(mesh, domain, quad_order, tags):
         acc.add([_combine(kind, B, w) for kind in kinds], gdofs, free_idx)
-    return _systems(kinds, acc.tocsr(), mesh, dofmap, domain, quad_order)
+    return _systems(kinds, acc.tocsr(), mesh, domain)
 
 
 def assemble_many(kinds, mesh: Mesh, dofmap: DofMap,
@@ -503,7 +488,7 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     for P, w, gdofs in _boundary_batches(kind, mesh, domain, quad_order):
         acc.add([np.einsum("eqi,eqj,eq->eij", P, P, w, optimize=True)],
                 gdofs, free_idx)
-    return _systems((kind,), acc.tocsr(), mesh, dofmap, domain, quad_order)[0]
+    return _systems((kind,), acc.tocsr(), mesh, domain)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +568,6 @@ class FeFunction:
 
     def value(self, x, y):
         return self.eval(x, y, 0, 0)
-
-    def grad(self, x, y):
-        return self.eval(x, y, 1, 0), self.eval(x, y, 0, 1)
-
-    def hess(self, x, y):
-        return (self.eval(x, y, 2, 0), self.eval(x, y, 1, 1),
-                self.eval(x, y, 0, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,11 @@ def _checked(name, value, default):
 def load_config(experiment: str, path: str | None = None, **overrides) -> ExperimentConfig:
     values = dict(EXPERIMENT_DEFAULTS.get(experiment, {}))
     if path is not None:
-        values.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeError) as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from None
+        values.update(parse_config_text(text))
     values.update({k: v for k, v in overrides.items() if v is not None})
     values["experiment"] = experiment
     known = set(ExperimentConfig.__dataclass_fields__)
@@ -748,8 +752,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     name = ALIASES.get(args.experiment, args.experiment)
-    cfg = load_config(name, args.config, out_dir=args.out, threads=args.threads)
-    report = RUNNERS[name](cfg)
+    try:
+        cfg = load_config(name, args.config, out_dir=args.out,
+                          threads=args.threads)
+        report = RUNNERS[name](cfg)
+    except ConfigError as exc:
+        parser.error(str(exc))
     csv_path = emit(report, "csv", cfg.out_dir)
     emit(report, "svg", cfg.out_dir)
 

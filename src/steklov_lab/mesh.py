@@ -83,7 +83,6 @@ class DofMap:
 
     n_nodes: int
     constrained: np.ndarray = field(repr=False)
-    bc: str = "none"
 
     def __post_init__(self):
         if self.constrained.shape != (4 * self.n_nodes,):
@@ -179,4 +178,4 @@ def mark_essential(mesh: Mesh, dofmap: DofMap, bc: str) -> DofMap:
         fix(bottom, [DOF_VY, DOF_VXY])
         fix(vertical, [DOF_VX, DOF_VXY])
 
-    return DofMap(n_nodes=dofmap.n_nodes, constrained=c, bc=bc)
+    return DofMap(n_nodes=dofmap.n_nodes, constrained=c)

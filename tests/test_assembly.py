@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from steklov_lab.assembly import (FeFunction, GRAD_MASS, HESSIAN_ENERGY,
                                   LAPLACIAN_ENERGY, MASS, MIXED_U_DELTA,
-                                  _tensor_basis, assemble, assemble_many,
+                                  _tensor_basis, assemble,
+                                  assemble_boundary_factor, assemble_many,
                                   assemble_navier_load, boundary_mass,
                                   e_distance, gauss01, hermite1d,
                                   normal_trace, sobolev_forms)
@@ -274,6 +275,66 @@ def test_pullback_chain_rule_against_finite_differences():
         F = assemble_navier_load((f, fx, fy), m, full, dif)
         value = np.sum(w * (f(X, Y) * (uxx + uyy) + fx(X, Y) * ux + fy(X, Y) * uy))
         assert c @ F == pytest.approx(value, rel=1e-8)
+
+
+def test_pullback_boundary_forms_against_finite_differences():
+    # the boundary forms on the same layer map, by direct quadrature on the
+    # physical boundary: the graph with dS = sqrt(1 + g'^2) dx and normal
+    # (-g', 1)/sqrt(1 + g'^2), the sides at the mapped heights with
+    # dy = dy_hat / det DPhi, and the flat bottom; the derivatives of
+    # u = u_hat o Phi are taken by finite differences
+    dif = cos_diffeo(alpha=2.0, eps=0.25)
+    m = build_mesh(32, 6, grading=0.7)
+    full = DofMap.unconstrained(m)
+    u_hat = FeFunction(m, np.random.default_rng(8).standard_normal(4 * m.n_nodes))
+    u_of = lambda x, y: u_hat.value(*dif.phi(x, y))
+    t, wq = gauss01(6)
+    x = (m.xs[:-1, None] + m.hx(0) * t).ravel()
+    wx = np.tile(m.hx(0) * wq, m.nx)
+    yr = (m.ys[:-1, None] + np.diff(m.ys)[:, None] * t).ravel()
+    wy = (np.diff(m.ys)[:, None] * wq).ravel()
+
+    g, gp = dif.spec.g(x), dif.spec.g(x, 1)
+    u, ux, uy, *_ = _fd_derivs(u_of, x, g)
+    s = np.sqrt(1.0 + gp ** 2)
+    top_trace = np.sum(wx * s * ((-gp * ux + uy) / s) ** 2)
+    top_mass = np.sum(wx * s * u ** 2)
+    u, _, uy, *_ = _fd_derivs(u_of, x, np.full_like(x, -1.0))
+    bottom_trace, bottom_mass = np.sum(wx * uy ** 2), np.sum(wx * u ** 2)
+    side_trace = side_mass = 0.0
+    for x_edge in (0.0, m.w_len):
+        xs = np.full_like(yr, x_edge)
+        y = dif.physical_y(xs, yr)
+        u, ux, *_ = _fd_derivs(u_of, xs, y)
+        w = wy / dif.det(xs, y)
+        side_trace += np.sum(w * ux ** 2)
+        side_mass += np.sum(w * u ** 2)
+    expected = {
+        normal_trace("Gamma"): top_trace,
+        normal_trace("All"): top_trace + bottom_trace + side_trace,
+        boundary_mass("All"): top_mass + bottom_mass + side_mass,
+    }
+    c = u_hat.coeffs
+    for kind, value in expected.items():
+        B = assemble(kind, m, full, dif).matrix
+        assert c @ (B @ c) == pytest.approx(value, rel=1e-8), kind
+
+
+@pytest.mark.parametrize("pulled_back", [False, True])
+def test_boundary_factor_reproduces_the_form(pulled_back):
+    # B = C C^T, so ||C^T u||^2 = u^T B u without the n x n matrix
+    m = build_mesh(64, 4, grading=0.8)
+    dif = cos_diffeo(alpha=2.0, eps=0.125) if pulled_back else None
+    for dm in (DofMap.unconstrained(m), dirichlet(m)):
+        u = np.random.default_rng(5).standard_normal(dm.n_free)
+        for kind in (normal_trace("Gamma"), normal_trace("All"),
+                     boundary_mass("All")):
+            B = assemble(kind, m, dm, dif).matrix
+            C = assemble_boundary_factor(kind, m, dm, dif)
+            scale = max(abs(B).max(), 1e-300)
+            assert abs(C @ C.T - B).max() <= 1e-13 * scale, kind
+            assert np.sum((C.T @ u) ** 2) == pytest.approx(u @ (B @ u),
+                                                           rel=1e-13, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------
