@@ -89,11 +89,17 @@ _X_ROWS = [2 * a + sx for a, _ in _NODE_SIDES for sx, _ in _TYPE_SLOPES]
 _Y_ROWS = [2 * b + sy for _, b in _NODE_SIDES for _, sy in _TYPE_SLOPES]
 
 
-def _tensor_basis(tx, ty, hx, hy, dx_order, dy_order):
+def _x_factors(tx, hx):
+    """x-factors (nqx, 16) of the tensor basis, per x-derivative order.  They
+    depend on the element width only, so a pass computes them once."""
+    return [hermite1d(tx, hx, d)[_X_ROWS].T for d in range(3)]
+
+
+def _tensor_basis(X, ty, hy, dy_order):
     """(nq, 16) array of local basis derivatives at the tensor Gauss points,
-    point index ix * nqy + iy.  It is C-contiguous: einsum's summation order,
-    and so the rounding of every assembled form, follows the layout."""
-    X = hermite1d(tx, hx, dx_order)[_X_ROWS].T                  # (nqx, 16)
+    point index ix * nqy + iy, from an x-factor of `_x_factors`.  It is
+    C-contiguous: the contraction's summation order, and so the rounding of
+    every assembled form, follows the layout."""
     Y = hermite1d(ty, hy, dy_order)[_Y_ROWS].T                  # (nqy, 16)
     return np.multiply(X[:, None, :], Y[None, :, :], order="C").reshape(-1, 16)
 
@@ -205,6 +211,21 @@ _FORM_TAGS = {"Mass": ("v",), "GradMass": ("x", "y"),
 _LOAD_TAGS = ("x", "y", "xx", "yy")
 
 
+def _gram(P, Q, w):
+    """sum_q P[e, q, i] w[e, q] Q[e, q, j], as (nel, 16, 16).  These are the
+    multiply and matmul that numpy 2.4's einsum("eqi,eqj,eq->eij",
+    optimize=True) runs, so the bits are einsum's, without its path search
+    on every call."""
+    return np.matmul(np.swapaxes(P * w[:, :, None], 1, 2), Q)
+
+
+def _weigh(f, P, w):
+    """sum_q f[e, q] w[e, q] P[e, q, i], as (nel, 16): the multiply and
+    matmul of einsum("eq,eqi,eq->ei", optimize=True).  On the flat strip P
+    and w (1, nq) broadcast over f's element rows."""
+    return np.matmul((f * w)[:, None, :], P)[:, 0, :]
+
+
 def _combine(kind: FormKind, B, w):
     """Local matrices for a volume form from physical-derivative basis arrays.
 
@@ -214,22 +235,20 @@ def _combine(kind: FormKind, B, w):
     if name == "Mass":
         P = Q = B["v"]
     elif name == "GradMass":
-        m = np.einsum("eqi,eqj,eq->eij", B["x"], B["x"], w, optimize=True)
-        m += np.einsum("eqi,eqj,eq->eij", B["y"], B["y"], w, optimize=True)
-        return m
+        return _gram(B["x"], B["x"], w) + _gram(B["y"], B["y"], w)
     elif name == "LaplacianEnergy":
         lap = B["xx"] + B["yy"]
         P = Q = lap
     elif name == "HessianEnergy":
-        m = np.einsum("eqi,eqj,eq->eij", B["xx"], B["xx"], w, optimize=True)
-        m += 2.0 * np.einsum("eqi,eqj,eq->eij", B["xy"], B["xy"], w, optimize=True)
-        m += np.einsum("eqi,eqj,eq->eij", B["yy"], B["yy"], w, optimize=True)
+        m = _gram(B["xx"], B["xx"], w)
+        m += 2.0 * _gram(B["xy"], B["xy"], w)
+        m += _gram(B["yy"], B["yy"], w)
         return m
     elif name == "MixedUDelta":
         P, Q = B["v"], B["xx"] + B["yy"]
     else:
         raise ValueError(f"{kind} is not a volume form")
-    return np.einsum("eqi,eqj,eq->eij", P, Q, w, optimize=True)
+    return _gram(P, Q, w)
 
 
 def _quad_order(domain: DiffeoField | None, quad_order: int | None) -> int:
@@ -258,16 +277,17 @@ def _resolution_warning(mesh: Mesh, domain: DiffeoField | None):
             f"{want} for graph slope {spec.sup_g(1):.3g})", stacklevel=3)
 
 
-def _chain_arrays(domain: DiffeoField, xref, yref):
-    """Physical chain-rule data at reference quadrature points.
+def _chain_arrays(domain: DiffeoField, xref, yref, gs=None):
+    """Physical chain-rule data at reference quadrature points; gs, if given,
+    holds g_eps, g_eps' and g_eps'' at xref.ravel().
 
     Returns (a, b, hxx, hxy, hyy, det, y) arrays shaped like xref, where y is
     the physical ordinate of each point.
     """
     shape = xref.shape
     x = xref.ravel()
-    y = domain.physical_y(x, yref.ravel())
-    _, hx, hy, hxx, hxy, hyy = domain.h_derivs(x, y)
+    y = domain.physical_y(x, yref.ravel(), None if gs is None else gs[0])
+    _, hx, hy, hxx, hxy, hyy = domain.h_derivs(x, y, gs)
     det = 1.0 - hy
     if np.min(det) <= 0.0:
         raise GeometryError("det DPhi <= 0 at a quadrature point")
@@ -301,21 +321,25 @@ _CHAIN_READS = {"v": ("v",), "x": ("x", "y"), "y": ("y",),
                 "yy": ("yy", "y")}
 
 
-def _pull_back(domain: DiffeoField | None, tags, tx, ty, hx, hy, xref, yref):
+def _pull_back(domain: DiffeoField | None, tags, X, ty, hy, xref, yref,
+               gs=None):
     """The one reference -> physical pull-back of every integral: (B, det, y).
 
     B maps each derivative tag in `tags` to the physical-derivative basis
     arrays (nel, npts, 16) of an hx-by-hy element at its tensor points
-    (tx, ty), whose reference coordinates are xref and yref (nel, npts); det
-    is det DPhi and y the physical ordinate there.  On the flat strip B is the
-    reference basis with nel = 1, det is 1 and y is yref.
+    (tx, ty), given as X = `_x_factors(tx, hx)` and ty, whose reference
+    coordinates are xref and yref (nel, npts); det is det DPhi and y the
+    physical ordinate there, and gs goes to `_chain_arrays`.  On the flat
+    strip B is the reference basis with nel = 1, det is 1 and y is yref.
     """
+    def basis(tag):
+        dx, dy = _DERIVS[tag]
+        return _tensor_basis(X[dx], ty, hy, dy)[None, :, :]
     if domain is None:
-        return ({tag: _tensor_basis(tx, ty, hx, hy, *_DERIVS[tag])[None, :, :]
-                 for tag in tags}, 1.0, yref)
-    Bref = {ref: _tensor_basis(tx, ty, hx, hy, *_DERIVS[ref])[None, :, :]
+        return {tag: basis(tag) for tag in tags}, 1.0, yref
+    Bref = {ref: basis(ref)
             for ref in {ref for tag in tags for ref in _CHAIN_READS[tag]}}
-    a, b, hxx, hxy, hyy, det, y = _chain_arrays(domain, xref, yref)
+    a, b, hxx, hxy, hyy, det, y = _chain_arrays(domain, xref, yref, gs)
     return _physical_B(Bref, tags, a, b, hxx, hxy, hyy), det, y
 
 
@@ -328,20 +352,24 @@ def _volume_rows(mesh: Mesh, domain: DiffeoField | None, quad_order: int,
     (nel, nq*nq, 16) and w (nel, nq*nq) holds the quadrature weights, 1/det
     DPhi included; x and y (nx, nq*nq) are the physical quadrature points.
     On the flat strip every element of a row has the same B and w, so there
-    nel = 1.
+    nel = 1.  What no row changes, the basis x-factors and g_eps, g_eps',
+    g_eps'' at the nx * nq abscissae, is computed once per pass.
     """
     nq = quad_order
     tq, wq = gauss01(nq)
     ex_all = np.arange(mesh.nx)
     hx = mesh.w_len / mesh.nx
     xq = mesh.xs[:-1, None] + hx * tq[None, :]                       # (nx, nq)
-    xref = np.repeat(xq[:, :, None], nq, axis=2).reshape(mesh.nx, nq * nq)
+    xref = np.repeat(xq, nq, axis=1)                              # (nx, nq*nq)
+    X = _x_factors(tq, hx)
+    gs = None if domain is None else [
+        np.repeat(domain.spec.g(xq, k), nq, axis=1).ravel() for k in range(3)]
     for ey in range(mesh.ny):
         hy = mesh.hy(ey)
         w = np.outer(wq * hx, wq * hy).ravel()[None, :]
         yq = mesh.ys[ey] + hy * tq                                   # (nq,)
         yref = np.broadcast_to(np.tile(yq, nq), xref.shape)
-        B, det, y = _pull_back(domain, tags, tq, tq, hx, hy, xref, yref)
+        B, det, y = _pull_back(domain, tags, X, tq, hy, xref, yref, gs)
         yield _elem_gdofs(mesh, ex_all, ey), B, w / det, xref, y
 
 
@@ -365,7 +393,8 @@ def _boundary_batches(kind, mesh, domain, quad_order):
     def batch(ex, ey, tx, ty, xref, yref, normal):
         """(P, det, gdofs) on the elements (ex, ey) at the points (tx, ty)."""
         tags = tuple(normal) if trace else ("v",)
-        B, det, _ = _pull_back(domain, tags, tx, ty, hx, mesh.hy(ey), xref, yref)
+        B, det, _ = _pull_back(domain, tags, _x_factors(tx, hx), ty,
+                               mesh.hy(ey), xref, yref)
         if trace:
             (tag, c), *rest = normal.items()
             P = c * B[tag]
@@ -486,8 +515,7 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     free_idx = dofmap.free_index()
     acc = _CooAccumulator(dofmap.n_free)
     for P, w, gdofs in _boundary_batches(kind, mesh, domain, quad_order):
-        acc.add([np.einsum("eqi,eqj,eq->eij", P, P, w, optimize=True)],
-                gdofs, free_idx)
+        acc.add([_gram(P, P, w)], gdofs, free_idx)
     return _systems((kind,), acc.tocsr(), mesh, domain)[0]
 
 
@@ -593,15 +621,9 @@ def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
     free_idx = dofmap.free_index()
     load = np.zeros(dofmap.n_free)
     for gdofs, B, w, x, y in _volume_rows(mesh, domain, quad_order, _LOAD_TAGS):
-        # spread the flat strip's shared row arrays over the elements: einsum
-        # may sum in another order over a size-1 element axis
-        shape = x.shape + (16,)
-        B = {tag: np.broadcast_to(B[tag], shape) for tag in _LOAD_TAGS}
-        w = np.broadcast_to(w, x.shape)
-        lap = B["xx"] + B["yy"]
-        loc = np.einsum("eq,eqi,eq->ei", fv(x, y), lap, w, optimize=True)
-        loc += np.einsum("eq,eqi,eq->ei", fgx(x, y), B["x"], w, optimize=True)
-        loc += np.einsum("eq,eqi,eq->ei", fgy(x, y), B["y"], w, optimize=True)
+        loc = _weigh(fv(x, y), B["xx"] + B["yy"], w)
+        loc += _weigh(fgx(x, y), B["x"], w)
+        loc += _weigh(fgy(x, y), B["y"], w)
         fi = free_idx[gdofs]
         keep = fi >= 0
         np.add.at(load, fi[keep], loc[keep])

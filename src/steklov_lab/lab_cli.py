@@ -756,8 +756,8 @@ def main(argv=None) -> int:
         cfg = load_config(name, args.config, out_dir=args.out,
                           threads=args.threads)
         report = RUNNERS[name](cfg)
-    except ConfigError as exc:
-        parser.error(str(exc))
+    except (ConfigError, AssumptionViolatedError) as exc:
+        parser.error(" ".join(str(exc).split()))      # one line
     csv_path = emit(report, "csv", cfg.out_dir)
     emit(report, "svg", cfg.out_dir)
 

@@ -194,13 +194,12 @@ class DiffeoField:
         t2, t3 = t * t, t * t * t
         return d, t, t2, t3, g * t3, 3.0 * g * t2 / d
 
-    def h_derivs(self, x, y):
-        """h, h_x, h_y, h_xx, h_xy, h_yy at physical points (vectorized)."""
+    def h_derivs(self, x, y, gs=None):
+        """h, h_x, h_y, h_xx, h_xy, h_yy at physical points (vectorized); gs,
+        if given, holds g_eps, g_eps' and g_eps'' at x."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        g = self.spec.g(x)
-        gp = self.spec.g(x, 1)
-        gpp = self.spec.g(x, 2)
+        g, gp, gpp = gs if gs is not None else [self.spec.g(x, k) for k in range(3)]
         d, t, t2, t3, h, hy = self._blend(g, y)
         hx = gp * t3 - 3.0 * g * gp * t2 / d
         hxx = (gpp * t3 - 6.0 * gp * gp * t2 / d
@@ -219,17 +218,17 @@ class DiffeoField:
     def det(self, x, y):
         return 1.0 - self._blend(self.spec.g(x), np.asarray(y, dtype=float))[5]
 
-    def physical_y(self, x, yhat):
+    def physical_y(self, x, yhat, g=None):
         """Invert y - h(x, y) = yhat for y (vectorized safeguarded Newton).
 
         y -> y - h(x, y) is strictly increasing (det DPhi > 0), so the root is
         unique in [yhat, g_eps(x)].  Stops once the residual is below
         1e-13 (1 + sup g_eps), after at most 60 steps.  g_eps(x) is evaluated
-        once; each step needs only h and h_y.
+        once, or taken from g if given; each step needs only h and h_y.
         """
         x = np.asarray(x, dtype=float)
         yhat = np.asarray(yhat, dtype=float)
-        g = self.spec.g(x)
+        g = self.spec.g(x) if g is None else g
         sup_g = self.spec.sup_g()
         below = yhat <= g - self.layer.k_hat * self.layer.kappa_eps
         y = np.where(below, yhat, np.minimum(g, yhat + sup_g))

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from steklov_lab.assembly import (FeFunction, GRAD_MASS, HESSIAN_ENERGY,
                                   LAPLACIAN_ENERGY, MASS, MIXED_U_DELTA,
-                                  _tensor_basis, assemble,
+                                  _boundary_batches, _combine, _gram,
+                                  _tensor_basis, _volume_rows, _weigh,
+                                  _x_factors, assemble,
                                   assemble_boundary_factor, assemble_many,
                                   assemble_navier_load, boundary_mass,
                                   e_distance, gauss01, hermite1d,
@@ -57,17 +59,20 @@ def test_element_mass_trace_against_high_order_quadrature():
 @pytest.mark.parametrize("orders", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
 def test_tensor_basis_matches_outer_products(orders):
     # the broadcast product equals one outer product per local DOF, bit for
-    # bit, in the C-contiguous layout that einsum's summation order sees
+    # bit, in the C-contiguous layout that the contractions' summation order
+    # sees; the x-factor, computed once per pass, serves rows of every height
     tx, _ = gauss01(6)
     ty = np.linspace(0.1, 0.9, 5)
-    X, Y = hermite1d(tx, 0.3, orders[0]), hermite1d(ty, 0.05, orders[1])
-    ref = np.empty((tx.size * ty.size, 16))
-    for n, (a, b) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
-        for t, (sx, sy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-            ref[:, 4 * n + t] = np.outer(X[2 * a + sx], Y[2 * b + sy]).ravel()
-    out = _tensor_basis(tx, ty, 0.3, 0.05, *orders)
-    assert out.flags["C_CONTIGUOUS"]
-    assert np.array_equal(out, ref)
+    X_pass = _x_factors(tx, 0.3)[orders[0]]
+    for hy in (0.05, 0.3, 0.0123):
+        X, Y = hermite1d(tx, 0.3, orders[0]), hermite1d(ty, hy, orders[1])
+        ref = np.empty((tx.size * ty.size, 16))
+        for n, (a, b) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
+            for t, (sx, sy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+                ref[:, 4 * n + t] = np.outer(X[2 * a + sx], Y[2 * b + sy]).ravel()
+        out = _tensor_basis(X_pass, ty, hy, orders[1])
+        assert out.flags["C_CONTIGUOUS"]
+        assert np.array_equal(out, ref)
 
 
 def test_hermite_basis_partition_of_unity():
@@ -275,6 +280,53 @@ def test_pullback_chain_rule_against_finite_differences():
         F = assemble_navier_load((f, fx, fy), m, full, dif)
         value = np.sum(w * (f(X, Y) * (uxx + uyy) + fx(X, Y) * ux + fy(X, Y) * uy))
         assert c @ F == pytest.approx(value, rel=1e-8)
+
+
+def _einsum_combine(name, B, w):
+    """A volume form's local matrices by einsum's optimized path, the way
+    `_combine` summed them before it called matmul itself."""
+    def e(P, Q):
+        return np.einsum("eqi,eqj,eq->eij", P, Q, w, optimize=True)
+    lap = B["xx"] + B["yy"]
+    if name == "GradMass":
+        m = e(B["x"], B["x"])
+        m += e(B["y"], B["y"])
+        return m
+    if name == "HessianEnergy":
+        m = e(B["xx"], B["xx"])
+        m += 2.0 * e(B["xy"], B["xy"])
+        m += e(B["yy"], B["yy"])
+        return m
+    P, Q = {"Mass": (B["v"], B["v"]), "LaplacianEnergy": (lap, lap),
+            "MixedUDelta": (B["v"], lap)}[name]
+    return e(P, Q)
+
+
+@pytest.mark.parametrize("pulled_back", [False, True])
+def test_matmul_contractions_equal_einsum_bit_for_bit(pulled_back):
+    # the contractions run the multiply and matmul that einsum(...,
+    # optimize=True) runs, so every local matrix and load keeps its bits;
+    # checked row by row on a graded mesh, flat and under a steep layer map
+    dif = cos_diffeo(alpha=1.2, eps=0.125) if pulled_back else None
+    m = build_mesh(16, 6, grading=0.7)
+    tags = ("v", "x", "y", "xx", "xy", "yy")
+    kinds = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY, MIXED_U_DELTA)
+    rng = np.random.default_rng(11)
+    for _, B, w, x, _ in _volume_rows(m, dif, 6, tags):
+        for kind in kinds:
+            assert np.array_equal(_combine(kind, B, w),
+                                  _einsum_combine(kind.name, B, w)), kind
+        # the load as `assemble_navier_load` summed it with einsum, over the
+        # row's arrays spread across its elements
+        f = rng.standard_normal(x.shape)
+        for P in (B["xx"] + B["yy"], B["x"], B["y"]):
+            ref = np.einsum("eq,eqi,eq->ei", f,
+                            np.broadcast_to(P, x.shape + (16,)),
+                            np.broadcast_to(w, x.shape), optimize=True)
+            assert np.array_equal(_weigh(f, P, w), ref)
+    for P, w, _ in _boundary_batches(normal_trace("All"), m, dif, 6):
+        ref = np.einsum("eqi,eqj,eq->eij", P, P, w, optimize=True)
+        assert np.array_equal(_gram(P, P, w), ref)
 
 
 def test_pullback_boundary_forms_against_finite_differences():

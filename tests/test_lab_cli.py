@@ -386,17 +386,22 @@ def test_cli_end_to_end(tmp_path, capsys):
 
 
 def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
-    # a bad value, an unreadable file and a runner's precondition each end in
-    # one usage line on stderr and exit code 2, not in a traceback
+    # a bad value, an unreadable file and a runner's preconditions (alpha >
+    # 3/2, the layer condition on the sweep) each end in one usage line on
+    # stderr and exit code 2, not in a traceback
     bad_value = tmp_path / "bad.cfg"
     bad_value.write_text("ny = abc\n")
     low_alpha = tmp_path / "dbs.cfg"
     low_alpha.write_text("alpha = 1.5\n")
+    violated = tmp_path / "violated.cfg"
+    violated.write_text("alpha = 1.55\n")
     cases = ((["trichotomy", "--threads", "-1"], "threads must be >= 0"),
              (["trichotomy", "--config", str(tmp_path / "missing.cfg")],
               "cannot read config file"),
              (["trichotomy", "--config", str(bad_value)], "ny must be"),
-             (["dbs", "--config", str(low_alpha)], "requires alpha > 3/2"))
+             (["dbs", "--config", str(low_alpha)], "requires alpha > 3/2"),
+             (["dbs", "--config", str(violated)],
+              "layer condition violated: verdict: Violated"))
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])

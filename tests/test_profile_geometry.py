@@ -196,6 +196,17 @@ def test_physical_y_inverts_the_map():
     assert np.array_equal(dif.physical_y(xx, yhat), yhat)
     top = dif.physical_y(x, np.zeros_like(x))
     assert np.max(np.abs(top - spec.g(x))) < 1e-13
+    # profile values given by the caller, taken once at distinct abscissae
+    # and repeated over the points that share them, as an assembly pass does,
+    # give the same bits as the calls that evaluate the profile themselves
+    xq = rng.uniform(0, 1, (40, 6))
+    xs = np.repeat(xq, 6, axis=1).ravel()
+    yhat = rng.uniform(-1.0, 0.0, xs.size)
+    gs = [np.repeat(spec.g(xq, k), 6, axis=1).ravel() for k in range(3)]
+    y = dif.physical_y(xs, yhat)
+    assert np.array_equal(dif.physical_y(xs, yhat, gs[0]), y)
+    for given, own in zip(dif.h_derivs(xs, y, gs), dif.h_derivs(xs, y)):
+        assert np.array_equal(given, own)
 
 
 def test_det_certificate_matches_column_loop():
