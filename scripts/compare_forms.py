@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Check that two source trees assemble every form to the same bits.
+"""Compare the forms that two source trees assemble, bit by bit and entry by
+entry.
 
 Usage: python scripts/compare_forms.py OLD_ROOT NEW_ROOT
 
@@ -16,9 +17,13 @@ flat strip and pulled back through the layer map:
 - the Navier load of a fixed smooth datum (`assemble_navier_load`)
 
 and saves every array: indptr, indices and data of each matrix, and each
-load vector.  The script prints the number of differing bits of every array
-that differs, one total per cell and a grand total.  It exits 1 if any bit
-differs or if an array is missing, shaped or typed differently on one side.
+load vector.  For every array that differs the script prints its number of
+differing bits.  For every matrix or load that differs it prints its largest
+entry change relative to the largest entry of the same matrix row, or of the
+load; where the two patterns differ, it compares the two as sparse matrices.
+It prints one line per cell and a grand total, and exits 1 if any bit
+differs, if an array is missing on one side, or if a matrix or load changes
+its shape.
 """
 
 import json
@@ -29,6 +34,7 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy.sparse as sp
 
 # the experiments that sweep `alphas`; the others sweep their one `alpha`
 SWEEPS_ALPHAS = ("trichotomy", "navier-stability")
@@ -126,10 +132,72 @@ def run_child(root, cell, out_dir) -> str:
     return proc.stdout.strip()
 
 
+def row_relative_change(old, new) -> float:
+    """Largest |new - old| entry of each row over the largest |old| entry
+    of that row, maximised over the rows; a 1-D array is one row."""
+    if old.ndim == 1:
+        scale = np.max(np.abs(old), initial=0.0)
+        return float(np.max(np.abs(new - old), initial=0.0) / max(scale, 1e-300))
+    diff = abs(new - old).max(axis=1).toarray().ravel()
+    scale = abs(old).max(axis=1).toarray().ravel()
+    return float(np.max(diff / np.maximum(scale, 1e-300), initial=0.0))
+
+
+def load_entry(directory, name, parts):
+    """The saved vector of a load (parts empty), or the saved parts of a
+    matrix; None if one is missing."""
+    paths = [os.path.join(directory, f"{name}.{p}.npy" if p else f"{name}.npy")
+             for p in parts or ("",)]
+    if not all(os.path.exists(p) for p in paths):
+        return None
+    arrays = [np.load(p) for p in paths]
+    return arrays if parts else arrays[0]
+
+
+def compare_entry(old_dir, new_dir, name, parts):
+    """(differing bits, row-relative change, problem) of one matrix or load;
+    problem names what makes the two incomparable, else None."""
+    old, new = load_entry(old_dir, name, parts), load_entry(new_dir, name, parts)
+    if old is None or new is None:
+        return 0, 0.0, "missing on one side"
+    if not parts:
+        bits = differing_bits(old, new)
+        if bits is None:
+            return 0, 0.0, "shape or dtype differs"
+        return bits, row_relative_change(old, new) if bits else 0.0, None
+    bits = [differing_bits(a, b) for a, b in zip(old, new)]
+    for part, b in zip(parts, bits):
+        if b:
+            print(f"  {name}.{part}: {b} differing bits")
+    if not any(b is None or b for b in bits):
+        return 0, 0.0, None
+    if len(old[0]) != len(new[0]):
+        return 0, 0.0, "row count differs"
+    n_rows = len(old[0]) - 1
+    n_cols = max(int(np.max(a[1], initial=-1)) for a in (old, new)) + 1
+    mats = [sp.csr_matrix((a[2], a[1], a[0]), shape=(n_rows, n_cols))
+            for a in (old, new)]
+    return sum(b or 0 for b in bits), row_relative_change(*mats), None
+
+
+def entries(directory):
+    """{name: parts} of the saved matrices and loads."""
+    out = {}
+    for fname in os.listdir(directory):
+        stem = fname[:-4]
+        name, _, part = stem.rpartition(".")
+        if part in ("indptr", "indices", "data"):
+            out.setdefault(name, []).append(part)
+        else:
+            out[stem] = []
+    return {name: tuple(p for p in ("indptr", "indices", "data") if p in parts)
+            for name, parts in out.items()}
+
+
 def compare(old_root, new_root) -> int:
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--cells",
                            new_root], capture_output=True, text=True, check=True)
-    total_arrays = total_bits = bad_arrays = 0
+    total = {"entries": 0, "bits": 0, "differ": 0, "bad": 0, "rel": 0.0}
     scratch = tempfile.mkdtemp(prefix="compare_forms_")
     try:
         for cell in json.loads(proc.stdout):
@@ -137,34 +205,35 @@ def compare(old_root, new_root) -> int:
             new_dir = os.path.join(scratch, "new")
             size = run_child(old_root, cell, old_dir)
             run_child(new_root, cell, new_dir)
-            names = sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir)))
-            cell_bits = cell_bad = 0
-            for name in names:
-                paths = [os.path.join(d, name) for d in (old_dir, new_dir)]
-                if not all(os.path.exists(p) for p in paths):
-                    print(f"  {name[:-4]}: missing on one side")
-                    cell_bad += 1
+            names = {**entries(old_dir), **entries(new_dir)}
+            cell_bits = cell_rel = 0.0
+            for name in sorted(names):
+                bits, rel, problem = compare_entry(old_dir, new_dir, name,
+                                                   names[name])
+                if problem:
+                    print(f"  {name}: {problem}")
+                    total["bad"] += 1
                     continue
-                bits = differing_bits(*(np.load(p, mmap_mode="r") for p in paths))
-                if bits is None:
-                    print(f"  {name[:-4]}: shape or dtype differs")
-                    cell_bad += 1
-                elif bits:
-                    print(f"  {name[:-4]}: {bits} differing bits")
-                    cell_bad += 1
-                    cell_bits += bits
-            print(f"{cell['label']} ({size}): {len(names)} arrays, "
-                  f"{cell_bits} differing bits")
-            total_arrays += len(names)
-            total_bits += cell_bits
-            bad_arrays += cell_bad
+                if bits:
+                    print(f"  {name}: largest change {rel:.3g} of its row's "
+                          "largest entry")
+                    total["differ"] += 1
+                cell_bits += bits
+                cell_rel = max(cell_rel, rel)
+            print(f"{cell['label']} ({size}): {len(names)} matrices and loads, "
+                  f"{int(cell_bits)} differing bits, largest row-relative "
+                  f"change {cell_rel:.3g}")
+            total["entries"] += len(names)
+            total["bits"] += int(cell_bits)
+            total["rel"] = max(total["rel"], cell_rel)
             shutil.rmtree(old_dir)
             shutil.rmtree(new_dir)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    print(f"total: {total_arrays} arrays, {bad_arrays} differ, "
-          f"{total_bits} differing bits")
-    return 1 if bad_arrays else 0
+    print(f"total: {total['entries']} matrices and loads, {total['differ']} "
+          f"differ, {total['bits']} differing bits, largest row-relative "
+          f"change {total['rel']:.3g}")
+    return 1 if total["bad"] or total["differ"] else 0
 
 
 def main(argv) -> int:
@@ -177,7 +246,7 @@ def main(argv) -> int:
         print(dump(json.loads(argv[2]), argv[3]))
         return 0
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print(__doc__.strip().splitlines()[3], file=sys.stderr)
         return 2
     return compare(*(os.path.abspath(p) for p in argv))
 

@@ -168,40 +168,55 @@ def _elem_gdofs(mesh: Mesh, ex_arr, ey: int) -> np.ndarray:
     return (4 * nodes[:, :, None] + np.arange(4)[None, None, :]).reshape(-1, 16)
 
 
-class _CooAccumulator:
-    """COO triplets of several forms that share one scatter pattern."""
+def _add_row(S, ey, local):
+    """Add local matrices (rep, 16, 16) to element row ey of the node-pair
+    blocks S, element ex getting local[ex % rep].  S[ix, iy, :, dx + 1, dy +
+    1, :] couples node (ix, iy) to node (ix + dx, iy + dy), so S lists each
+    DOF row in CSR order.  Each local node adds its four node pairs into one
+    strided slice of the row's own sums, which then add to S: every entry is
+    the sum of two rows' sums of at most two elements."""
+    nx, rep = S.shape[0] - 1, local.shape[0]
+    # local[:, n, :, c, d, :] couples local node n to the node at sides (c, d)
+    local = local.reshape(rep, 4, 4, 4, 4)[:, :, :, [[0, 3], [1, 2]]]
+    row = np.zeros((nx + 1, 2) + S.shape[2:])
+    for n, (a, b) in enumerate(_NODE_SIDES):
+        tgt = row[a:a + nx, b, :, 1 - a:3 - a, 1 - b:3 - b, :]
+        tgt = tgt.reshape(nx // rep, rep, 4, 2, 2, 4)
+        tgt += local[:, n]
+    S[:, ey:ey + 2] += row
 
-    def __init__(self, n_free, n_forms=1):
-        self.n_free = n_free
-        self.rows, self.cols = [], []
-        self.vals = [[] for _ in range(n_forms)]
 
-    def add(self, locals_, gdofs: np.ndarray, free_idx: np.ndarray):
-        """Scatter one local matrix per form, each (nel, 16, 16) or
-        broadcastable to it."""
-        nel = gdofs.shape[0]
-        fi = free_idx[gdofs]
-        rows = np.repeat(fi, 16, axis=1).ravel()
-        cols = np.tile(fi, (1, 16)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        self.rows.append(rows[keep].astype(np.int32))
-        self.cols.append(cols[keep].astype(np.int32))
-        for vals, local in zip(self.vals, locals_):
-            local = np.broadcast_to(local, (nel, 16, 16))
-            vals.append(np.ascontiguousarray(local).reshape(-1)[keep])
+def _mirror_mean(S):
+    """S <- 0.5 * (S + mirror(S)) in place, the block form of (A + A^T) * 0.5,
+    where mirror(S) holds at node p and offset d the transposed block of
+    node p + d at offset -d; the result is exactly symmetric."""
+    nxp, nyp = S.shape[:2]
+    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+        P = S[:nxp - dx, max(0, -dy):nyp - max(0, dy), :, 1 + dx, 1 + dy, :]
+        Q = S[dx:, max(0, dy):nyp - max(0, -dy), :, 1 - dx, 1 - dy, :]
+        P[...] = 0.5 * (P + Q.swapaxes(-1, -2))
+        Q[...] = P.swapaxes(-1, -2)
 
-    def tocsr(self) -> list:
-        """One CSR matrix per form.  The triplets are released as they are
-        converted, so a pass over several forms peaks little above one."""
-        r = np.concatenate(self.rows)
-        c = np.concatenate(self.cols)
-        self.rows = self.cols = None
-        shape = (self.n_free, self.n_free)
-        out = []
-        while self.vals:
-            v = np.concatenate(self.vals.pop(0))
-            out.append(sp.coo_matrix((v, (r, c)), shape=shape).tocsr())
-        return out
+
+def _blocks_tocsr(blocks, kinds, dofmap: DofMap):
+    """Yield each form's canonical int32 CSR matrix over the free DOFs, popping
+    its blocks: every free DOF pair in an element, explicit zeros included."""
+    nxp, nyp = blocks[0].shape[:2]
+    free_idx = dofmap.free_index().astype(np.int32).reshape(nxp, nyp, 4)
+    pad = np.pad(free_idx, ((1, 1), (1, 1), (0, 0)), constant_values=-1)
+    cols = np.lib.stride_tricks.sliding_window_view(pad, (3, 3), (0, 1))
+    cols = cols.transpose(0, 1, 3, 4, 2)[:, :, None]       # -1 off the mesh
+    pattern = (free_idx[..., None, None, None] >= 0) & (cols >= 0)
+    row_nnz = pattern.reshape(-1, 36).sum(axis=1)[free_idx.reshape(-1) >= 0]
+    for kind in kinds:
+        S = blocks.pop(0)
+        if kind.symmetric:
+            _mirror_mean(S)
+        indptr = np.r_[0, np.cumsum(row_nnz)].astype(np.int32)
+        A = sp.csr_matrix((S[pattern], np.broadcast_to(cols, S.shape)[pattern],
+                           indptr), shape=(dofmap.n_free,) * 2)
+        A.has_canonical_format = True
+        yield A
 
 
 # physical derivative tags that each volume form reads from B
@@ -220,10 +235,11 @@ def _gram(P, Q, w):
 
 
 def _weigh(f, P, w):
-    """sum_q f[e, q] w[e, q] P[e, q, i], as (nel, 16): the multiply and
-    matmul of einsum("eq,eqi,eq->ei", optimize=True).  On the flat strip P
-    and w (1, nq) broadcast over f's element rows."""
-    return np.matmul((f * w)[:, None, :], P)[:, 0, :]
+    """sum_q f[e, q] w[e, q] P[e, q, i], as (nel, 16), with P (rep, nq, 16) and
+    w (rep, nq) repeated over f's nel rows: the multiply and matmul of
+    einsum("eq,eqi,eq->ei", optimize=True) on the repeated arrays."""
+    fw = f.reshape(-1, *w.shape) * w
+    return np.matmul(fw[..., None, :], P)[..., 0, :].reshape(f.shape[0], 16)
 
 
 def _combine(kind: FormKind, B, w):
@@ -343,34 +359,45 @@ def _pull_back(domain: DiffeoField | None, tags, X, ty, hy, xref, yref,
     return _physical_B(Bref, tags, a, b, hxx, hxy, hyy), det, y
 
 
+def _period_elements(mesh: Mesh, domain: DiffeoField | None) -> int:
+    """Elements per period of g_eps if the x-mesh tiles whole periods, else nx."""
+    periods = 0 if domain is None else round(mesh.w_len / domain.spec.epsilon)
+    tiles = periods and mesh.nx % periods == 0 and abs(
+        periods * domain.spec.epsilon - mesh.w_len) <= 1e-9 * mesh.w_len
+    return mesh.nx // periods if tiles else mesh.nx
+
+
 def _volume_rows(mesh: Mesh, domain: DiffeoField | None, quad_order: int,
                  tags):
     """The one quadrature/geometry pass over the mesh: per element row, yield
-    (gdofs, B, w, x, y).
+    (ey, B, w, x, y).
 
-    B maps each derivative tag in `tags` to physical-derivative basis arrays
-    (nel, nq*nq, 16) and w (nel, nq*nq) holds the quadrature weights, 1/det
-    DPhi included; x and y (nx, nq*nq) are the physical quadrature points.
-    On the flat strip every element of a row has the same B and w, so there
-    nel = 1.  What no row changes, the basis x-factors and g_eps, g_eps',
-    g_eps'' at the nx * nq abscissae, is computed once per pass.
+    The layer map depends on x only through the eps-periodic g_eps, so a row
+    is pulled back on one period, its first rep = `_period_elements`
+    elements, and element ex has the data of element ex % rep.  B maps each
+    derivative tag in `tags` to physical-derivative basis arrays (rep,
+    nq*nq, 16) and w (rep, nq*nq) holds the quadrature weights, 1/det DPhi
+    included; x (nx, nq*nq) and y (rep, nq*nq) are the physical quadrature
+    points.  On the flat strip B and w have one element and y has nx.  The
+    basis x-factors and g_eps, g_eps', g_eps'' are computed once per pass.
     """
     nq = quad_order
     tq, wq = gauss01(nq)
-    ex_all = np.arange(mesh.nx)
     hx = mesh.w_len / mesh.nx
+    rep = _period_elements(mesh, domain)
     xq = mesh.xs[:-1, None] + hx * tq[None, :]                       # (nx, nq)
     xref = np.repeat(xq, nq, axis=1)                              # (nx, nq*nq)
     X = _x_factors(tq, hx)
     gs = None if domain is None else [
-        np.repeat(domain.spec.g(xq, k), nq, axis=1).ravel() for k in range(3)]
+        np.repeat(domain.spec.g(xq[:rep], k), nq, axis=1).ravel()
+        for k in range(3)]
     for ey in range(mesh.ny):
         hy = mesh.hy(ey)
         w = np.outer(wq * hx, wq * hy).ravel()[None, :]
         yq = mesh.ys[ey] + hy * tq                                   # (nq,)
-        yref = np.broadcast_to(np.tile(yq, nq), xref.shape)
-        B, det, y = _pull_back(domain, tags, X, tq, hy, xref, yref, gs)
-        yield _elem_gdofs(mesh, ex_all, ey), B, w / det, xref, y
+        yref = np.broadcast_to(np.tile(yq, nq), (rep, nq * nq))
+        B, det, y = _pull_back(domain, tags, X, tq, hy, xref[:rep], yref, gs)
+        yield ey, B, w / det, xref, y
 
 
 def _boundary_batches(kind, mesh, domain, quad_order):
@@ -469,23 +496,14 @@ def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     return C.tocsr()
 
 
-def _systems(kinds, matrices, mesh, domain) -> list:
-    out = []
-    for kind, A in zip(kinds, matrices):
-        if kind.symmetric:
-            A = (A + A.T) * 0.5
-            A.sum_duplicates()
-        out.append(FeSystem(matrix=A, mesh=mesh, kind=kind, domain=domain))
-    return out
-
-
 def _volume_systems(kinds, mesh, dofmap, domain, quad_order) -> list:
-    free_idx = dofmap.free_index()
-    acc = _CooAccumulator(dofmap.n_free, len(kinds))
+    blocks = [np.zeros((mesh.nx + 1, mesh.ny + 1, 4, 3, 3, 4)) for _ in kinds]
     tags = {tag for kind in kinds for tag in _FORM_TAGS[kind.name]}
-    for gdofs, B, w, _, _ in _volume_rows(mesh, domain, quad_order, tags):
-        acc.add([_combine(kind, B, w) for kind in kinds], gdofs, free_idx)
-    return _systems(kinds, acc.tocsr(), mesh, domain)
+    for ey, B, w, _, _ in _volume_rows(mesh, domain, quad_order, tags):
+        for S, kind in zip(blocks, kinds):
+            _add_row(S, ey, _combine(kind, B, w))
+    return [FeSystem(matrix=A, mesh=mesh, kind=kind, domain=domain)
+            for kind, A in zip(kinds, _blocks_tocsr(blocks, kinds, dofmap))]
 
 
 def assemble_many(kinds, mesh: Mesh, dofmap: DofMap,
@@ -506,17 +524,16 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     """Assemble one bilinear form over the free DOFs of `dofmap`.
 
     `domain=None` integrates over the flat reference strip; a DiffeoField pulls
-    the form back from the perturbed domain it describes.
+    the form back from the perturbed domain it describes.  A boundary form
+    is C C^T, C = `assemble_boundary_factor`, so it is exactly symmetric.
     """
     quad_order = _quad_order(domain, quad_order)
     _resolution_warning(mesh, domain)
     if not kind.on_boundary:
         return _volume_systems((kind,), mesh, dofmap, domain, quad_order)[0]
-    free_idx = dofmap.free_index()
-    acc = _CooAccumulator(dofmap.n_free)
-    for P, w, gdofs in _boundary_batches(kind, mesh, domain, quad_order):
-        acc.add([_gram(P, P, w)], gdofs, free_idx)
-    return _systems((kind,), acc.tocsr(), mesh, domain)[0]
+    C = assemble_boundary_factor(kind, mesh, dofmap, domain, quad_order)
+    return FeSystem(matrix=(C @ C.T).sorted_indices(), mesh=mesh, kind=kind,
+                    domain=domain)
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +635,15 @@ def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
     else:
         fv, fgx, fgy = f
 
-    free_idx = dofmap.free_index()
-    load = np.zeros(dofmap.n_free)
-    for gdofs, B, w, x, y in _volume_rows(mesh, domain, quad_order, _LOAD_TAGS):
+    load = np.zeros((mesh.nx + 1, mesh.ny + 1, 4))
+    for ey, B, w, x, y in _volume_rows(mesh, domain, quad_order, _LOAD_TAGS):
+        y = np.tile(y, (mesh.nx // len(y), 1))
         loc = _weigh(fv(x, y), B["xx"] + B["yy"], w)
         loc += _weigh(fgx(x, y), B["x"], w)
         loc += _weigh(fgy(x, y), B["y"], w)
-        fi = free_idx[gdofs]
-        keep = fi >= 0
-        np.add.at(load, fi[keep], loc[keep])
-    return load
+        for n, (a, b) in enumerate(_NODE_SIDES):
+            load[a:a + mesh.nx, ey + b] += loc[:, 4 * n:4 * n + 4]
+    return load.reshape(-1)[dofmap.free]
 
 
 def sobolev_forms(mesh: Mesh, domain: DiffeoField | None = None,

@@ -68,15 +68,18 @@ class SpdFactor:
 def factor_spd(A) -> SpdFactor:
     """Banded Cholesky factor of a sparse SPD matrix in its own DOF order.
 
-    The half-bandwidth is read off the upper triangle.  A band whose storage,
-    8 (band + 1) n bytes, would exceed SPD_FACTOR_BUDGET raises MemoryError
-    before the band is allocated; a matrix that is not positive definite
-    raises LinAlgError.
+    The upper band is read straight from the canonical CSR form, and the
+    half-bandwidth off it.  A band whose storage, 8 (band + 1) n bytes, would
+    exceed SPD_FACTOR_BUDGET raises MemoryError before the band is
+    allocated; a matrix that is not positive definite raises LinAlgError.
     """
-    U = sp.triu(A, format="coo")
-    U.sum_duplicates()
+    A = sp.csr_matrix(A, copy=not A.has_canonical_format)
+    A.sum_duplicates()
     n = A.shape[0]
-    band = int(np.max(U.col - U.row)) if U.nnz else 0
+    off = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    off = np.subtract(A.indices, off, out=off)                # col - row
+    upper = off >= 0
+    band = int(off.max(initial=0))
     need = 8 * (band + 1) * n
     if need > SPD_FACTOR_BUDGET:
         raise MemoryError(
@@ -84,7 +87,10 @@ def factor_spd(A) -> SpdFactor:
             f"{need / 2**20:.0f} MB, above the {SPD_FACTOR_BUDGET / 2**20:.0f} "
             "MB SPD factor budget")
     ab = np.zeros((band + 1, n), order="F")   # LAPACK's layout: no copy
-    ab[band + U.row - U.col, U.col] = U.data
+    # upper entry (row, col) at ab[band + row - col, col], as a flat index
+    at = A.indices[upper] * np.intp(band + 1) + (band - off[upper])
+    del off
+    ab.reshape(-1, order="F")[at] = A.data[upper]
     return SpdFactor(sla.cholesky_banded(ab, overwrite_ab=True, lower=False))
 
 
@@ -128,15 +134,13 @@ def _jacobi_scale(A, B):
 
 def _solve_dense(A, B, k):
     As, Bs, s = _jacobi_scale(A, B)
-    mu, V = sla.eigh(Bs.toarray(), As.toarray())   # B v = mu A v, ascending mu
+    top = [max(As.shape[0] - k, 0), As.shape[0] - 1]   # the k largest mu
+    mu, V = sla.eigh(Bs.toarray(), As.toarray(), subset_by_index=top)
     cutoff = max(mu.max(), 0.0) * 1e-10
-    keep = mu > max(cutoff, 10 * np.finfo(float).tiny)
-    if not np.any(keep):
-        raise NoSteklovEigenvalues("boundary form has no positive directions")
-    mu, V = mu[keep], V[:, keep]
-    if mu.size < k:
+    positive = int(np.sum(mu > max(cutoff, 10 * np.finfo(float).tiny)))
+    if positive < k:
         raise NoSteklovEigenvalues(
-            f"only {mu.size} positive pencil directions, {k} requested")
+            f"only {positive} of the {k} largest pencil directions are positive")
     return _finalize(B, As, Bs, mu, V, k, "dense", unscale=s)
 
 

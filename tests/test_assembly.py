@@ -1,14 +1,17 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import steklov_lab.assembly as assembly
 from steklov_lab.assembly import (FeFunction, GRAD_MASS, HESSIAN_ENERGY,
                                   LAPLACIAN_ENERGY, MASS, MIXED_U_DELTA,
-                                  _boundary_batches, _combine, _gram,
-                                  _tensor_basis, _volume_rows, _weigh,
-                                  _x_factors, assemble,
+                                  _FORM_TAGS, _combine, _elem_gdofs,
+                                  _period_elements, _tensor_basis,
+                                  _volume_rows, _weigh, _x_factors, assemble,
                                   assemble_boundary_factor, assemble_many,
                                   assemble_navier_load, boundary_mass,
                                   e_distance, gauss01, hermite1d,
@@ -317,16 +320,143 @@ def test_matmul_contractions_equal_einsum_bit_for_bit(pulled_back):
             assert np.array_equal(_combine(kind, B, w),
                                   _einsum_combine(kind.name, B, w)), kind
         # the load as `assemble_navier_load` summed it with einsum, over the
-        # row's arrays spread across its elements
+        # row's arrays repeated across its elements: one period's pulled-back
+        # elements, or the flat strip's one element
         f = rng.standard_normal(x.shape)
+        periods = m.nx // w.shape[0]
+        assert periods == (m.nx if dif is None else 8)
         for P in (B["xx"] + B["yy"], B["x"], B["y"]):
-            ref = np.einsum("eq,eqi,eq->ei", f,
-                            np.broadcast_to(P, x.shape + (16,)),
-                            np.broadcast_to(w, x.shape), optimize=True)
+            ref = np.einsum("eq,eqi,eq->ei", f, np.tile(P, (periods, 1, 1)),
+                            np.tile(w, (periods, 1)), optimize=True)
             assert np.array_equal(_weigh(f, P, w), ref)
-    for P, w, _ in _boundary_batches(normal_trace("All"), m, dif, 6):
-        ref = np.einsum("eqi,eqj,eq->eij", P, P, w, optimize=True)
-        assert np.array_equal(_gram(P, P, w), ref)
+
+
+def _row_rel_diff(A, R):
+    """Largest |A - R| entry of each row over the largest |R| entry of that
+    row, maximised over the rows."""
+    diff = abs(sp.csr_matrix(A - R)).max(axis=1).toarray().ravel()
+    scale = abs(sp.csr_matrix(R)).max(axis=1).toarray().ravel()
+    return float(np.max(diff / np.maximum(scale, 1e-300), initial=0.0))
+
+
+def _coo_oracle(kind, mesh, dofmap, domain):
+    """A volume form from plain COO triplets: every element's local matrix,
+    one period's repeated over the row, at its 16 x 16 global DOF pairs; a
+    symmetric form is the mean of the triplets and their transposes.
+    Explicit zeros stay in the pattern."""
+    free_idx = dofmap.free_index()
+    rows, cols, vals = [], [], []
+    quad = 4 if domain is None else 6
+    for ey, B, w, _, _ in _volume_rows(mesh, domain, quad, _FORM_TAGS[kind.name]):
+        local = _combine(kind, B, w)
+        local = np.tile(local, (mesh.nx // local.shape[0], 1, 1))
+        fi = free_idx[_elem_gdofs(mesh, np.arange(mesh.nx), ey)]
+        r = np.repeat(fi, 16, axis=1).ravel()
+        c = np.tile(fi, (1, 16)).ravel()
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(local.reshape(-1)[keep])
+    r, c, v = (np.concatenate(a) for a in (rows, cols, vals))
+    if kind.symmetric:
+        r, c = np.concatenate([r, c]), np.concatenate([c, r])
+        v = np.concatenate([v, v]) / 2
+    return sp.coo_matrix((v, (r, c)), shape=(dofmap.n_free,) * 2).tocsr()
+
+
+VOLUME_KINDS = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY, MIXED_U_DELTA)
+
+
+@pytest.mark.filterwarnings("ignore:only .* elements per oscillation period")
+@pytest.mark.parametrize("pulled_back", [False, True])
+def test_node_block_scatter_matches_coo_oracle(pulled_back):
+    # same pattern, explicit zeros included, and the same entries up to the
+    # summation order, on graded meshes with and without constraints
+    dif = cos_diffeo(alpha=1.2, eps=0.125) if pulled_back else None
+    for m in (build_mesh(16, 5, grading=0.7), build_mesh(24, 3, grading=0.8)):
+        full = DofMap.unconstrained(m)
+        for dm in (full, mark_essential(m, full, "DirichletAll+ClampGamma")):
+            for kind, many in zip(VOLUME_KINDS,
+                                  assemble_many(VOLUME_KINDS, m, dm, dif)):
+                A, R = many.matrix, _coo_oracle(kind, m, dm, dif)
+                assert A.indices.dtype == A.indptr.dtype == np.int32
+                assert A.has_sorted_indices
+                assert np.array_equal(A.indptr, R.indptr), kind
+                assert np.array_equal(A.indices, R.indices), kind
+                assert _row_rel_diff(A, R) <= 1e-13, kind
+
+
+def test_entries_sum_element_rows_pairwise():
+    # an entry is the sum of two element rows' sums, each of at most two
+    # elements, so where a row's two terms are equal, as for the value DOFs
+    # on the flat strip, it is their correctly rounded sum; a last-bit
+    # error that repeats along x would move the spectra coherently
+    m = build_mesh(8, 5, grading=0.7)
+    tags = _FORM_TAGS["HessianEnergy"]
+    local = [_combine(HESSIAN_ENERGY, B, w)[0]
+             for _, B, w, _, _ in _volume_rows(m, None, 4, tags)]
+    A = assemble(HESSIAN_ENERGY, m, DofMap.unconstrained(m)).matrix
+    exact = 0
+    for ix in range(1, m.nx):
+        for iy in range(1, m.ny):
+            for t in range(4):
+                # the node is tr and tl in the row below, bl and br above
+                below = local[iy - 1][8 + t, 8 + t], local[iy - 1][12 + t, 12 + t]
+                above = local[iy][t, t], local[iy][4 + t, 4 + t]
+                g = 4 * m.node(ix, iy) + t
+                assert A[g, g] == (below[0] + below[1]) + (above[0] + above[1])
+                if below[0] == below[1] and above[0] == above[1]:
+                    terms = (*below, *above)
+                    assert A[g, g] == float(sum(Fraction(float(v)) for v in terms))
+                    exact += 1
+    assert exact >= (m.nx - 1) * (m.ny - 1)
+
+
+@pytest.mark.filterwarnings("ignore:only .* elements per oscillation period")
+@pytest.mark.parametrize("pulled_back", [False, True])
+def test_symmetric_forms_are_exactly_symmetric(pulled_back):
+    m = build_mesh(16, 5, grading=0.7)
+    dif = cos_diffeo(alpha=1.2, eps=0.125) if pulled_back else None
+    full = DofMap.unconstrained(m)
+    kinds = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY,
+             normal_trace("Gamma"), normal_trace("All"), boundary_mass("All"))
+    for dm in (full, mark_essential(m, full, "DirichletAll+ClampGamma")):
+        for kind in kinds:
+            A = assemble(kind, m, dm, dif).matrix
+            assert A.has_sorted_indices
+            assert (A - A.T).nnz == 0, kind
+
+
+@pytest.mark.parametrize("alpha, eps, nx, tiled", [
+    (2.0, 0.125, 64, True),         # 8 elements in each of 8 periods
+    (1.2, 0.125, 128, True),        # 16 elements in each of 8 periods
+    (2.0, 0.125, 60, False),        # 7.5 elements per period: no tiling
+])
+def test_one_period_per_row_matches_every_element(monkeypatch, alpha, eps,
+                                                  nx, tiled):
+    # a row pulled back on one period and repeated over the others gives
+    # the forms and the load of the row pulled back element by element
+    dif = cos_diffeo(alpha=alpha, eps=eps)
+    m = build_mesh(nx, 6, grading=0.7)
+    assert (_period_elements(m, dif) < nx) == tiled
+    dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+    datum = (lambda x, y: np.sin(np.pi * x) * np.exp(y),
+             lambda x, y: np.pi * np.cos(np.pi * x) * np.exp(y),
+             lambda x, y: np.sin(np.pi * x) * np.exp(y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tiled_forms = assemble_many(VOLUME_KINDS, m, dm, dif)
+        tiled_load = assemble_navier_load(datum, m, dm, dif)
+        monkeypatch.setattr(assembly, "_period_elements",
+                            lambda mesh, domain: mesh.nx)
+        forms = assemble_many(VOLUME_KINDS, m, dm, dif)
+        load = assemble_navier_load(datum, m, dm, dif)
+    for kind, A, R in zip(VOLUME_KINDS, tiled_forms, forms):
+        assert np.array_equal(A.matrix.indices, R.matrix.indices)
+        rel = _row_rel_diff(A.matrix, R.matrix)
+        assert rel <= 1e-12, kind
+        assert (rel == 0.0) == (not tiled), kind
+    assert np.max(np.abs(tiled_load - load)) <= 1e-12 * np.max(np.abs(load))
 
 
 def test_pullback_boundary_forms_against_finite_differences():

@@ -190,6 +190,26 @@ def test_factor_spd_solves_match_dense():
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def test_factor_spd_reads_the_upper_band_of_any_csr_order():
+    # the band comes straight from the canonical CSR form: the factor has
+    # the bits of the upper triangle's triplets, also from rows whose
+    # columns are stored in reverse order, which are left as they were
+    A, _ = square_pencil(8, form=HESSIAN_ENERGY, grading=0.7)
+    M = A.matrix
+    U = sp.triu(M, format="coo")
+    band = int(np.max(U.col - U.row))
+    ab = np.zeros((band + 1, M.shape[0]), order="F")
+    ab[band + U.row - U.col, U.col] = U.data
+    ref = sla.cholesky_banded(ab, lower=False)
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    order = np.lexsort((-M.indices, rows))
+    R = sp.csr_matrix((M.data[order], M.indices[order], M.indptr), shape=M.shape)
+    assert not R.has_sorted_indices
+    for X in (M, R):
+        assert np.array_equal(factor_spd(X).band_factor, ref)
+    assert np.array_equal(R.indices, M.indices[order])
+
+
 def test_factor_spd_refuses_a_band_over_budget():
     n = 20_000
     A = sp.eye(n, format="lil") * 4.0
