@@ -26,6 +26,7 @@ experiment's.
 """
 
 import argparse
+import importlib
 import os
 import sys
 
@@ -95,7 +96,7 @@ class Nudger:
 
 
 def install(nudge):
-    import importlib
+    """Wrap every name of SITES so that its result goes through nudge."""
     for module, names in SITES:
         owner = importlib.import_module(module)
         for name in names:

@@ -225,6 +225,32 @@ def _compare_reports(old, new):
                           capture_output=True, text=True)
 
 
+def test_rounding_probe_moves_half_the_entries_by_one_ulp():
+    # scripts/rounding_probe.py: a seed picks about half of the stored
+    # entries and moves each one ulp; the caller's matrix is left as it was
+    # and an exactly symmetric matrix stays exactly symmetric
+    path = Path(__file__).resolve().parents[1] / "scripts" / "rounding_probe.py"
+    spec = importlib.util.spec_from_file_location("rounding_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    m = build_mesh(8, 4, grading=0.8)
+    A = assemble(HESSIAN_ENERGY, m, DofMap.unconstrained(m)).matrix
+    data = A.data.copy()
+    N = probe.Nudger(3).matrix(A)
+    assert np.array_equal(A.data, data)
+    assert np.array_equal(N.indices, A.indices)
+    moved = N.data != A.data
+    assert 0.4 < moved.mean() < 0.6
+    one_ulp = ((N.data == np.nextafter(A.data, np.inf))
+               | (N.data == np.nextafter(A.data, -np.inf)))
+    assert np.all(one_ulp[moved])
+    assert (N - N.T).nnz == 0
+    assert np.array_equal(probe.Nudger(3).matrix(A).data, N.data)
+    assert not np.array_equal(probe.Nudger(4).matrix(A).data, N.data)
+    v = np.linspace(1.0, 2.0, 1000)
+    assert 0.4 < np.mean(probe.Nudger(3).vector(v) != v) < 0.6
+
+
 def _write_report(out_dir, header, value):
     """A one-row trichotomy report's CSV and SVG in out_dir; the CSV path."""
     rep = ExperimentReport("trichotomy", header=(header,))
