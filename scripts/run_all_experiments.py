@@ -6,8 +6,11 @@ Usage: python scripts/run_all_experiments.py [outdir]
 
 import sys
 import time
+from pathlib import Path
 
-from steklov_lab.lab_cli import EXPERIMENTS, main as lab_main
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from steklov_lab.lab_cli import EXPERIMENTS, main as lab_main  # noqa: E402
 
 
 def main():

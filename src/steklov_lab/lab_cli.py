@@ -593,15 +593,6 @@ def _trace_lift(cfg):
     return fv, fx, fy
 
 
-def _defect_solve(factor, A, r):
-    """A^{-1} r with one step of residual refinement.  A difference of two
-    discrete solutions is solved for in this defect form, A^{-1} (F - A u),
-    so that the factor's rounding enters it relative to the difference, not
-    to the two solutions."""
-    w = factor.solve(r)
-    return w + factor.solve(r - A @ w)
-
-
 def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
     """Hinged-plate sweeps: the bending-form problem is stable, the
     curvature-form problem shows the three regimes."""
@@ -636,13 +627,15 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
     def error_norms(mesh, dif, form, sol_0):
         """Pulled-back L2, gradient and energy norms of w = u_eps - u_0; the
         energy form is the solved one (bending or curvature).  w is taken in
-        defect form, A_eps^{-1} (F_eps - A_eps u_0), on the solve's factor."""
+        defect form, A_eps^{-1} (F_eps - A_eps u_0), on the solve's factor,
+        so that the factor's rounding enters it relative to w, not to the
+        two solutions whose difference it is."""
         sol_e = solve_navier(mesh, f_triple, form=form, domain=dif,
                              quad_order=cfg.quad_order)
         dm = sol_e.dofmap
         A = sol_e.system.matrix
         u0_free = sol_0.u.coeffs[dm.free]
-        w_free = _defect_solve(sol_e.factor, A, sol_e.load - A @ u0_free)
+        w_free = sol_e.factor.solve(sol_e.load - A @ u0_free)
         sol_e.factor = None         # the caller keeps sol_e, not its factor
         w = FeFunction.from_free_vector(dm, mesh, w_free).coeffs
         mass, grad = assemble_many((MASS, GRAD_MASS), mesh,
@@ -709,9 +702,10 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
             A_gam = sol_0.system.matrix + gamma * Bg_ref
             factor_gam = factor_spd(A_gam)
             u_gam = factor_gam.solve(sol_0.load)
-            # u_eps - u_gam in defect form, A_gam^{-1} (A_gam u_eps - F_0)
-            w_free = _defect_solve(
-                factor_gam, A_gam, A_gam @ sol_e.u.coeffs[dm.free] - sol_0.load)
+            # u_eps - u_gam in defect form, A_gam^{-1} (A_gam u_eps - F_0), so
+            # that the factor's rounding enters relative to the difference
+            w_free = factor_gam.solve(A_gam @ sol_e.u.coeffs[dm.free]
+                                      - sol_0.load)
             del factor_gam          # freed before the mass/gradient pass
             mass, grad = assemble_many((MASS, GRAD_MASS), mesh,
                                        DofMap.unconstrained(mesh))
@@ -756,7 +750,7 @@ def main(argv=None) -> int:
         cfg = load_config(name, args.config, out_dir=args.out,
                           threads=args.threads)
         report = RUNNERS[name](cfg)
-    except (ConfigError, AssumptionViolatedError) as exc:
+    except (ConfigError, AssumptionViolatedError, ProfileError) as exc:
         parser.error(" ".join(str(exc).split()))      # one line
     csv_path = emit(report, "csv", cfg.out_dir)
     emit(report, "svg", cfg.out_dir)

@@ -5,10 +5,12 @@ form of low effective rank.  The smallest Steklov eigenvalues d are the
 reciprocals of the largest eigenvalues mu of B q = mu A q, so every method
 factorizes the well-conditioned A side and works on A^{-1} B; the huge kernel
 of B is deflated implicitly (kernel directions have mu = 0 and are never
-returned).  Every method solves the Jacobi-scaled pencil (DAD, DBD) with
-D = diag(A)^{-1/2}, and its residual certificates are taken there.  Methods:
+returned).  Every method solves the pencil as assembled (a Cholesky factor
+is invariant under symmetric diagonal scaling, van der Sluis 1969); residual
+certificates are those of the Jacobi-scaled pencil (DAD, DBD) with
+D = diag(A)^{-1/2}.  Methods:
 
-  dense     full eigh of the scaled pencil, systems below 2000 DOFs;
+  dense     eigh of the k largest mu, systems below 2000 DOFs;
   lanczos   ARPACK on A^{-1} B, the choice for every larger system.
 
 `factor_spd` is the one factorization of the lab: every SPD system (the
@@ -107,62 +109,58 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     return modes
 
 
-def _finalize(B, As, Bs, mu, Ys, k, method, unscale):
-    """Order the Ritz pairs and return B-normalized modes of the original
-    pencil.  The residuals ||As y - d Bs y|| / ||As y|| are certified on the
-    Jacobi-scaled pencil (As, Bs) = (DAD, DBD), with y = D^{-1} q."""
+def _finalize(A, B, mu, Q, k, method, s):
+    """Order the Ritz pairs and return B-normalized modes.  The residuals
+    ||s*(A q - d B q)|| / ||s*(A q)|| are those of the Jacobi-scaled pencil
+    (DAD, DBD), s = diag(D), with y = D^{-1} q."""
     top = np.argsort(mu)[::-1][:k]         # largest mu: ascending d = 1/mu
     d = 1.0 / mu[top]
-    Ys = Ys[:, top]
-    Aq = As @ Ys
-    res = np.linalg.norm(Aq - (Bs @ Ys) * d, axis=0) / np.linalg.norm(Aq, axis=0)
-    Y = Ys * unscale[:, None]
-    bnorm = np.sqrt(np.einsum("ij,ij->j", Y, B @ Y))
-    Y = Y / bnorm
-    Y = _fix_signs(Y)
-    return SteklovSpectrum(eigenvalues=d, modes=Y, residuals=res, method=method)
+    Q = Q[:, top]
+    Aq, Bq = A @ Q, B @ Q
+    res = (np.linalg.norm(s[:, None] * (Aq - Bq * d), axis=0)
+           / np.linalg.norm(s[:, None] * Aq, axis=0))
+    bnorm = np.sqrt(np.einsum("ij,ij->j", Q, Bq))
+    Q = _fix_signs(Q / bnorm)
+    return SteklovSpectrum(eigenvalues=d, modes=Q, residuals=res, method=method)
 
 
-def _jacobi_scale(A, B):
-    """Symmetric diagonal scaling that tames the size disparity of Hermite
-    DOFs on strongly graded meshes; pure algebra, same eigenvalues."""
-    d = A.diagonal()
-    s = 1.0 / np.sqrt(np.maximum(d, 1e-300))
-    D = sp.diags(s)
-    return (D @ A @ D).tocsr(), (D @ B @ D).tocsr(), s
+def _jacobi(A):
+    """s = diag(A)^{-1/2}; D = diag(s) scales the certificates' pencil."""
+    return 1.0 / np.sqrt(np.maximum(A.diagonal(), 1e-300))
 
 
 def _solve_dense(A, B, k):
-    As, Bs, s = _jacobi_scale(A, B)
-    top = [max(As.shape[0] - k, 0), As.shape[0] - 1]   # the k largest mu
-    mu, V = sla.eigh(Bs.toarray(), As.toarray(), subset_by_index=top)
+    n = A.shape[0]
+    top = [max(n - k, 0), n - 1]                        # the k largest mu
+    mu, V = sla.eigh(B.toarray(), A.toarray(), subset_by_index=top)
     cutoff = max(mu.max(), 0.0) * 1e-10
     positive = int(np.sum(mu > max(cutoff, 10 * np.finfo(float).tiny)))
     if positive < k:
         raise NoSteklovEigenvalues(
             f"only {positive} of the {k} largest pencil directions are positive")
-    return _finalize(B, As, Bs, mu, V, k, "dense", unscale=s)
+    return _finalize(A, B, mu, V, k, "dense", _jacobi(A))
 
 
 def _solve_lanczos(A, B, k, seed):
     """Implicitly restarted Lanczos (ARPACK) on B q = mu A q with the
     factorized A side as inner solver; Krylov acceleration copes with the
-    moderately clustered mu spectra of the wide boundary pencils."""
-    As, Bs, scale = _jacobi_scale(A, B)
-    factor = factor_spd(As)
-    n = As.shape[0]
+    moderately clustered mu spectra of the wide boundary pencils.  The
+    seeded start z is scaled by s, so that each DOF carries a like share of
+    its A-norm: it is z in the Jacobi-scaled pencil."""
+    factor = factor_spd(A)
+    n = A.shape[0]
     Minv = spla.LinearOperator((n, n), matvec=factor.solve)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
+    s = _jacobi(A)
+    v0 = s * np.random.default_rng(seed).standard_normal(n)
     try:
-        mu, V = spla.eigsh(Bs, k=k, M=As, Minv=Minv, which="LA", v0=v0,
+        mu, V = spla.eigsh(B, k=k, M=A, Minv=Minv, which="LA", v0=v0,
                            ncv=min(n - 1, max(40, 4 * k)))
     except spla.ArpackNoConvergence as exc:
         raise SpectralConvergenceError(f"Lanczos did not converge: {exc}") from exc
     if np.any(mu <= 0):
         raise NoSteklovEigenvalues(
             "Lanczos returned nonpositive pencil directions")
-    return _finalize(B, As, Bs, mu, V, k, "lanczos", unscale=scale)
+    return _finalize(A, B, mu, V, k, "lanczos", s)
 
 
 def solve_steklov(A, B, k: int = 1, method: str = "auto",

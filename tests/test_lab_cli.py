@@ -413,21 +413,25 @@ def test_cli_end_to_end(tmp_path, capsys):
 
 def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
     # a bad value, an unreadable file and a runner's preconditions (alpha >
-    # 3/2, the layer condition on the sweep) each end in one usage line on
-    # stderr and exit code 2, not in a traceback
+    # 3/2, the layer condition on the sweep, a blending layer for every cell)
+    # each end in one usage line on stderr and exit code 2, not in a traceback
     bad_value = tmp_path / "bad.cfg"
     bad_value.write_text("ny = abc\n")
     low_alpha = tmp_path / "dbs.cfg"
     low_alpha.write_text("alpha = 1.5\n")
     violated = tmp_path / "violated.cfg"
     violated.write_text("alpha = 1.55\n")
+    no_layer = tmp_path / "no_layer.cfg"            # sup g_eps too large
+    no_layer.write_text("eps_list = 1/8, 1/16\nny = 6\nreference_nx = 16\n")
     cases = ((["trichotomy", "--threads", "-1"], "threads must be >= 0"),
              (["trichotomy", "--config", str(tmp_path / "missing.cfg")],
               "cannot read config file"),
              (["trichotomy", "--config", str(bad_value)], "ny must be"),
              (["dbs", "--config", str(low_alpha)], "requires alpha > 3/2"),
              (["dbs", "--config", str(violated)],
-              "layer condition violated: verdict: Violated"))
+              "layer condition violated: verdict: Violated"),
+             (["degeneration", "--config", str(no_layer)],
+              "no admissible blending layer"))
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])

@@ -9,11 +9,12 @@ import scipy.sparse as sp
 
 from steklov_lab.assembly import (LAPLACIAN_ENERGY, HESSIAN_ENERGY, assemble,
                                   normal_trace)
+from steklov_lab.lab_cli import ExperimentConfig
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
 from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
                                           build_diffeo, fit_kappa_layer)
-from steklov_lab.spectral import (SPD_FACTOR_BUDGET, NoSteklovEigenvalues,
-                                  _finalize, _jacobi_scale, factor_spd,
+from steklov_lab.spectral import (DENSE_CUTOFF, SPD_FACTOR_BUDGET,
+                                  NoSteklovEigenvalues, _finalize, factor_spd,
                                   rayleigh, solve_steklov)
 
 
@@ -47,12 +48,30 @@ def test_zero_boundary_form_raises():
         solve_steklov(A, B, k=1)
 
 
+def graded_pulled_back_pencil():
+    # a q = 0.7 mesh under the alpha = 2, eps = 1/8 layer map: its Hermite
+    # DOFs make diag(A) span ten decades
+    m = build_mesh(32, 12, grading=0.7)
+    dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+    spec = DomainSpec(epsilon=1 / 8,
+                      profile=BoundaryProfile.fourier_cosine([1.0, 1.0], 2.0))
+    dif = build_diffeo(spec, fit_kappa_layer(spec))
+    return (assemble(HESSIAN_ENERGY, m, dm, dif),
+            assemble(normal_trace("All"), m, dm, dif))
+
+
+@pytest.mark.filterwarnings("ignore:only .* elements per oscillation period")
 def test_methods_agree_on_square():
-    A, B = square_pencil(8)
-    ref = solve_steklov(A, B, k=3, method="dense")
-    s = solve_steklov(A, B, k=3, method="lanczos")
-    rel = np.max(np.abs(s.eigenvalues - ref.eigenvalues) / ref.eigenvalues)
-    assert rel <= 1e-9, rel
+    graded = graded_pulled_back_pencil()
+    diag = graded[0].matrix.diagonal()
+    assert graded[0].matrix.shape[0] < DENSE_CUTOFF
+    assert diag.max() / diag.min() >= 1e9
+    for A, B in (square_pencil(8), graded):
+        ref = solve_steklov(A, B, k=3, method="dense")
+        s = solve_steklov(A, B, k=3, method="lanczos")
+        rel = np.max(np.abs(s.eigenvalues - ref.eigenvalues) / ref.eigenvalues)
+        assert rel <= 1e-9, rel
+        assert max(ref.residuals.max(), s.residuals.max()) <= 1e-9
 
 
 def test_unknown_method_raises():
@@ -72,14 +91,14 @@ def test_residuals_are_taken_on_the_scaled_pencil():
     # perturbed eigenvectors of the scaled pencil have residuals far above
     # round-off, where the scaled and the unscaled pencil disagree
     A, B = square_pencil(8, grading=0.8)
-    As, Bs, scale = _jacobi_scale(A.matrix, B.matrix)
+    scale = 1.0 / np.sqrt(A.matrix.diagonal())
+    D = sp.diags(scale)
+    As, Bs = D @ A.matrix @ D, D @ B.matrix @ D
     mu, V = sla.eigh(Bs.toarray(), As.toarray())
     V = V + 1e-5 * np.random.default_rng(0).standard_normal(V.shape)
-    s = _finalize(B.matrix, As, Bs, mu, V, 2, "dense", unscale=scale)
-    root = np.sqrt(A.matrix.diagonal())
-    D = sp.diags(1.0 / root)
-    As, Bs = D @ A.matrix @ D, D @ B.matrix @ D
-    Y = s.modes * root[:, None]                              # y = D^{-1} q
+    s = _finalize(A.matrix, B.matrix, mu, V * scale[:, None], 2, "dense",
+                  scale)                                     # q = D y
+    Y = s.modes / scale[:, None]                             # y = D^{-1} q
     AY = As @ Y
     res = np.linalg.norm(AY - (Bs @ Y) * s.eigenvalues, axis=0) \
         / np.linalg.norm(AY, axis=0)
@@ -89,6 +108,35 @@ def test_residuals_are_taken_on_the_scaled_pencil():
     raw = np.linalg.norm(Aq - (B.matrix @ s.modes) * s.eigenvalues, axis=0) \
         / np.linalg.norm(Aq, axis=0)
     assert not np.allclose(raw, s.residuals, rtol=0.1, atol=0)
+
+
+def test_one_eigen_solve_allocates_no_copy_of_A():
+    # a pulled-back degeneration cell, alpha = 1 and eps = 1/64 on the
+    # w_len = 1/4, ny = 16 strip: 24,572 free DOFs, so the Lanczos route.
+    # Beside the band and the ARPACK basis, the factor's index arrays and
+    # ARPACK's work vectors fit in 1.5 times the CSR bytes of A; a scaled
+    # copy of A held through the solve does not.
+    cfg = ExperimentConfig("degeneration", alpha=1.0, eps_list=(1 / 32, 1 / 64),
+                           ny=16, w_len=0.25)
+    mesh = cfg.mesh_for(1.0, 1 / 64)
+    dm = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
+    dif = cfg.diffeo(1.0, 1 / 64)
+    A = assemble(HESSIAN_ENERGY, mesh, dm, dif, cfg.quad_order)
+    B = assemble(normal_trace("All"), mesh, dm, dif, cfg.quad_order)
+    M = A.matrix
+    n = M.shape[0]
+    assert n >= DENSE_CUTOFF
+    band = 4 * (cfg.ny + 2) - 1                     # half-bandwidth
+    csr = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    bound = 8 * (band + 1) * n + 8 * 40 * n + 1.5 * csr
+    tracemalloc.start()
+    try:
+        s = solve_steklov(A, B, k=cfg.k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.method == "lanczos" and np.max(s.residuals) <= 1e-6
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 def test_modes_b_orthonormal():
