@@ -3,10 +3,9 @@ subgraph domains: spectral stability, strange-curvature shift and
 degeneration to clamped conditions."""
 
 from .profile_geometry import (BoundaryProfile, DomainSpec, KappaLayer,
-                               DiffeoField, AssumptionReport,
-                               eval_profile, build_diffeo, fit_kappa_layer,
-                               default_kappa, check_assumptions, ProfileError,
-                               GeometryError)
+                               DiffeoField, AssumptionReport, build_diffeo,
+                               fit_kappa_layer, default_kappa,
+                               check_assumptions, ProfileError, GeometryError)
 from .mesh import Mesh, DofMap, build_mesh, mark_essential
 from .assembly import (FormKind, MASS, GRAD_MASS, LAPLACIAN_ENERGY,
                        HESSIAN_ENERGY, MIXED_U_DELTA, normal_trace,

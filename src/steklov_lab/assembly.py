@@ -558,22 +558,10 @@ class FeFunction:
         return FeFunction(mesh=mesh, coeffs=full)
 
     @staticmethod
-    def interpolate(mesh: Mesh, f, fx=None, fy=None, fxy=None) -> "FeFunction":
-        """Hermite interpolant from nodal data; missing derivatives by central
-        differences with step 1e-6."""
+    def interpolate(mesh: Mesh, f, fx, fy, fxy) -> "FeFunction":
+        """Hermite interpolant of f from its nodal values and derivatives."""
         pts = mesh.node_coords()
         x, y = pts[:, 0], pts[:, 1]
-        d = 1e-6
-
-        def fdx(g):
-            return lambda xx, yy: (g(xx + d, yy) - g(xx - d, yy)) / (2 * d)
-
-        def fdy(g):
-            return lambda xx, yy: (g(xx, yy + d) - g(xx, yy - d)) / (2 * d)
-
-        fx = fx if fx is not None else fdx(f)
-        fy = fy if fy is not None else fdy(f)
-        fxy = fxy if fxy is not None else fdy(fx)
         coeffs = np.empty(4 * mesh.n_nodes)
         coeffs[0::4] = f(x, y)
         coeffs[1::4] = fx(x, y)

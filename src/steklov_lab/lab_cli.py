@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -156,9 +157,13 @@ class ExperimentConfig:
 
     def diffeo(self, alpha: float, eps: float):
         spec = self.spec(alpha, eps)
-        layer = fit_kappa_layer(spec, kappa=self.kappa(alpha, eps),
-                                k_hat=self.k_hat)
-        return build_diffeo(spec, layer)
+        try:
+            layer = fit_kappa_layer(spec, kappa=self.kappa(alpha, eps),
+                                    k_hat=self.k_hat)
+            return build_diffeo(spec, layer)
+        except ProfileError as exc:
+            cell = f"alpha = {alpha:g}, eps = {Fraction(eps).limit_denominator()}"
+            raise ProfileError(f"cell {cell}: {exc}") from None
 
     def n_threads(self) -> int:
         if self.threads > 0:
@@ -395,13 +400,16 @@ def _pmap(fn, items, threads):
 
 def _sweep(cfg, alphas, solve):
     """`{(alpha, eps): (mesh, solve(mesh, diffeo, (alpha, eps)))}` for every
-    cell of the sweep, the cells mapped over the config's worker threads."""
-    def one(cell):
-        mesh = cfg.mesh_for(*cell)
-        return mesh, solve(mesh, cfg.diffeo(*cell), cell)
-
+    cell of the sweep, the cells mapped over the config's worker threads.
+    Every cell's mesh and layer map is built before the first cell is
+    solved, so a cell without an admissible layer fails before any is."""
     cells = [(a, e) for a in alphas for e in cfg.eps_list]
-    return dict(zip(cells, _pmap(one, cells, cfg.n_threads())))
+    setups = [(cfg.mesh_for(*cell), cfg.diffeo(*cell), cell) for cell in cells]
+
+    def one(setup):
+        return setup[0], solve(*setup)
+
+    return dict(zip(cells, _pmap(one, setups, cfg.n_threads())))
 
 
 def _steklov_cell(cfg, mesh, bc, form, part, domain):
@@ -634,25 +642,21 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
                              quad_order=cfg.quad_order)
         dm = sol_e.dofmap
         A = sol_e.system.matrix
-        u0_free = sol_0.u.coeffs[dm.free]
-        w_free = sol_e.factor.solve(sol_e.load - A @ u0_free)
+        w = sol_e.factor.solve(sol_e.load - A @ sol_0.u.coeffs[dm.free])
         sol_e.factor = None         # the caller keeps sol_e, not its factor
-        w = FeFunction.from_free_vector(dm, mesh, w_free).coeffs
-        mass, grad = assemble_many((MASS, GRAD_MASS), mesh,
-                                   DofMap.unconstrained(mesh), dif,
+        # w vanishes on the constrained DOFs, so the free-DOF forms give the
+        # full-DOF norms
+        mass, grad = assemble_many((MASS, GRAD_MASS), mesh, dm, dif,
                                    cfg.quad_order)
-        # w vanishes on the constrained DOFs, so the free-DOF system matrix
-        # gives the full-DOF energy form
-        norms = (w @ (mass.matrix @ w), w @ (grad.matrix @ w),
-                 w_free @ (A @ w_free))
-        return sol_e, tuple(float(np.sqrt(v)) for v in norms)
+        return sol_e, tuple(float(np.sqrt(w @ (X @ w)))
+                            for X in (mass.matrix, grad.matrix, A))
 
     e0, e1 = cfg.eps_list[0], cfg.eps_list[-1]
 
     # bending form: stable sweep
-    flat = flat_solutions((cfg.alpha,), "Laplacian")
+    flat = flat_solutions((cfg.alpha,), LAPLACIAN_ENERGY)
     cells = _sweep(cfg, (cfg.alpha,), lambda mesh, dif, _: error_norms(
-        mesh, dif, "Laplacian", flat[mesh.nx])[1])
+        mesh, dif, LAPLACIAN_ENERGY, flat[mesh.nx])[1])
     for e in cfg.eps_list:
         mesh, vals = cells[cfg.alpha, e]
         report.data(cfg.alpha, e, mesh, 1, vals)
@@ -664,10 +668,10 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
 
     # curvature form: the three regimes; norms are (L2, gradient, hessian),
     # then the normal trace on the oscillating edge
-    flat = flat_solutions(cfg.alphas, "Hessian")
+    flat = flat_solutions(cfg.alphas, HESSIAN_ENERGY)
 
     def curvature_cell(mesh, dif, cell):
-        sol_e, nrm = error_norms(mesh, dif, "Hessian", flat[mesh.nx])
+        sol_e, nrm = error_norms(mesh, dif, HESSIAN_ENERGY, flat[mesh.nx])
         dm = sol_e.dofmap
         Cg = assemble_boundary_factor(normal_trace("Gamma"), mesh, dm, dif,
                                       cfg.quad_order)
@@ -707,11 +711,9 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
             w_free = factor_gam.solve(A_gam @ sol_e.u.coeffs[dm.free]
                                       - sol_0.load)
             del factor_gam          # freed before the mass/gradient pass
-            mass, grad = assemble_many((MASS, GRAD_MASS), mesh,
-                                       DofMap.unconstrained(mesh))
+            mass, grad = assemble_many((MASS, GRAD_MASS), mesh, dm)
 
-            def h1(v_free):
-                v = FeFunction.from_free_vector(dm, mesh, v_free).coeffs
+            def h1(v):
                 return np.sqrt(v @ (mass.matrix @ v) + v @ (grad.matrix @ v))
             report.metric(a, -15, h1(w_free) / h1(u_gam), thr["gamma_residual"])
         else:

@@ -26,10 +26,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import (FeFunction, FeSystem, GRAD_MASS, LAPLACIAN_ENERGY,
-                       HESSIAN_ENERGY, MIXED_U_DELTA, assemble, assemble_many,
+from .assembly import (FeFunction, FeSystem, FormKind, GRAD_MASS,
+                       LAPLACIAN_ENERGY, MIXED_U_DELTA, assemble, assemble_many,
                        assemble_navier_load, boundary_mass, gauss01)
-from .mesh import DOF_V, DOF_VX, DOF_VY, DofMap, Mesh, mark_essential
+from .mesh import DOF_VXY, DofMap, Mesh, mark_essential
 from .profile_geometry import DiffeoField
 from .spectral import factor_spd
 
@@ -50,26 +50,17 @@ class NavierSolution:
     factor: object             # factor of system.matrix, for defect solves
 
 
-def _energy_form(form: str):
-    if form == "Laplacian":
-        return LAPLACIAN_ENERGY
-    if form == "Hessian":
-        return HESSIAN_ENERGY
-    raise ValueError("form must be 'Laplacian' or 'Hessian'")
-
-
-def solve_navier(mesh: Mesh, f, form: str = "Laplacian",
+def solve_navier(mesh: Mesh, f, form: FormKind = LAPLACIAN_ENERGY,
                  domain: DiffeoField | None = None,
                  quad_order: int | None = None) -> NavierSolution:
     """Discrete solution of a(u, phi) = int (f Lap(phi) + grad f . grad phi)
-    with u = 0 on the whole boundary.
+    with u = 0 on the whole boundary; a is the energy form `form`.
 
     `f` is an FeFunction or a (f, f_x, f_y) triple of callables evaluated at
     physical points.
     """
-    kind = _energy_form(form)
     dofmap = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
-    system = assemble(kind, mesh, dofmap, domain, quad_order)
+    system = assemble(form, mesh, dofmap, domain, quad_order)
     F = assemble_navier_load(f, mesh, dofmap, domain, quad_order)
     factor = factor_spd(system.matrix)
     u_free = factor.solve(F)
@@ -114,17 +105,12 @@ class NtnOperator:
 
 def boundary_trace_dofs(mesh: Mesh) -> np.ndarray:
     """Global DOFs that determine the boundary trace of a Hermite function:
-    the value at every boundary node plus the tangential slope per edge."""
-    dofs = []
-    horizontal = np.unique(np.concatenate([mesh.top_nodes(), mesh.bottom_nodes()]))
-    vertical = np.unique(np.concatenate([mesh.left_nodes(), mesh.right_nodes()]))
-    for n in mesh.boundary_nodes():
-        dofs.append(4 * n + DOF_V)
-    for n in horizontal:
-        dofs.append(4 * n + DOF_VX)
-    for n in vertical:
-        dofs.append(4 * n + DOF_VY)
-    return np.unique(np.array(dofs, dtype=np.int64))
+    those DirichletAll pins, less the corners' mixed DOFs, which it pins only
+    for C1 compatibility."""
+    pinned = mark_essential(mesh, DofMap.unconstrained(mesh),
+                            "DirichletAll").constrained
+    pinned[4 * mesh.corner_nodes() + DOF_VXY] = False
+    return np.nonzero(pinned)[0]
 
 
 def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,

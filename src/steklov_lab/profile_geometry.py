@@ -27,7 +27,6 @@ __all__ = [
     "KappaLayer",
     "DiffeoField",
     "AssumptionReport",
-    "eval_profile",
     "build_diffeo",
     "fit_kappa_layer",
     "default_kappa",
@@ -130,7 +129,10 @@ class DomainSpec:
             raise ProfileError("g_eps must stay below the meshing headroom g < 1")
 
     def g(self, x, order: int = 0):
-        return eval_profile(self, x, order)
+        """g_eps(x) or its x-derivative: eps**(alpha-order) * (D^order b)(x/eps)."""
+        x = np.asarray(x, dtype=float)
+        return (self.epsilon ** (self.alpha - order)
+                * self.profile.eval(x / self.epsilon, order))
 
     def sup_g(self, order: int = 0) -> float:
         return self.epsilon ** (self.profile.alpha - order) * self.profile.sup_norm(order)
@@ -148,15 +150,6 @@ class DomainSpec:
     @property
     def alpha(self) -> float:
         return self.profile.alpha
-
-
-def eval_profile(spec: DomainSpec, x, order: int = 0):
-    """g_eps(x) or its x-derivative: eps**(alpha-order) * (D^order b)(x/eps)."""
-    if order not in (0, 1, 2):
-        raise ProfileError(f"unsupported derivative order {order}")
-    x = np.asarray(x, dtype=float)
-    a = spec.profile.alpha
-    return spec.epsilon ** (a - order) * spec.profile.eval(x / spec.epsilon, order)
 
 
 @dataclass(frozen=True)

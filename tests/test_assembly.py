@@ -211,16 +211,21 @@ def test_pulled_back_volume_matches_area():
 
 @pytest.mark.parametrize("pulled_back", [False, True])
 def test_assemble_many_matches_assemble(pulled_back):
-    # one pass for several forms gives each form's matrix bit for bit
+    # one pass for several forms gives each form's matrix bit for bit, and
+    # on the free DOFs it gives the unconstrained form restricted to them
     m = build_mesh(16, 4, grading=0.8)
     dm = dirichlet(m)
     dif = cos_diffeo(alpha=2.0, eps=0.125) if pulled_back else None
     kinds = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY, MIXED_U_DELTA)
-    for kind, many in zip(kinds, assemble_many(kinds, m, dm, dif)):
+    free = assemble_many(kinds, m, dm, dif)
+    full = assemble_many(kinds, m, DofMap.unconstrained(m), dif)
+    for kind, many, whole in zip(kinds, free, full):
         one = assemble(kind, m, dm, dif).matrix
+        cut = whole.matrix[dm.free][:, dm.free]
         assert many.kind == kind and many.domain is dif
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(many.matrix, attr), getattr(one, attr))
+            assert np.array_equal(getattr(many.matrix, attr), getattr(cut, attr))
     with pytest.raises(ValueError):
         assemble_many((MASS, normal_trace("All")), m, dm, dif)
 

@@ -423,6 +423,8 @@ def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
     violated.write_text("alpha = 1.55\n")
     no_layer = tmp_path / "no_layer.cfg"            # sup g_eps too large
     no_layer.write_text("eps_list = 1/8, 1/16\nny = 6\nreference_nx = 16\n")
+    late_cell = tmp_path / "late_cell.cfg"          # alpha = 2 fits, 3/2 not
+    late_cell.write_text("eps_list = 1/4, 1/8\nny = 6\nreference_nx = 16\n")
     cases = ((["trichotomy", "--threads", "-1"], "threads must be >= 0"),
              (["trichotomy", "--config", str(tmp_path / "missing.cfg")],
               "cannot read config file"),
@@ -431,7 +433,9 @@ def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
              (["dbs", "--config", str(violated)],
               "layer condition violated: verdict: Violated"),
              (["degeneration", "--config", str(no_layer)],
-              "no admissible blending layer"))
+              "no admissible blending layer"),
+             (["trichotomy", "--config", str(late_cell)],
+              "cell alpha = 1.5, eps = 1/4: no admissible blending layer"))
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])

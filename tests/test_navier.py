@@ -3,7 +3,7 @@ import pytest
 
 from steklov_lab.assembly import (FeFunction, LAPLACIAN_ENERGY, assemble,
                                   assemble_navier_load, gauss01, normal_trace)
-from steklov_lab.mesh import DofMap, build_mesh, mark_essential
+from steklov_lab.mesh import DOF_V, DOF_VXY, DofMap, build_mesh, mark_essential
 from steklov_lab.navier import (boundary_trace_dofs, build_ntn,
                                 mixed_splitting_solve, normal_derivative_functional,
                                 ntn_eigenvalues, q2_matrices, relative_h1_error,
@@ -219,6 +219,8 @@ def test_trace_dof_count():
     # 16 boundary nodes carry a value; 10 horizontal-edge nodes carry the
     # x-slope, 10 vertical-edge nodes the y-slope (corners carry both)
     assert dofs.size == 16 + 10 + 10
+    assert np.isin(4 * m.boundary_nodes() + DOF_V, dofs).all()
+    assert not np.isin(4 * m.corner_nodes() + DOF_VXY, dofs).any()
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
                                           KappaLayer, ProfileError,
                                           build_diffeo, check_assumptions,
-                                          default_kappa, eval_profile,
-                                          fit_kappa_layer)
+                                          default_kappa, fit_kappa_layer)
 
 
 def cos_profile(alpha, coeffs=(1.0, 1.0)):
@@ -23,30 +22,30 @@ def spec_for(alpha, eps, coeffs=(1.0, 1.0)):
 def test_eval_profile_at_cell_origin():
     # b(0) = 2, eps^alpha = 1/16
     spec = spec_for(alpha=2.0, eps=0.25)
-    assert eval_profile(spec, np.array([0.0]), 0)[0] == pytest.approx(0.125, abs=1e-15)
+    assert spec.g(np.array([0.0]), 0)[0] == pytest.approx(0.125, abs=1e-15)
 
 
 def test_eval_profile_first_derivative_vanishes_at_peak():
     spec = spec_for(alpha=1.5, eps=0.125)
     # peaks of b(x/eps) sit at integer multiples of eps
     x = np.array([0.0, 0.125, 0.25])
-    assert np.max(np.abs(eval_profile(spec, x, 1))) < 1e-12
+    assert np.max(np.abs(spec.g(x, 1))) < 1e-12
 
 
 def test_eval_profile_second_derivative_vs_finite_differences():
     spec = spec_for(alpha=1.5, eps=0.125)
     x = 1.0 / 16.0
     d = 1e-5
-    fd = (eval_profile(spec, x + d, 0) - 2 * eval_profile(spec, x, 0)
-          + eval_profile(spec, x - d, 0)) / d ** 2
-    exact = eval_profile(spec, x, 2)
+    fd = (spec.g(x + d, 0) - 2 * spec.g(x, 0)
+          + spec.g(x - d, 0)) / d ** 2
+    exact = spec.g(x, 2)
     assert abs(fd - exact) <= 1e-6 * abs(exact)
 
 
 def test_eval_profile_rejects_high_order():
     spec = spec_for(2.0, 0.125)
     with pytest.raises(ProfileError):
-        eval_profile(spec, 0.1, 3)
+        spec.g(0.1, 3)
 
 
 def test_profile_must_be_nonnegative():
@@ -269,6 +268,6 @@ def test_profile_periodicity_property(alpha, j):
     eps = 2.0 ** -j
     spec = spec_for(alpha, eps)
     x = np.linspace(0.0, 1.0 - eps, 17)
-    a = eval_profile(spec, x, 0)
-    b = eval_profile(spec, x + eps, 0)
+    a = spec.g(x, 0)
+    b = spec.g(x + eps, 0)
     assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a)))
