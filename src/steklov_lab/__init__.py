@@ -10,8 +10,7 @@ from .mesh import Mesh, DofMap, build_mesh, mark_essential
 from .assembly import (FormKind, MASS, GRAD_MASS, LAPLACIAN_ENERGY,
                        HESSIAN_ENERGY, MIXED_U_DELTA, normal_trace,
                        boundary_mass, FeSystem, FeFunction, assemble,
-                       assemble_many, assemble_navier_load, e_distance,
-                       sobolev_forms)
+                       assemble_many, assemble_navier_load, sobolev_forms)
 from .spectral import (SteklovSpectrum, solve_steklov, rayleigh,
                        NoSteklovEigenvalues, SpectralConvergenceError)
 from .cell_problem import CellSolution, solve_cell, cell_energy_density

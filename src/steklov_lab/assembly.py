@@ -33,7 +33,7 @@ __all__ = [
     "FormKind", "MASS", "GRAD_MASS", "LAPLACIAN_ENERGY", "HESSIAN_ENERGY",
     "MIXED_U_DELTA", "normal_trace", "boundary_mass",
     "FeSystem", "FeFunction", "assemble", "assemble_many", "assemble_navier_load",
-    "e_distance", "sobolev_forms", "gauss01",
+    "sobolev_forms", "gauss01",
 ]
 
 
@@ -604,7 +604,7 @@ class FeFunction:
 
 
 # ---------------------------------------------------------------------------
-# loads and distances
+# loads and norms
 
 def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
                          domain: DiffeoField | None = None,
@@ -634,36 +634,11 @@ def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
     return load.reshape(-1)[dofmap.free]
 
 
-def sobolev_forms(mesh: Mesh, domain: DiffeoField | None = None,
+def sobolev_forms(mesh: Mesh, dofmap: DofMap,
+                  domain: DiffeoField | None = None,
                   quad_order: int | None = None) -> dict:
-    """Full-DOF Mass / GradMass / Hessian matrices for norm evaluation."""
-    systems = assemble_many((MASS, GRAD_MASS, HESSIAN_ENERGY), mesh,
-                            DofMap.unconstrained(mesh), domain, quad_order)
+    """Mass / GradMass / Hessian matrices over the free DOFs of `dofmap`,
+    the three terms of the H2 norm."""
+    systems = assemble_many((MASS, GRAD_MASS, HESSIAN_ENERGY), mesh, dofmap,
+                            domain, quad_order)
     return {name: s.matrix for name, s in zip(("mass", "grad", "hess"), systems)}
-
-
-def e_distance(u_hat: FeFunction, u: FeFunction,
-               diffeo: DiffeoField | None, norm: str = "H2",
-               forms: dict | None = None) -> float:
-    """Sobolev distance || (u_hat - u) o Phi || over the perturbed domain.
-
-    With E u = u o Phi this is the transplantation distance ||u_eps - E u||;
-    for a trivial diffeomorphism it reduces to the plain Sobolev distance on
-    the reference strip.
-    """
-    if u_hat.mesh is not u.mesh and (
-            u_hat.mesh.nx != u.mesh.nx or u_hat.mesh.ny != u.mesh.ny
-            or u_hat.mesh.grading != u.mesh.grading
-            or u_hat.mesh.w_len != u.mesh.w_len):
-        raise ValueError("functions live on different meshes")
-    if norm not in ("L2", "H1", "H2"):
-        raise ValueError("norm must be 'L2', 'H1' or 'H2'")
-    if forms is None:
-        forms = sobolev_forms(u_hat.mesh, diffeo)
-    w = u_hat.coeffs - u.coeffs
-    val = w @ (forms["mass"] @ w)
-    if norm in ("H1", "H2"):
-        val += w @ (forms["grad"] @ w)
-    if norm == "H2":
-        val += w @ (forms["hess"] @ w)
-    return float(np.sqrt(max(val, 0.0)))

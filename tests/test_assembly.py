@@ -14,8 +14,8 @@ from steklov_lab.assembly import (FeFunction, GRAD_MASS, HESSIAN_ENERGY,
                                   _volume_rows, _weigh, _x_factors, assemble,
                                   assemble_boundary_factor, assemble_many,
                                   assemble_navier_load, boundary_mass,
-                                  e_distance, gauss01, hermite1d,
-                                  normal_trace, sobolev_forms)
+                                  gauss01, hermite1d, normal_trace,
+                                  sobolev_forms)
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
 from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
                                           KappaLayer, build_diffeo,
@@ -592,29 +592,14 @@ def test_navier_load_constant_datum_is_laplacian_integral():
 
 
 # ---------------------------------------------------------------------------
-# transplanted distances
+# Sobolev norms
 
-@pytest.mark.filterwarnings("ignore:only .* elements per oscillation period")
-def test_e_distance_zero_and_scaling():
-    m = build_mesh(4, 4)
-    rng = np.random.default_rng(5)
-    u = FeFunction(m, rng.standard_normal(4 * m.n_nodes))
-    v = FeFunction(m, rng.standard_normal(4 * m.n_nodes))
-    dif = cos_diffeo()
-    forms = sobolev_forms(m, dif)
-    assert e_distance(u, u, dif, "H2", forms=forms) == 0.0
-    d1 = e_distance(u, v, dif, "H1", forms=forms)
-    u2 = FeFunction(m, 2 * u.coeffs)
-    v2 = FeFunction(m, 2 * v.coeffs)
-    assert e_distance(u2, v2, dif, "H1", forms=forms) == pytest.approx(2 * d1, rel=1e-12)
-
-
-def test_e_distance_trivial_diffeo_matches_quadrature():
+def test_mass_form_matches_quadrature():
     m = build_mesh(3, 3)
     rng = np.random.default_rng(6)
     u = FeFunction(m, rng.standard_normal(4 * m.n_nodes))
-    z = FeFunction(m, np.zeros(4 * m.n_nodes))
-    d = e_distance(u, z, None, "L2")
+    M = sobolev_forms(m, DofMap.unconstrained(m))["mass"]
+    d = np.sqrt(u.coeffs @ (M @ u.coeffs))
     t, w = gauss01(8)
     total = 0.0
     for ex in range(m.nx):
@@ -625,17 +610,6 @@ def test_e_distance_trivial_diffeo_matches_quadrature():
             vals = u.value(X.ravel(), Y.ravel()) ** 2
             total += m.hx(ex) * m.hy(ey) * float(np.outer(w, w).ravel() @ vals)
     assert d == pytest.approx(np.sqrt(total), rel=1e-12)
-
-
-def test_e_distance_norm_and_mesh_checks():
-    m = build_mesh(3, 3)
-    m2 = build_mesh(4, 3)
-    u = FeFunction(m, np.zeros(4 * m.n_nodes))
-    v = FeFunction(m2, np.zeros(4 * m2.n_nodes))
-    with pytest.raises(ValueError):
-        e_distance(u, v, None)
-    with pytest.raises(ValueError):
-        e_distance(u, u, None, norm="H3")
 
 
 @settings(max_examples=20, deadline=None)

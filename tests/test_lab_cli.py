@@ -7,12 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steklov_lab.assembly import HESSIAN_ENERGY, assemble, normal_trace
+from steklov_lab.assembly import (GRAD_MASS, HESSIAN_ENERGY,
+                                  LAPLACIAN_ENERGY, MASS, assemble,
+                                  assemble_many, normal_trace)
 from steklov_lab.lab_cli import (RUNNERS, AssumptionViolatedError,
                                  ConfigError, ExperimentConfig,
-                                 ExperimentReport, emit, load_config, main,
-                                 parse_config_text, run_dbs_convergence,
-                                 run_degeneration, run_trichotomy)
+                                 ExperimentReport, _base_header, emit,
+                                 load_config, main, parse_config_text,
+                                 run_dbs_convergence, run_degeneration,
+                                 run_trichotomy)
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
 from steklov_lab.spectral import solve_steklov
 
@@ -119,7 +122,12 @@ def test_config_validation():
                 dict(quad_order=0), dict(k_hat=6), dict(k_hat=2),
                 dict(k_hat=-1), dict(kappa_exponent=-1),
                 dict(coefficients=(1, 3)), dict(alpha=0), dict(alpha=-1.0),
-                dict(alphas=(2.0, 0.0)), dict(seed=-1)):
+                dict(alphas=(2.0, 0.0)), dict(seed=-1),
+                # non-finite numbers
+                dict(w_len=float("inf")), dict(alpha=float("inf")),
+                dict(eps_list=(float("nan"), 0.0625)),
+                dict(coefficients=(1, float("nan"))), dict(k_hat=float("nan")),
+                dict(kappa_exponent=float("nan"))):
         with pytest.raises(ConfigError):
             smoke_cfg("trichotomy", **{"alphas": (2.0,), **bad})
     with pytest.raises(ConfigError):
@@ -196,17 +204,23 @@ def test_metric_row_verdicts_recomputable():
 
 
 def test_emit_deterministic(tmp_path):
-    rep = ExperimentReport("trichotomy", header=("config: x",))
-    rep.add(2.0, 0.125, 64, 32, 1, 1.234567890123, 1.0, 0.234567890123, "Info")
+    # an eps that is not a reciprocal keeps its own name in the header and
+    # on the SVG axis
+    cfg = load_config("trichotomy", None, w_len=0.6, eps_list=(0.3, 0.15))
+    rep = ExperimentReport("trichotomy", header=tuple(_base_header(cfg)))
+    rep.add(2.0, 0.3, 64, 32, 1, 1.234567890123, 1.0, 0.234567890123, "Info")
+    rep.add(2.0, 0.15, 64, 32, 1, 1.125, 1.0, 0.125, "Info")
     rep.metric(2.0, -1, 0.1, 0.02)
     p1 = emit(rep, "csv", tmp_path)
     b1 = p1.read_bytes()
+    assert b"# eps sweep: 3/10, 3/20;" in b1
     p2 = emit(rep, "csv", tmp_path)
     assert p2.read_bytes() == b1
     s1 = emit(rep, "svg", tmp_path)
     svg1 = s1.read_bytes()
     assert emit(rep, "svg", tmp_path).read_bytes() == svg1
     assert svg1.startswith(b"<svg")
+    assert b">3/10</text>" in svg1 and b">3/20</text>" in svg1
     with pytest.raises(ValueError):
         emit(rep, "pdf", tmp_path)
 
@@ -362,6 +376,35 @@ def test_dbs_bending_gap_converges():
     assert mono.verdict == "Satisfied"
 
 
+def test_dbs_h2_distance_matches_unconstrained_forms():
+    # metric row n = 201 recomputed on the unconstrained DOF map: both modes
+    # scattered into full coefficients, the pulled-back Mass, GradMass and
+    # Hessian forms assembled over every DOF
+    cfg = smoke_cfg("dbs-convergence")
+    rep = run_dbs_convergence(cfg)
+    a, e = cfg.alpha, cfg.eps_list[0]
+    mesh, dif = cfg.mesh_for(a, e), cfg.diffeo(a, e)
+    full = DofMap.unconstrained(mesh)
+    dm = mark_essential(mesh, full, "DirichletAll")
+    coeffs = []
+    for domain in (dif, None):
+        A = assemble(LAPLACIAN_ENERGY, mesh, dm, domain, cfg.quad_order)
+        B = assemble(normal_trace("All"), mesh, dm, domain, cfg.quad_order)
+        u = np.zeros(full.n_dofs)
+        u[dm.free] = solve_steklov(A, B, k=cfg.k, seed=cfg.seed).modes[:, 0]
+        coeffs.append(u)
+    u_eps, u_ref = coeffs
+    M, G, H = (s.matrix for s in assemble_many((MASS, GRAD_MASS, HESSIAN_ENERGY),
+                                               mesh, full, dif, cfg.quad_order))
+    if u_eps @ (M @ u_ref) < 0:
+        u_ref = -u_ref
+    w = u_eps - u_ref
+    dist = np.sqrt(w @ (M @ w) + w @ (G @ w) + w @ (H @ w))
+    row = [r for r in rep.rows if r.n == 201 and r.eps == e][0]
+    assert dist > 0
+    assert row.value == pytest.approx(dist, rel=1e-12)
+
+
 def test_dbs_flat_profile_gaps_vanish():
     cfg = smoke_cfg("dbs-convergence", coefficients=(0.0,))
     rep = run_dbs_convergence(cfg)
@@ -425,6 +468,8 @@ def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
     no_layer.write_text("eps_list = 1/8, 1/16\nny = 6\nreference_nx = 16\n")
     late_cell = tmp_path / "late_cell.cfg"          # alpha = 2 fits, 3/2 not
     late_cell.write_text("eps_list = 1/4, 1/8\nny = 6\nreference_nx = 16\n")
+    infinite = tmp_path / "infinite.cfg"
+    infinite.write_text("w_len = inf\nny = 6\nreference_nx = 16\n")
     cases = ((["trichotomy", "--threads", "-1"], "threads must be >= 0"),
              (["trichotomy", "--config", str(tmp_path / "missing.cfg")],
               "cannot read config file"),
@@ -435,7 +480,9 @@ def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
              (["degeneration", "--config", str(no_layer)],
               "no admissible blending layer"),
              (["trichotomy", "--config", str(late_cell)],
-              "cell alpha = 1.5, eps = 1/4: no admissible blending layer"))
+              "cell alpha = 1.5, eps = 1/4: no admissible blending layer"),
+             (["trichotomy", "--config", str(infinite)],
+              "w_len must be a finite number, got inf"))
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
