@@ -3,6 +3,8 @@
 
 Usage: python scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT --workload W
            --seeds S [S ...] --label L [--seconds 20] [--out DIR]
+       python scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT --default E
+           --pairs P --label L [--out DIR]
 
 For each seed, runs `python3 perfbench/run.py --workload W --seed S
 --seconds N --trace 0` once in each checkout, one after the other; which
@@ -10,13 +12,23 @@ side goes first alternates from pair to pair, so a drift of the machine's
 speed falls on both sides alike.  Each run's end-to-end metrics (those of
 CHANGE_ROOT's BENCHMARK.json) are read from its last output line.
 
+With `--default E` each run is instead `steklov-lab E` at its default
+config, `python -m steklov_lab.lab_cli E --out TMP` on the checkout's src/,
+in a fresh process with one BLAS thread, P alternating pairs.  A run records
+its wall time, the child's CPU time (user + system) and the child's peak
+RSS.  Each pair compares the two sides' CSVs as scripts/compare_reports.py
+does and records each column's largest relative change and every verdict
+that flips.  A run fails if it exits with a code other than 0 (every metric
+Satisfied) or 1 (one is not).
+
 Writes BENCH_<L>.json under DIR (default: CHANGE_ROOT).  The file holds one
-entry per workload, so runs of other workloads with the same label add to
-it.  An entry holds each pair's values, each side's median and quartiles per
-metric, the number of pairs the change won (it did better than the parent),
-and each side's attempted and failed operations.  The file also records the
-machine: CPU model and count, and the Python, numpy and scipy versions.
-Exits 1 if any run fails or reports a failed operation.
+entry per workload, under "workloads", and one per default experiment, under
+"defaults", so runs of others with the same label add to it.  An entry holds
+each pair's values, each side's median and quartiles per metric, the number
+of pairs the change won (it did better than the parent), and each side's
+attempted and failed operations.  The file also records the machine: CPU
+model and count, and the Python, numpy and scipy versions.  Exits 1 if any
+run fails or reports a failed operation.
 """
 
 import argparse
@@ -26,12 +38,18 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import scipy
 
+from compare_reports import csv_changes
+
 SIDES = ("parent", "change")
+DEFAULT_SPECS = [{"name": "wall_s", "unit": "s", "better": "lower"},
+                 {"name": "cpu_s", "unit": "s", "better": "lower"},
+                 {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
 
 
 def run_once(root, workload, seed, seconds) -> dict:
@@ -44,6 +62,25 @@ def run_once(root, workload, seed, seconds) -> dict:
     if proc.returncode != 0 or not lines:
         sys.exit(f"perfbench failed in {root} (seed {seed}):\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def run_default(root, experiment, out_dir) -> dict:
+    """Wall time, child CPU time and child peak RSS of one default-config
+    run of the experiment in the checkout at root, and its exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env.pop("STEKLOV_LAB_THREADS", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steklov_lab.lab_cli", experiment, "--out",
+         out_dir], cwd=root, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "peak_rss_mb": usage.ru_maxrss / 1024,     # ru_maxrss is in KiB
+            "exit": proc.returncode}
 
 
 def cpu_model() -> str:
@@ -92,22 +129,8 @@ def summarize(pairs, specs) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent_root")
-    parser.add_argument("change_root")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
-    roots = {"parent": os.path.abspath(args.parent_root),
-             "change": os.path.abspath(args.change_root)}
-    with open(os.path.join(roots["change"], "BENCHMARK.json"),
-              encoding="utf-8") as fh:
-        specs = json.load(fh)["end_to_end"]
-
+def workload_pairs(roots, args):
+    """Alternating perfbench pairs: (pairs, operations, ok)."""
     pairs, ops, ok = [], {side: [0, 0] for side in SIDES}, True
     for i, seed in enumerate(args.seeds):
         pair = {"seed": seed, "first": SIDES[i % 2]}
@@ -121,13 +144,77 @@ def main(argv=None) -> int:
         print(f"seed {seed}: " + "  ".join(
             f"{n} {pair['parent'][n]:.4g} -> {pair['change'][n]:.4g}"
             for n in pair["parent"]), flush=True)
+    return pairs, ops, ok
 
-    entry = {"date": time.strftime("%Y-%m-%d"), "seconds": args.seconds,
-             "operations": {side: {"attempted": a, "failed": f}
-                            for side, (a, f) in ops.items()},
-             "metrics": summarize(pairs, specs), "pairs": pairs}
-    for name, m in entry["metrics"].items():
-        print(f"{name}: median {m['median']['parent']:.4g} -> "
+
+def default_pairs(roots, args):
+    """Alternating default-config pairs, each with its CSV comparison:
+    (pairs, operations, ok)."""
+    pairs, ops, ok = [], {side: [0, 0] for side in SIDES}, True
+    csv_name = f"{args.default}.csv"
+    for i in range(args.pairs):
+        pair = {"first": SIDES[i % 2]}
+        with tempfile.TemporaryDirectory() as tmp:
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                res = run_default(roots[side], args.default,
+                                  os.path.join(tmp, side))
+                failed = res.pop("exit") not in (0, 1)
+                pair[side] = res
+                ops[side][0] += 1
+                ops[side][1] += failed
+                ok &= not failed
+            paths = [os.path.join(tmp, side, csv_name) for side in SIDES]
+            if all(os.path.exists(p) for p in paths):
+                pair["csv"] = csv_changes(*paths)
+            else:
+                pair["csv"] = None
+                ok = False
+        pairs.append(pair)
+        csv = pair["csv"] or {}
+        largest = ", ".join(f"{col} {c['largest']:.2g}"
+                            for col, c in csv.get("columns", {}).items())
+        print(f"pair {i}: " + "  ".join(
+            f"{n} {pair['parent'][n]:.4g} -> {pair['change'][n]:.4g}"
+            for n in pair["parent"]) + f"  largest CSV change: {largest}; "
+            f"{len(csv.get('flips', []))} verdicts flip", flush=True)
+    return pairs, ops, ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_root")
+    parser.add_argument("change_root")
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload")
+    what.add_argument("--default", metavar="EXPERIMENT")
+    parser.add_argument("--seeds", type=int, nargs="+")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--out", default=None)
+    args = parser.parse_args(argv)
+    roots = {"parent": os.path.abspath(args.parent_root),
+             "change": os.path.abspath(args.change_root)}
+    if args.workload:
+        if not args.seeds:
+            parser.error("--workload needs --seeds")
+        with open(os.path.join(roots["change"], "BENCHMARK.json"),
+                  encoding="utf-8") as fh:
+            specs = json.load(fh)["end_to_end"]
+        pairs, ops, ok = workload_pairs(roots, args)
+        entry = {"date": time.strftime("%Y-%m-%d"), "seconds": args.seconds}
+        group, name = "workloads", args.workload
+    else:
+        specs = DEFAULT_SPECS
+        pairs, ops, ok = default_pairs(roots, args)
+        entry = {"date": time.strftime("%Y-%m-%d")}
+        group, name = "defaults", args.default
+
+    entry.update({"operations": {side: {"attempted": a, "failed": f}
+                                 for side, (a, f) in ops.items()},
+                  "metrics": summarize(pairs, specs), "pairs": pairs})
+    for metric, m in entry["metrics"].items():
+        print(f"{metric}: median {m['median']['parent']:.4g} -> "
               f"{m['median']['change']:.4g} ({100 * m['median_rel_change']:+.1f}%), "
               f"change better in {m['change_wins']} of {m['pairs']} pairs")
 
@@ -135,8 +222,9 @@ def main(argv=None) -> int:
     record = {"label": args.label, "machine": machine(), "workloads": {}}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
-            record["workloads"] = json.load(fh)["workloads"]
-    record["workloads"][args.workload] = entry
+            record.update({k: v for k, v in json.load(fh).items()
+                           if k in ("workloads", "defaults")})
+    record.setdefault(group, {})[name] = entry
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -37,28 +37,43 @@ def rel_change(old: float, new: float) -> float:
     return abs(new - old) / scale if scale > 0 else 0.0
 
 
-def compare_csv(old_path, new_path, indent="") -> bool:
-    """Print the comparison of two reports; True if they pass the check."""
+def csv_changes(old_path, new_path) -> dict:
+    """Whether two reports' row keys match; if they do, every verdict that
+    flips and each column's largest relative change, with its row key."""
     old, new = read_rows(old_path), read_rows(new_path)
-    keys_old = [tuple(r[k] for k in KEYS) for r in old]
-    keys_new = [tuple(r[k] for k in KEYS) for r in new]
-    if keys_old != keys_new:
-        print(f"{indent}row keys differ ({len(old)} rows against {len(new)})")
-        return False
-    flipped = [k for k, a, b in zip(keys_old, old, new) if a["verdict"] != b["verdict"]]
-    if flipped:
-        print(f"{indent}verdicts differ at {len(flipped)} rows, first (alpha, "
-              f"eps, nx, ny, n) = {flipped[0]}")
-        return False
-    ok = True
+    keys = [tuple(r[k] for k in KEYS) for r in old]
+    if keys != [tuple(r[k] for k in KEYS) for r in new]:
+        return {"keys_match": False, "rows": [len(old), len(new)]}
+    flips = [{"row": k, "old": a["verdict"], "new": b["verdict"]}
+             for k, a, b in zip(keys, old, new) if a["verdict"] != b["verdict"]]
+    columns = {}
     for col in COLUMNS:
         changes = [rel_change(float(a[col]), float(b[col])) for a, b in zip(old, new)]
         i = max(range(len(changes)), key=changes.__getitem__, default=None)
         worst = changes[i] if i is not None else 0.0
-        where = f" at (alpha, eps, nx, ny, n) = {keys_old[i]}" if worst > 0 else ""
-        print(f"{indent}{col}: largest relative change {worst:.3g}{where}")
-        ok &= worst <= TOLERANCE
-    print(f"{indent}rows: {len(old)}; keys and verdicts identical; "
+        columns[col] = {"largest": worst, "row": keys[i] if worst > 0 else None}
+    return {"keys_match": True, "rows": len(old), "flips": flips,
+            "columns": columns}
+
+
+def compare_csv(old_path, new_path, indent="") -> bool:
+    """Print the comparison of two reports; True if they pass the check."""
+    changes = csv_changes(old_path, new_path)
+    if not changes["keys_match"]:
+        old, new = changes["rows"]
+        print(f"{indent}row keys differ ({old} rows against {new})")
+        return False
+    flips = changes["flips"]
+    if flips:
+        print(f"{indent}verdicts differ at {len(flips)} rows, first (alpha, "
+              f"eps, nx, ny, n) = {flips[0]['row']}")
+        return False
+    ok = True
+    for col, c in changes["columns"].items():
+        where = f" at (alpha, eps, nx, ny, n) = {c['row']}" if c["row"] else ""
+        print(f"{indent}{col}: largest relative change {c['largest']:.3g}{where}")
+        ok &= c["largest"] <= TOLERANCE
+    print(f"{indent}rows: {changes['rows']}; keys and verdicts identical; "
           f"{'within' if ok else 'EXCEEDS'} {TOLERANCE:g}")
     return ok
 

@@ -144,8 +144,9 @@ def main(argv) -> int:
     for label, mesh, bc, form, part, dom in _pencils(cfg, alpha, eps):
         dm = mark_essential(mesh, DofMap.unconstrained(mesh), bc)
         A = assemble(form, mesh, dm, dom, cfg.quad_order).matrix
-        B = assemble(normal_trace(part), mesh, dm, dom, cfg.quad_order).matrix
-        spec = solve_steklov(A, B, k=cfg.k, seed=cfg.seed)
+        trace = assemble(normal_trace(part), mesh, dm, dom, cfg.quad_order)
+        B = trace.matrix
+        spec = solve_steklov(A, trace, k=cfg.k, seed=cfg.seed)
         ref, change = reference_eigenvalues(A, B, cfg.k, start=spec.modes)
         rq = rayleigh_ld(A.astype(LD), B.astype(LD), spec.modes)
         print(f"pencil {label}: nx={mesh.nx} n_free={A.shape[0]} "

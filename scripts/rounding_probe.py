@@ -9,8 +9,8 @@ assembly names where `lab_cli` and `navier` import them (`assemble`,
 `assemble_many`, `assemble_boundary_factor`, `sobolev_forms`,
 `assemble_navier_load`), the way perfbench/tracer.py wraps its sites, and
 runs `steklov-lab EXPERIMENT --config CFG --out DIR`.  Every matrix and load
-those calls return has a seeded half of its stored entries moved by one ulp,
-up or down.  Which entries move, and which way, is a hash of the seed and
+those calls return, a boundary FeSystem's factor included, has a seeded half
+of its stored entries moved by one ulp, up or down.  Which entries move, and which way, is a hash of the seed and
 the entry's (row, column) or load index, so a matrix that was exactly
 symmetric stays exactly symmetric, and threads see the same nudges as a
 serial run.
@@ -91,6 +91,8 @@ class Nudger:
             return [self(v) for v in out]
         if hasattr(out, "matrix"):             # FeSystem
             out.matrix = self.matrix(out.matrix)
+            if out.factor is not None:
+                out.factor = self.matrix(out.factor)
             return out
         return self.matrix(out)
 

@@ -145,12 +145,14 @@ def boundary_mass(part: str = "All") -> FormKind:
 
 @dataclass
 class FeSystem:
-    """Assembled sparse matrix of one bilinear form in free-DOF numbering."""
+    """Assembled sparse matrix of one bilinear form in free-DOF numbering; a
+    boundary form also keeps its quadrature factor, matrix = C C^T."""
 
     matrix: sp.csr_matrix
     mesh: Mesh
     kind: FormKind
     domain: DiffeoField | None
+    factor: sp.csr_matrix | None = None
 
     @property
     def n_free(self) -> int:
@@ -525,7 +527,8 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
 
     `domain=None` integrates over the flat reference strip; a DiffeoField pulls
     the form back from the perturbed domain it describes.  A boundary form
-    is C C^T, C = `assemble_boundary_factor`, so it is exactly symmetric.
+    is C C^T, C = `assemble_boundary_factor`, so it is exactly symmetric; its
+    FeSystem keeps C as `factor`, which the Steklov solves read.
     """
     quad_order = _quad_order(domain, quad_order)
     _resolution_warning(mesh, domain)
@@ -533,7 +536,7 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
         return _volume_systems((kind,), mesh, dofmap, domain, quad_order)[0]
     C = assemble_boundary_factor(kind, mesh, dofmap, domain, quad_order)
     return FeSystem(matrix=(C @ C.T).sorted_indices(), mesh=mesh, kind=kind,
-                    domain=domain)
+                    domain=domain, factor=C)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Generalized symmetric eigensolver for the Steklov pencils A q = d B q.
 
-A is a positive definite energy matrix, B a positive semidefinite boundary
-form of low effective rank.  The smallest Steklov eigenvalues d are the
-reciprocals of the largest eigenvalues mu of B q = mu A q, so every method
-factorizes the well-conditioned A side and works on A^{-1} B; the huge kernel
-of B is deflated implicitly (kernel directions have mu = 0 and are never
-returned).  Every method solves the pencil as assembled (a Cholesky factor
-is invariant under symmetric diagonal scaling, van der Sluis 1969); residual
+A is a positive definite energy matrix, B = C C^T a positive semidefinite
+boundary form given by its quadrature factor C (n x m, one column per
+boundary quadrature point).  The smallest Steklov eigenvalues d are the
+reciprocals of the largest eigenvalues mu of B q = mu A q.  The nonzero mu
+of A^{-1} C C^T are those of the m x m SPD operator T = C^T A^{-1} C, whose
+eigenvector z gives the mode q = A^{-1} C z (spectral transformation
+Lanczos, Ericsson and Ruhe 1980); the huge kernel of B never enters T.
+Every method solves the pencil as assembled (a Cholesky factor is invariant
+under symmetric diagonal scaling, van der Sluis 1969); residual
 certificates are those of the Jacobi-scaled pencil (DAD, DBD) with
-D = diag(A)^{-1/2}.  Methods:
+D = diag(A)^{-1/2}, where B y = C (C^T y).  Methods:
 
-  dense     eigh of the k largest mu, systems below 2000 DOFs;
-  lanczos   ARPACK on A^{-1} B, the choice for every larger system.
+  lanczos   ARPACK in mode 1 on T, one banded solve per step; `auto` takes
+            it whenever ARPACK can run on T (k < m);
+  dense     eigh of the k largest mu of the n x n pencil, the independent
+            check, and `auto`'s choice when k >= m.
 
 `factor_spd` is the one factorization of the lab: every SPD system (the
 inner solves here, the Navier solves, the Navier-to-Neumann extensions and
@@ -32,8 +36,11 @@ import scipy.sparse.linalg as spla
 __all__ = ["SteklovSpectrum", "NoSteklovEigenvalues", "SpectralConvergenceError",
            "SpdFactor", "factor_spd", "solve_steklov", "rayleigh"]
 
-DENSE_CUTOFF = 2000
 SPD_FACTOR_BUDGET = 1 << 30            # bytes of band storage per factor
+# largest Lanczos certificate accepted: degeneration's default pencils, the
+# largest of the lab, read 1.2e-9, 6.4e-9 and 3.3e-8 (eps = 1/32, 1/64,
+# 1/128; 98,300 to 393,212 DOFs), 30 times below it
+LANCZOS_RESIDUAL_TOL = 1e-6
 
 
 class NoSteklovEigenvalues(RuntimeError):
@@ -49,7 +56,7 @@ class SteklovSpectrum:
     """Ascending eigenvalues with B-normalized modes and residual certificates."""
 
     eigenvalues: np.ndarray
-    modes: np.ndarray                  # columns, B-normalized
+    modes: np.ndarray                  # columns, ||C^T q|| = 1
     residuals: np.ndarray              # ||As y - d Bs y|| / ||As y|| on the
                                        # Jacobi-scaled pencil, y = D^{-1} q
     method: str
@@ -109,18 +116,18 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
     return modes
 
 
-def _finalize(A, B, mu, Q, k, method, s):
-    """Order the Ritz pairs and return B-normalized modes.  The residuals
-    ||s*(A q - d B q)|| / ||s*(A q)|| are those of the Jacobi-scaled pencil
-    (DAD, DBD), s = diag(D), with y = D^{-1} q."""
+def _finalize(A, C, mu, Q, k, method, s):
+    """Order the Ritz pairs and return modes with ||C^T q|| = 1.  The
+    residuals ||s*(A q - d B q)|| / ||s*(A q)||, B q = C (C^T q), are those
+    of the Jacobi-scaled pencil (DAD, DBD), s = diag(D), with y = D^{-1} q."""
     top = np.argsort(mu)[::-1][:k]         # largest mu: ascending d = 1/mu
     d = 1.0 / mu[top]
     Q = Q[:, top]
-    Aq, Bq = A @ Q, B @ Q
+    Aq, CtQ = A @ Q, C.T @ Q
+    Bq = C @ CtQ
     res = (np.linalg.norm(s[:, None] * (Aq - Bq * d), axis=0)
            / np.linalg.norm(s[:, None] * Aq, axis=0))
-    bnorm = np.sqrt(np.einsum("ij,ij->j", Q, Bq))
-    Q = _fix_signs(Q / bnorm)
+    Q = _fix_signs(Q / np.linalg.norm(CtQ, axis=0))
     return SteklovSpectrum(eigenvalues=d, modes=Q, residuals=res, method=method)
 
 
@@ -129,61 +136,71 @@ def _jacobi(A):
     return 1.0 / np.sqrt(np.maximum(A.diagonal(), 1e-300))
 
 
-def _solve_dense(A, B, k):
+def _solve_dense(A, C, k):
     n = A.shape[0]
     top = [max(n - k, 0), n - 1]                        # the k largest mu
-    mu, V = sla.eigh(B.toarray(), A.toarray(), subset_by_index=top)
+    mu, V = sla.eigh((C @ C.T).toarray(), A.toarray(), subset_by_index=top)
     cutoff = max(mu.max(), 0.0) * 1e-10
     positive = int(np.sum(mu > max(cutoff, 10 * np.finfo(float).tiny)))
     if positive < k:
         raise NoSteklovEigenvalues(
             f"only {positive} of the {k} largest pencil directions are positive")
-    return _finalize(A, B, mu, V, k, "dense", _jacobi(A))
+    return _finalize(A, C, mu, V, k, "dense", _jacobi(A))
 
 
-def _solve_lanczos(A, B, k, seed):
-    """Implicitly restarted Lanczos (ARPACK) on B q = mu A q with the
-    factorized A side as inner solver; Krylov acceleration copes with the
-    moderately clustered mu spectra of the wide boundary pencils.  The
-    seeded start z is scaled by s, so that each DOF carries a like share of
-    its A-norm: it is z in the Jacobi-scaled pencil."""
+def _solve_lanczos(A, C, k, seed):
+    """Implicitly restarted Lanczos (ARPACK, mode 1) on T = C^T A^{-1} C,
+    one banded solve per product, from a seeded start of length m; the
+    modes are then q = A^{-1} C Z, one block solve.  A certificate above
+    LANCZOS_RESIDUAL_TOL raises SpectralConvergenceError."""
+    m = C.shape[1]
     factor = factor_spd(A)
-    n = A.shape[0]
-    Minv = spla.LinearOperator((n, n), matvec=factor.solve)
-    s = _jacobi(A)
-    v0 = s * np.random.default_rng(seed).standard_normal(n)
+    T = spla.LinearOperator((m, m), dtype=float,
+                            matvec=lambda z: C.T @ factor.solve(C @ z))
+    v0 = np.random.default_rng(seed).standard_normal(m)
     try:
-        mu, V = spla.eigsh(B, k=k, M=A, Minv=Minv, which="LA", v0=v0,
-                           ncv=min(n - 1, max(40, 4 * k)))
+        mu, Z = spla.eigsh(T, k=k, which="LA", v0=v0,
+                           ncv=min(m, max(40, 4 * k)))
     except spla.ArpackNoConvergence as exc:
         raise SpectralConvergenceError(f"Lanczos did not converge: {exc}") from exc
     if np.any(mu <= 0):
         raise NoSteklovEigenvalues(
             "Lanczos returned nonpositive pencil directions")
-    return _finalize(A, B, mu, V, k, "lanczos", s)
+    out = _finalize(A, C, mu, factor.solve(C @ Z), k, "lanczos", _jacobi(A))
+    worst = float(out.residuals.max())
+    if worst > LANCZOS_RESIDUAL_TOL:
+        raise SpectralConvergenceError(
+            f"Lanczos certificate {worst:.2e} exceeds {LANCZOS_RESIDUAL_TOL:g}")
+    return out
 
 
 def solve_steklov(A, B, k: int = 1, method: str = "auto",
                   seed: int = 0) -> SteklovSpectrum:
     """k smallest eigenvalues of A q = d B q off the kernel of B.
 
-    `auto` takes `dense` below DENSE_CUTOFF DOFs and `lanczos` above.
+    B is given by its factor C, B = C C^T, in either of two forms: a
+    boundary FeSystem, whose `factor` is C, or a bare sparse n x m matrix,
+    which is taken as C itself.  `auto` takes `lanczos` whenever k < m and
+    `dense` otherwise.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     A = _as_matrix(A)
-    B = _as_matrix(B)
-    if A.shape != B.shape:
-        raise ValueError("pencil matrices must have equal shape")
-    bscale = spla.norm(B) if B.nnz else 0.0
-    if bscale == 0.0 or bscale < 1e-300:
+    if hasattr(B, "matrix"):                   # an FeSystem
+        if B.factor is None:
+            raise ValueError(f"{B.kind} carries no boundary factor")
+        B = B.factor
+    C = _as_matrix(B)
+    if C.shape[0] != A.shape[0]:
+        raise ValueError("the boundary factor needs one row per row of A")
+    if spla.norm(C) ** 2 < 1e-300:
         raise NoSteklovEigenvalues("boundary form is numerically zero")
     if method == "auto":
-        method = "dense" if A.shape[0] < DENSE_CUTOFF else "lanczos"
+        method = "lanczos" if k < C.shape[1] else "dense"
     if method == "dense":
-        return _solve_dense(A, B, k)
+        return _solve_dense(A, C, k)
     if method == "lanczos":
-        return _solve_lanczos(A, B, k, seed)
+        return _solve_lanczos(A, C, k, seed)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -13,9 +13,10 @@ from steklov_lab.lab_cli import ExperimentConfig
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
 from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
                                           build_diffeo, fit_kappa_layer)
-from steklov_lab.spectral import (DENSE_CUTOFF, SPD_FACTOR_BUDGET,
-                                  NoSteklovEigenvalues, _finalize, factor_spd,
-                                  rayleigh, solve_steklov)
+from steklov_lab import spectral
+from steklov_lab.spectral import (SPD_FACTOR_BUDGET, NoSteklovEigenvalues,
+                                  SpectralConvergenceError, _finalize,
+                                  factor_spd, rayleigh, solve_steklov)
 
 
 def square_pencil(n, form=LAPLACIAN_ENERGY, part="All", grading=1.0):
@@ -26,10 +27,14 @@ def square_pencil(n, form=LAPLACIAN_ENERGY, part="All", grading=1.0):
     return A, B
 
 
+# The raw-matrix tests pass B as a bare sparse matrix, which solve_steklov
+# takes as the factor C of B = C C^T: a diagonal 0/1 matrix is its own factor.
+
 def test_decoupled_two_by_two():
     A = sp.csr_matrix(np.diag([1.0, 2.0]))
     B = sp.csr_matrix(np.diag([1.0, 0.0]))
     s = solve_steklov(A, B, k=1)
+    assert s.method == "lanczos"                 # k < m = 2
     assert s.eigenvalues[0] == pytest.approx(1.0, rel=1e-12)
     assert abs(s.modes[1, 0]) < 1e-12
 
@@ -38,6 +43,7 @@ def test_diagonal_full_rank():
     A = sp.csr_matrix(np.diag([2.0, 3.0]))
     B = sp.csr_matrix(np.eye(2))
     s = solve_steklov(A, B, k=2)
+    assert s.method == "dense"                   # ARPACK needs k < m = 2
     assert np.allclose(s.eigenvalues, [2.0, 3.0])
 
 
@@ -64,14 +70,48 @@ def graded_pulled_back_pencil():
 def test_methods_agree_on_square():
     graded = graded_pulled_back_pencil()
     diag = graded[0].matrix.diagonal()
-    assert graded[0].matrix.shape[0] < DENSE_CUTOFF
     assert diag.max() / diag.min() >= 1e9
     for A, B in (square_pencil(8), graded):
         ref = solve_steklov(A, B, k=3, method="dense")
-        s = solve_steklov(A, B, k=3, method="lanczos")
+        s = solve_steklov(A, B, k=3)
+        assert (ref.method, s.method) == ("dense", "lanczos")
         rel = np.max(np.abs(s.eigenvalues - ref.eigenvalues) / ref.eigenvalues)
         assert rel <= 1e-9, rel
         assert max(ref.residuals.max(), s.residuals.max()) <= 1e-9
+
+
+def test_bare_factor_and_its_fesystem_give_identical_spectra():
+    A, B = square_pencil(8, grading=0.8)
+    for method in ("lanczos", "dense"):
+        via_system = solve_steklov(A, B, k=2, method=method)
+        via_factor = solve_steklov(A, B.factor, k=2, method=method)
+        for field in ("eigenvalues", "modes", "residuals"):
+            assert np.array_equal(getattr(via_system, field),
+                                  getattr(via_factor, field))
+    with pytest.raises(ValueError, match="no boundary factor"):
+        solve_steklov(A, A, k=2)
+
+
+@pytest.mark.filterwarnings("ignore:only .* elements per oscillation period")
+def test_lanczos_modes_match_the_dense_modes():
+    # measured: ||C^T q|| - 1 within 4.5e-16, 1 - |cos| within 2.3e-16
+    A, B = graded_pulled_back_pencil()
+    ref = solve_steklov(A, B, k=3, method="dense")
+    s = solve_steklov(A, B, k=3)
+    assert s.method == "lanczos"
+    assert np.allclose(np.linalg.norm(B.factor.T @ s.modes, axis=0), 1.0,
+                       rtol=0, atol=1e-12)
+    cos = np.abs(np.sum(s.modes * ref.modes, axis=0)) / (
+        np.linalg.norm(s.modes, axis=0) * np.linalg.norm(ref.modes, axis=0))
+    assert np.all(cos >= 1 - 1e-9), 1 - cos
+
+
+def test_lanczos_certificate_over_tolerance_raises(monkeypatch):
+    A, B = square_pencil(8, grading=0.8)
+    worst = solve_steklov(A, B, k=2).residuals.max()
+    monkeypatch.setattr(spectral, "LANCZOS_RESIDUAL_TOL", 0.5 * worst)
+    with pytest.raises(SpectralConvergenceError, match="exceeds"):
+        solve_steklov(A, B, k=2)
 
 
 def test_unknown_method_raises():
@@ -96,7 +136,7 @@ def test_residuals_are_taken_on_the_scaled_pencil():
     As, Bs = D @ A.matrix @ D, D @ B.matrix @ D
     mu, V = sla.eigh(Bs.toarray(), As.toarray())
     V = V + 1e-5 * np.random.default_rng(0).standard_normal(V.shape)
-    s = _finalize(A.matrix, B.matrix, mu, V * scale[:, None], 2, "dense",
+    s = _finalize(A.matrix, B.factor, mu, V * scale[:, None], 2, "dense",
                   scale)                                     # q = D y
     Y = s.modes / scale[:, None]                             # y = D^{-1} q
     AY = As @ Y
@@ -112,10 +152,11 @@ def test_residuals_are_taken_on_the_scaled_pencil():
 
 def test_one_eigen_solve_allocates_no_copy_of_A():
     # a pulled-back degeneration cell, alpha = 1 and eps = 1/64 on the
-    # w_len = 1/4, ny = 16 strip: 24,572 free DOFs, so the Lanczos route.
-    # Beside the band and the ARPACK basis, the factor's index arrays and
-    # ARPACK's work vectors fit in 1.5 times the CSR bytes of A; a scaled
-    # copy of A held through the solve does not.
+    # w_len = 1/4, ny = 16 strip: 24,572 free DOFs and m = 4,800 boundary
+    # points.  Beside the band and the ARPACK basis on the m points, the
+    # factor's index arrays, the solve's vectors and ARPACK's work vectors
+    # fit in 1.5 times the CSR bytes of A; a scaled copy of A held through
+    # the solve does not.  Measured peak 24.1 MB against a bound of 29.5 MB.
     cfg = ExperimentConfig("degeneration", alpha=1.0, eps_list=(1 / 32, 1 / 64),
                            ny=16, w_len=0.25)
     mesh = cfg.mesh_for(1.0, 1 / 64)
@@ -124,11 +165,10 @@ def test_one_eigen_solve_allocates_no_copy_of_A():
     A = assemble(HESSIAN_ENERGY, mesh, dm, dif, cfg.quad_order)
     B = assemble(normal_trace("All"), mesh, dm, dif, cfg.quad_order)
     M = A.matrix
-    n = M.shape[0]
-    assert n >= DENSE_CUTOFF
+    n, m = B.factor.shape
     band = 4 * (cfg.ny + 2) - 1                     # half-bandwidth
     csr = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-    bound = 8 * (band + 1) * n + 8 * 40 * n + 1.5 * csr
+    bound = 8 * (band + 1) * n + 8 * 40 * m + 1.5 * csr
     tracemalloc.start()
     try:
         s = solve_steklov(A, B, k=cfg.k)
