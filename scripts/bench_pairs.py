@@ -68,7 +68,6 @@ def run_default(root, experiment, out_dir) -> dict:
     """Wall time, child CPU time and child peak RSS of one default-config
     run of the experiment in the checkout at root, and its exit code."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    env.pop("STEKLOV_LAB_THREADS", None)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     t0 = time.perf_counter()

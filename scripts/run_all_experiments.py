@@ -15,14 +15,17 @@ from steklov_lab.lab_cli import EXPERIMENTS, main as lab_main  # noqa: E402
 
 def main():
     out = sys.argv[1] if len(sys.argv) > 1 else "out"
-    overall_ok = True
+    worst = 0
     for name in EXPERIMENTS:
         t0 = time.time()
-        ok = lab_main([name, "--out", out]) == 0
-        overall_ok &= ok
-        print(f"{name:18s} {'Satisfied' if ok else 'Violated ':9s} "
-              f"[{time.time() - t0:6.1f}s]")
-    return 0 if overall_ok else 1
+        try:
+            code = lab_main([name, "--out", out])
+        except SystemExit as exc:       # a usage error (2) or a failed run (3)
+            code = exc.code
+        worst = max(worst, code)
+        verdict = {0: "Satisfied", 1: "Violated"}.get(code, f"Failed ({code})")
+        print(f"{name:18s} {verdict:10s} [{time.time() - t0:6.1f}s]")
+    return worst
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ import numpy as np
 
 from .profile_geometry import BoundaryProfile, ProfileError
 
-__all__ = ["CellMode", "CellSolution", "solve_cell", "cell_energy_density",
-           "mode_energy_closed_form", "solve_cell_fem"]
+__all__ = ["CellMode", "CellSolution", "solve_cell", "mode_energy_closed_form",
+           "solve_cell_fem"]
 
 
 @dataclass(frozen=True)
@@ -93,24 +93,6 @@ def solve_cell(profile: BoundaryProfile, k_max: int = 16) -> CellSolution:
         modes.append(CellMode(k=k, omega=w, beta=beta, A=A, B=B, gamma=g))
         total += g
     return CellSolution(modes=tuple(modes), gamma=total)
-
-
-def cell_energy_density(solution: CellSolution, y):
-    """Cell-averaged |D^2 V|^2 at depth y <= 0; integrates back to gamma.
-
-    Distinct frequencies and the cos/sin pair of one frequency are orthogonal
-    over Y, so the average is a sum of per-mode contributions.
-    """
-    y = np.asarray(y, dtype=float)
-    if np.any(y > 0):
-        raise ValueError("density is defined on the half strip y <= 0")
-    out = np.zeros_like(y)
-    for m in solution.modes:
-        w = m.omega
-        out = out + 0.5 * (w ** 4 * m.v(y) ** 2
-                           + 2.0 * w ** 2 * m.v(y, 1) ** 2
-                           + m.v(y, 2) ** 2)
-    return out
 
 
 def solve_cell_fem(profile: BoundaryProfile, k_max: int = 16, depth: float = 3.0,

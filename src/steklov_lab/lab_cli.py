@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import numbers
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field
@@ -32,10 +31,11 @@ from .assembly import (GRAD_MASS, HESSIAN_ENERGY, LAPLACIAN_ENERGY, MASS,
 from .cell_problem import solve_cell
 from .mesh import DofMap, Mesh, build_mesh, mark_essential
 from .navier import solve_navier
-from .profile_geometry import (BoundaryProfile, DomainSpec, ProfileError,
-                               build_diffeo, check_assumptions, default_kappa,
-                               fit_kappa_layer)
-from .spectral import factor_spd, solve_steklov
+from .profile_geometry import (BoundaryProfile, DomainSpec, GeometryError,
+                               ProfileError, build_diffeo, check_assumptions,
+                               default_kappa, fit_kappa_layer)
+from .spectral import (NoSteklovEigenvalues, SpectralConvergenceError,
+                       factor_spd, solve_steklov)
 
 __all__ = ["ExperimentConfig", "ReportRow", "ExperimentReport",
            "run_trichotomy", "run_dbs_convergence", "run_degeneration",
@@ -96,7 +96,7 @@ class ExperimentConfig:
     kappa_exponent: float = 0.0            # 0 -> built-in kappa rule
     seed: int = 0
     out_dir: str = "out"
-    threads: int = 0                       # 0 -> STEKLOV_LAB_THREADS or 1
+    threads: int = 1                       # worker threads over the cells
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -107,9 +107,8 @@ class ExperimentConfig:
                               "decreasing, length >= 2")
         if self.w_len <= 0:
             raise ConfigError("w_len must be positive")
-        if self.threads < 0:
-            raise ConfigError("threads must be >= 0 (0: STEKLOV_LAB_THREADS or 1)")
-        self.n_threads()                # checks STEKLOV_LAB_THREADS
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.per_period < 8:
@@ -168,15 +167,6 @@ class ExperimentConfig:
         except ProfileError as exc:
             cell = f"alpha = {alpha:g}, eps = {_eps_label(eps)}"
             raise ProfileError(f"cell {cell}: {exc}") from None
-
-    def n_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("STEKLOV_LAB_THREADS", "").strip()
-        if env and (not env.isdecimal() or int(env) < 1):
-            raise ConfigError(
-                f"STEKLOV_LAB_THREADS must be an integer >= 1, got {env!r}")
-        return int(env) if env else 1
 
 
 def _parse_scalar(tok: str):
@@ -416,15 +406,14 @@ def _sweep(cfg, alphas, solve):
     def one(setup):
         return setup[0], solve(*setup)
 
-    return dict(zip(cells, _pmap(one, setups, cfg.n_threads())))
+    return dict(zip(cells, _pmap(one, setups, cfg.threads)))
 
 
 def _steklov_cell(cfg, mesh, bc, form, part, domain):
     dm = mark_essential(mesh, DofMap.unconstrained(mesh), bc)
     A = assemble(form, mesh, dm, domain, cfg.quad_order)
     B = assemble(normal_trace(part), mesh, dm, domain, cfg.quad_order)
-    spectrum = solve_steklov(A, B, k=cfg.k, seed=cfg.seed)
-    return spectrum, dm
+    return solve_steklov(A, B, k=cfg.k, seed=cfg.seed)
 
 
 def _base_header(cfg: ExperimentConfig):
@@ -475,16 +464,15 @@ def run_trichotomy(config: ExperimentConfig) -> ExperimentReport:
         "n=0 row carries the strange curvature gamma",
     ]))
     mesh0 = cfg.reference_mesh()
-    spec0, _ = _steklov_cell(cfg, mesh0, "DirichletAll+ClampSigma",
-                             HESSIAN_ENERGY, "Gamma", None)
-    lam0 = spec0.eigenvalues
+    lam0 = _steklov_cell(cfg, mesh0, "DirichletAll+ClampSigma",
+                         HESSIAN_ENERGY, "Gamma", None).eigenvalues
     gamma = solve_cell(cfg.profile(1.5)).gamma
     report.add(0.0, 0.0, mesh0.nx, mesh0.ny, 0, gamma, 0.0, 0.0, "Info")
     report.data(0.0, 0.0, mesh0, 1, lam0, lam0)
 
     cells = _sweep(cfg, cfg.alphas, lambda mesh, dif, _: _steklov_cell(
         cfg, mesh, "DirichletAll+ClampSigma", HESSIAN_ENERGY, "Gamma",
-        dif)[0].eigenvalues)
+        dif).eigenvalues)
     for a in cfg.alphas:
         targets = lam0 + gamma if abs(a - 1.5) < 1e-12 else lam0
         for e in cfg.eps_list:
@@ -527,13 +515,18 @@ def run_dbs_convergence(config: ExperimentConfig) -> ExperimentReport:
     ]))
 
     def solve(mesh, dif, _):
+        # the four pencils share one DOF map and, per domain, one trace form
+        dm = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
+        traces = [(d, assemble(normal_trace("All"), mesh, dm, d, cfg.quad_order))
+                  for d in (dif, None)]
         spectra = {}
         for tag, form in (("lap", LAPLACIAN_ENERGY), ("hess", HESSIAN_ENERGY)):
-            s_eps, dm = _steklov_cell(cfg, mesh, "DirichletAll", form, "All", dif)
-            s_ref, _ = _steklov_cell(cfg, mesh, "DirichletAll", form, "All", None)
-            spectra[tag] = (s_eps, s_ref)
+            # each A goes straight into its solve, so no A outlives its solve
+            spectra[tag] = tuple(solve_steklov(
+                assemble(form, mesh, dm, d, cfg.quad_order), B, k=cfg.k,
+                seed=cfg.seed) for d, B in traces)
         # transplanted H2 distance of the leading bending-form eigenfunction; w
-        # vanishes on the constrained DOFs of the map all four pencils share
+        # vanishes on the constrained DOFs of the shared map
         s_eps, s_ref = spectra["lap"]
         forms = sobolev_forms(mesh, dm, dif, cfg.quad_order)
         q_eps, q_ref = s_eps.modes[:, 0], s_ref.modes[:, 0]
@@ -580,15 +573,14 @@ def run_degeneration(config: ExperimentConfig) -> ExperimentReport:
         f"{THRESHOLDS['degeneration_gap']}); n=-2 max successive gap ratio",
     ]))
     mesh0 = cfg.reference_mesh()
-    clamp, _ = _steklov_cell(cfg, mesh0, "DirichletAll+ClampGamma",
-                             HESSIAN_ENERGY, "All", None)
-    plain, _ = _steklov_cell(cfg, mesh0, "DirichletAll",
-                             HESSIAN_ENERGY, "All", None)
-    clamp = clamp.eigenvalues
-    report.data(0.0, 0.0, mesh0, 301, clamp, plain.eigenvalues)
+    clamp = _steklov_cell(cfg, mesh0, "DirichletAll+ClampGamma",
+                          HESSIAN_ENERGY, "All", None).eigenvalues
+    plain = _steklov_cell(cfg, mesh0, "DirichletAll",
+                          HESSIAN_ENERGY, "All", None).eigenvalues
+    report.data(0.0, 0.0, mesh0, 301, clamp, plain)
 
     cells = _sweep(cfg, (cfg.alpha,), lambda mesh, dif, _: _steklov_cell(
-        cfg, mesh, "DirichletAll", HESSIAN_ENERGY, "All", dif)[0].eigenvalues)
+        cfg, mesh, "DirichletAll", HESSIAN_ENERGY, "All", dif).eigenvalues)
     for e in cfg.eps_list:
         mesh, lam = cells[cfg.alpha, e]
         report.data(cfg.alpha, e, mesh, 1, lam, clamp)
@@ -641,30 +633,51 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
         return flat
 
     def error_norms(mesh, dif, form, sol_0):
-        """Pulled-back L2, gradient and energy norms of w = u_eps - u_0; the
-        energy form is the solved one (bending or curvature).  w is taken in
-        defect form, A_eps^{-1} (F_eps - A_eps u_0), on the solve's factor,
-        so that the factor's rounding enters it relative to w, not to the
-        two solutions whose difference it is."""
+        """The solve's DOF map and free solution vector, and the pulled-back
+        L2, gradient and energy norms of w = u_eps - u_0; the energy form is
+        the solved one (bending or curvature).  w is taken in defect form,
+        A_eps^{-1} (F_eps - A_eps u_0), on the solve's factor, so that the
+        factor's rounding enters it relative to w, not to the two solutions
+        whose difference it is."""
         sol_e = solve_navier(mesh, f_triple, form=form, domain=dif,
                              quad_order=cfg.quad_order)
-        dm = sol_e.dofmap
-        A = sol_e.system.matrix
-        w = sol_e.factor.solve(sol_e.load - A @ sol_0.u.coeffs[dm.free])
-        sol_e.factor = None         # the caller keeps sol_e, not its factor
+        dm, A, u_eps = sol_e.dofmap, sol_e.system.matrix, sol_e.u_free
+        w = sol_e.factor.solve(sol_e.load - A @ sol_0.u_free)
+        del sol_e           # its factor is freed before the mass/gradient pass
         # w vanishes on the constrained DOFs, so the free-DOF forms give the
         # full-DOF norms
         mass, grad = assemble_many((MASS, GRAD_MASS), mesh, dm, dif,
                                    cfg.quad_order)
-        return sol_e, tuple(float(np.sqrt(w @ (X @ w)))
-                            for X in (mass.matrix, grad.matrix, A))
+        return dm, u_eps, tuple(float(np.sqrt(w @ (X @ w)))
+                                for X in (mass.matrix, grad.matrix, A))
+
+    def gamma_residual(mesh, dm, u_eps):
+        """Does the empirical limit satisfy the curvature-shifted flat
+        equation?  Measured as the relative first-order distance to the
+        discrete solution of that equation (the raw residual vector has no
+        scale on a graded mesh, and only first-order norms converge in this
+        regime)."""
+        sol_0 = flat[mesh.nx]
+        Bg_ref = assemble(normal_trace("Gamma"), mesh, dm).matrix
+        A_gam = sol_0.system.matrix + gamma * Bg_ref
+        factor_gam = factor_spd(A_gam)
+        u_gam = factor_gam.solve(sol_0.load)
+        # u_eps - u_gam in defect form, A_gam^{-1} (A_gam u_eps - F_0), so
+        # that the factor's rounding enters relative to the difference
+        w_free = factor_gam.solve(A_gam @ u_eps - sol_0.load)
+        del factor_gam          # freed before the mass/gradient pass
+        mass, grad = assemble_many((MASS, GRAD_MASS), mesh, dm)
+
+        def h1(v):
+            return np.sqrt(v @ (mass.matrix @ v) + v @ (grad.matrix @ v))
+        return h1(w_free) / h1(u_gam)
 
     e0, e1 = cfg.eps_list[0], cfg.eps_list[-1]
 
     # bending form: stable sweep
     flat = flat_solutions((cfg.alpha,), LAPLACIAN_ENERGY)
     cells = _sweep(cfg, (cfg.alpha,), lambda mesh, dif, _: error_norms(
-        mesh, dif, LAPLACIAN_ENERGY, flat[mesh.nx])[1])
+        mesh, dif, LAPLACIAN_ENERGY, flat[mesh.nx])[2])
     for e in cfg.eps_list:
         mesh, vals = cells[cfg.alpha, e]
         report.data(cfg.alpha, e, mesh, 1, vals)
@@ -679,14 +692,14 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
     flat = flat_solutions(cfg.alphas, HESSIAN_ENERGY)
 
     def curvature_cell(mesh, dif, cell):
-        sol_e, nrm = error_norms(mesh, dif, HESSIAN_ENERGY, flat[mesh.nx])
-        dm = sol_e.dofmap
+        dm, u_eps, nrm = error_norms(mesh, dif, HESSIAN_ENERGY, flat[mesh.nx])
         Cg = assemble_boundary_factor(normal_trace("Gamma"), mesh, dm, dif,
                                       cfg.quad_order)
-        trace = float(np.linalg.norm(Cg.T @ sol_e.u.coeffs[dm.free]))
-        # only metric n = -15 reads a solution: the critical cell at eps_min
+        trace = float(np.linalg.norm(Cg.T @ u_eps))
+        # metric n = -15 is read off the critical cell at eps_min alone
         critical = abs(cell[0] - 1.5) < 1e-12 and cell[1] == e1
-        return nrm + (trace,), sol_e if critical else None
+        return nrm + (trace,), (gamma_residual(mesh, dm, u_eps) if critical
+                                else None)
 
     cells = _sweep(cfg, cfg.alphas, curvature_cell)
     for a in cfg.alphas:
@@ -702,28 +715,7 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
                               thr["monotone"])
         elif abs(a - 1.5) < 1e-12:
             report.metric(a, -16, _ratio(first[1], last[1]), 1.0)
-            # does the empirical limit satisfy the curvature-shifted flat
-            # equation?  Measured as the relative first-order distance to the
-            # discrete solution of that equation (the raw residual vector has
-            # no scale on a graded mesh, and only first-order norms converge
-            # in this regime)
-            mesh, (_, sol_e) = cells[a, e1]
-            dm = sol_e.dofmap
-            sol_0 = flat[mesh.nx]
-            Bg_ref = assemble(normal_trace("Gamma"), mesh, dm).matrix
-            A_gam = sol_0.system.matrix + gamma * Bg_ref
-            factor_gam = factor_spd(A_gam)
-            u_gam = factor_gam.solve(sol_0.load)
-            # u_eps - u_gam in defect form, A_gam^{-1} (A_gam u_eps - F_0), so
-            # that the factor's rounding enters relative to the difference
-            w_free = factor_gam.solve(A_gam @ sol_e.u.coeffs[dm.free]
-                                      - sol_0.load)
-            del factor_gam          # freed before the mass/gradient pass
-            mass, grad = assemble_many((MASS, GRAD_MASS), mesh, dm)
-
-            def h1(v):
-                return np.sqrt(v @ (mass.matrix @ v) + v @ (grad.matrix @ v))
-            report.metric(a, -15, h1(w_free) / h1(u_gam), thr["gamma_residual"])
+            report.metric(a, -15, cells[a, e1][1][1], thr["gamma_residual"])
         else:
             report.metric(a, -14, _ratio(first[3], last[3]), thr["trace_factor"])
     return report
@@ -752,7 +744,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="key = value file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (fallback: STEKLOV_LAB_THREADS)")
+                        help="worker threads (default 1)")
     args = parser.parse_args(argv)
 
     name = ALIASES.get(args.experiment, args.experiment)
@@ -761,7 +753,11 @@ def main(argv=None) -> int:
                           threads=args.threads)
         report = RUNNERS[name](cfg)
     except (ConfigError, AssumptionViolatedError, ProfileError) as exc:
-        parser.error(" ".join(str(exc).split()))      # one line
+        parser.error(" ".join(str(exc).split()))      # one line, exit code 2
+    except (GeometryError, SpectralConvergenceError,
+            NoSteklovEigenvalues) as exc:
+        parser.exit(3, f"{parser.prog}: run failed: "
+                       f"{' '.join(str(exc).split())}\n")
     csv_path = emit(report, "csv", cfg.out_dir)
     emit(report, "svg", cfg.out_dir)
 

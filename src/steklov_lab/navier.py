@@ -27,7 +27,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import (FeFunction, FeSystem, FormKind, GRAD_MASS,
-                       LAPLACIAN_ENERGY, MIXED_U_DELTA, assemble, assemble_many,
+                       LAPLACIAN_ENERGY, MIXED_U_DELTA, assemble,
+                       assemble_boundary_factor, assemble_many,
                        assemble_navier_load, boundary_mass, gauss01)
 from .mesh import DOF_VXY, DofMap, Mesh, mark_essential
 from .profile_geometry import DiffeoField
@@ -41,13 +42,19 @@ __all__ = ["NavierSolution", "NtnOperator", "solve_navier",
 
 @dataclass
 class NavierSolution:
-    u: FeFunction
+    u_free: np.ndarray         # coefficients on the free DOFs of dofmap
     residual: float
     domain: DiffeoField | None
     dofmap: DofMap
     system: FeSystem
     load: np.ndarray
     factor: object             # factor of system.matrix, for defect solves
+
+    @property
+    def u(self) -> FeFunction:
+        """The solution over the full Hermite basis, built on each call."""
+        return FeFunction.from_free_vector(self.dofmap, self.system.mesh,
+                                           self.u_free)
 
 
 def solve_navier(mesh: Mesh, f, form: FormKind = LAPLACIAN_ENERGY,
@@ -66,18 +73,18 @@ def solve_navier(mesh: Mesh, f, form: FormKind = LAPLACIAN_ENERGY,
     u_free = factor.solve(F)
     fn = float(np.linalg.norm(F))
     res = float(np.linalg.norm(system.matrix @ u_free - F)) / fn if fn > 0 else 0.0
-    u = FeFunction.from_free_vector(dofmap, mesh, u_free)
-    return NavierSolution(u=u, residual=res, domain=domain, dofmap=dofmap,
-                          system=system, load=F, factor=factor)
+    return NavierSolution(u_free=u_free, residual=res, domain=domain,
+                          dofmap=dofmap, system=system, load=F, factor=factor)
 
 
 def _conormal_operator(mesh: Mesh, domain: DiffeoField | None,
-                       quad_order: int | None = None) -> sp.csr_matrix:
-    """Matrix of u -> [ int (Lap(u) psi_m + grad u . grad psi_m) ]_m over the
-    full Hermite basis."""
+                       quad_order: int | None = None):
+    """(G, M + G) over the full Hermite basis: the GradMass form G, and the
+    matrix of u -> [ int (Lap(u) psi_m + grad u . grad psi_m) ]_m, M being
+    the MixedUDelta form."""
     M, G = assemble_many((MIXED_U_DELTA, GRAD_MASS), mesh,
                          DofMap.unconstrained(mesh), domain, quad_order)
-    return (M.matrix + G.matrix).tocsr()
+    return G.matrix, (M.matrix + G.matrix).tocsr()
 
 
 def normal_derivative_functional(sol: NavierSolution,
@@ -87,8 +94,9 @@ def normal_derivative_functional(sol: NavierSolution,
     Entries for basis functions supported strictly inside the domain vanish
     (the pairing only sees the boundary trace of the test function).
     """
-    op = _conormal_operator(sol.u.mesh, sol.domain, quad_order)
-    return np.asarray(op @ sol.u.coeffs)
+    u = sol.u
+    _, op = _conormal_operator(u.mesh, sol.domain, quad_order)
+    return np.asarray(op @ u.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +106,6 @@ def normal_derivative_functional(sol: NavierSolution,
 class NtnOperator:
     N: np.ndarray              # <(u_{f_j})_nu, f_i>
     J0: np.ndarray             # boundary mass on the trace basis
-    trace_dofs: np.ndarray     # global DOF indices parametrizing the traces
-    extensions: np.ndarray     # (n_dofs, n_basis) harmonically extended basis
-    mesh: Mesh
 
 
 def boundary_trace_dofs(mesh: Mesh) -> np.ndarray:
@@ -121,14 +126,15 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
     data each, extended into the domain discretely harmonically (the interior
     minimizes the Dirichlet energy).  Functions with zero trace pair to zero
     on both sides, so the H^1_0 kernel is deflated by construction.
+    J0 = T^T T with T = C_b^T E, C_b the boundary mass's quadrature factor and
+    E the extended basis, so J0 is exactly symmetric.
     """
     if trace_dofs is None:
         trace_dofs = boundary_trace_dofs(mesh)
     trace_dofs = np.asarray(trace_dofs, dtype=np.int64)
     full = DofMap.unconstrained(mesh)
-    G, M = assemble_many((GRAD_MASS, MIXED_U_DELTA), mesh, full, domain,
-                         quad_order)
-    K = G.matrix.tocsc()
+    G, conorm = _conormal_operator(mesh, domain, quad_order)
+    K = G.tocsc()
     n_dofs = full.n_dofs
     comp = np.setdiff1d(np.arange(n_dofs), trace_dofs)
 
@@ -136,33 +142,32 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
     Kcc = K[comp][:, comp]
     Kct = K[comp][:, trace_dofs]
     factor = factor_spd(Kcc)
-    C = np.zeros((n_dofs, trace_dofs.size))
-    C[trace_dofs, np.arange(trace_dofs.size)] = 1.0
-    C[comp] = -factor.solve(Kct.toarray())
+    E = np.zeros((n_dofs, trace_dofs.size))
+    E[trace_dofs, np.arange(trace_dofs.size)] = 1.0
+    E[comp] = -factor.solve(Kct.toarray())
 
     # Navier solves for every basis function
     dofmap = mark_essential(mesh, full, "DirichletAll")
     system = assemble(LAPLACIAN_ENERGY, mesh, dofmap, domain, quad_order)
-    conorm = (M.matrix + G.matrix).tocsr()
-    loads = (conorm.T @ C)[dofmap.free]
+    loads = (conorm.T @ E)[dofmap.free]
     factor_a = factor_spd(system.matrix)
     U_free = factor_a.solve(loads)
     U = np.zeros((n_dofs, trace_dofs.size))
     U[dofmap.free] = U_free
 
-    N = C.T @ (conorm @ U)
+    N = E.T @ (conorm @ U)
     asym = np.linalg.norm(N - N.T) / max(np.linalg.norm(N), 1e-300)
     if asym > 1e-8:
         raise RuntimeError(f"NtN matrix asymmetry {asym:.2e}")
     N = 0.5 * (N + N.T)
 
-    Mb = assemble(boundary_mass("All"), mesh, full, domain, quad_order).matrix
-    J0 = C.T @ (Mb @ C)
-    J0 = 0.5 * (J0 + J0.T)
+    T = assemble_boundary_factor(boundary_mass("All"), mesh, full, domain,
+                                 quad_order).T @ E
+    J0 = T.T @ T
     ev = np.linalg.eigvalsh(J0)
     if ev.min() <= ev.max() * 1e-12:
         raise RuntimeError("boundary-trace basis gives a rank-deficient J0")
-    return NtnOperator(N=N, J0=J0, trace_dofs=trace_dofs, extensions=C, mesh=mesh)
+    return NtnOperator(N=N, J0=J0)
 
 
 def ntn_eigenvalues(op: NtnOperator, k: int) -> np.ndarray:

@@ -17,7 +17,9 @@ from steklov_lab.lab_cli import (RUNNERS, AssumptionViolatedError,
                                  run_dbs_convergence, run_degeneration,
                                  run_trichotomy)
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
-from steklov_lab.spectral import solve_steklov
+from steklov_lab.profile_geometry import GeometryError
+from steklov_lab.spectral import (NoSteklovEigenvalues,
+                                  SpectralConvergenceError, solve_steklov)
 
 
 def smoke_cfg(experiment, **kw):
@@ -117,6 +119,7 @@ def test_config_validation():
     for bad in (dict(eps_list=(0.125,)), dict(per_period=4),
                 dict(eps_list=(0.15, 0.075)), dict(eps_list=(0.125, 0)),
                 dict(w_len=-1), dict(w_len=0), dict(threads=-1),
+                dict(threads=0),
                 dict(k=0), dict(ny=0), dict(reference_nx=0), dict(grading=0.0),
                 dict(grading=-0.5), dict(grading=1.5), dict(quad_order=5),
                 dict(quad_order=0), dict(k_hat=6), dict(k_hat=2),
@@ -153,23 +156,15 @@ def test_mesh_rule_resolves_steep_profile():
 
 
 def test_threads_env_fallback(monkeypatch):
-    cfg = ExperimentConfig(experiment="trichotomy")
+    # the threads key (or --threads) is the only setting: no environment
+    # variable stands in for it, and it defaults to one worker
     monkeypatch.setenv("STEKLOV_LAB_THREADS", "3")
-    assert cfg.n_threads() == 3
-    monkeypatch.setenv("STEKLOV_LAB_THREADS", " ")
-    assert cfg.n_threads() == 1
-    monkeypatch.delenv("STEKLOV_LAB_THREADS")
-    assert cfg.n_threads() == 1
-    assert ExperimentConfig(experiment="trichotomy", threads=2).n_threads() == 2
-    # a malformed value is refused when the config is loaded
-    for bad in ("abc", "-2", "2.5", "0"):
-        monkeypatch.setenv("STEKLOV_LAB_THREADS", bad)
-        with pytest.raises(ConfigError, match="STEKLOV_LAB_THREADS"):
-            load_config("trichotomy")
-        with pytest.raises(ConfigError, match="STEKLOV_LAB_THREADS"):
-            cfg.n_threads()
-    # an explicit thread count does not read the variable
-    assert load_config("trichotomy", threads=2).n_threads() == 2
+    assert ExperimentConfig(experiment="trichotomy").threads == 1
+    assert load_config("trichotomy").threads == 1
+    assert ExperimentConfig(experiment="trichotomy", threads=2).threads == 2
+    assert load_config("trichotomy", threads=2).threads == 2
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        load_config("trichotomy", threads=0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +400,27 @@ def test_dbs_h2_distance_matches_unconstrained_forms():
     assert row.value == pytest.approx(dist, rel=1e-12)
 
 
+def test_dbs_cell_spectra_match_pencils_on_their_own_maps():
+    # the cell's four pencils share one DOF map and one trace form per
+    # domain; each spectrum is bit-identical to that of its pencil assembled
+    # on a map and a trace form of its own
+    cfg = smoke_cfg("dbs-convergence")
+    rep = run_dbs_convergence(cfg)
+    a, e = cfg.alpha, cfg.eps_list[-1]
+    mesh, dif = cfg.mesh_for(a, e), cfg.diffeo(a, e)
+    for base, form in ((0, LAPLACIAN_ENERGY), (100, HESSIAN_ENERGY)):
+        spectra = []
+        for domain in (dif, None):
+            dm = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
+            A = assemble(form, mesh, dm, domain, cfg.quad_order)
+            B = assemble(normal_trace("All"), mesh, dm, domain, cfg.quad_order)
+            spectra.append(solve_steklov(A, B, k=cfg.k, seed=cfg.seed).eigenvalues)
+        rows = sorted((r for r in rep.rows if r.eps == e
+                       and base < r.n <= base + cfg.k), key=lambda r: r.n)
+        assert [r.value for r in rows] == list(spectra[0])
+        assert [r.reference for r in rows] == list(spectra[1])
+
+
 def test_dbs_flat_profile_gaps_vanish():
     cfg = smoke_cfg("dbs-convergence", coefficients=(0.0,))
     rep = run_dbs_convergence(cfg)
@@ -470,7 +486,7 @@ def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
     late_cell.write_text("eps_list = 1/4, 1/8\nny = 6\nreference_nx = 16\n")
     infinite = tmp_path / "infinite.cfg"
     infinite.write_text("w_len = inf\nny = 6\nreference_nx = 16\n")
-    cases = ((["trichotomy", "--threads", "-1"], "threads must be >= 0"),
+    cases = ((["trichotomy", "--threads", "-1"], "threads must be >= 1"),
              (["trichotomy", "--config", str(tmp_path / "missing.cfg")],
               "cannot read config file"),
              (["trichotomy", "--config", str(bad_value)], "ny must be"),
@@ -490,3 +506,22 @@ def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert err.strip().splitlines()[-1].startswith("steklov-lab: error:")
+
+
+@pytest.mark.parametrize("error", [GeometryError("layer map inversion stalled"),
+                                   SpectralConvergenceError("no convergence"),
+                                   NoSteklovEigenvalues("boundary form is zero")])
+def test_cli_reports_run_failures_with_exit_code_3(tmp_path, capsys,
+                                                    monkeypatch, error):
+    # a run-time failure is neither a usage error (2) nor a Violated metric
+    # row (1): one line on stderr and exit code 3, no traceback, no report
+    def fail(cfg):
+        raise error
+    monkeypatch.setitem(RUNNERS, "trichotomy", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["trichotomy", "--out", str(tmp_path)])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == f"steklov-lab: run failed: {error}\n"
+    assert not (tmp_path / "trichotomy.csv").exists()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from steklov_lab.assembly import (FeFunction, LAPLACIAN_ENERGY, assemble,
-                                  assemble_navier_load, gauss01, normal_trace)
+from steklov_lab.assembly import (FeFunction, GRAD_MASS, LAPLACIAN_ENERGY,
+                                  assemble, assemble_navier_load, boundary_mass,
+                                  gauss01, normal_trace)
 from steklov_lab.mesh import DOF_V, DOF_VXY, DofMap, build_mesh, mark_essential
 from steklov_lab.navier import (boundary_trace_dofs, build_ntn,
                                 mixed_splitting_solve, normal_derivative_functional,
@@ -82,6 +83,18 @@ def test_galerkin_residual_against_random_tests():
         lhs = phi @ (A @ u)
         rhs = phi @ F
         assert abs(lhs - rhs) <= 1e-9 * np.sqrt(phi @ (A @ phi)) + 1e-12
+
+
+def test_solution_is_held_on_the_free_dofs():
+    # the solve keeps its free vector; u scatters it over the full basis
+    m = build_mesh(8, 8)
+    _, _, _, f3 = _exact_solution()
+    sol = solve_navier(m, f3)
+    assert sol.u_free.shape == (sol.dofmap.n_free,)
+    u = sol.u
+    assert np.array_equal(u.coeffs[sol.dofmap.free], sol.u_free)
+    assert not np.any(u.coeffs[sol.dofmap.constrained])
+    assert np.max(np.abs(sol.u_free)) > 0
 
 
 def test_interior_datum_gives_zero_solution():
@@ -211,6 +224,24 @@ def test_ntn_symmetry():
     assert np.linalg.norm(op.N - op.N.T) <= 1e-10 * np.linalg.norm(op.N)
     w = np.linalg.eigvalsh(op.J0)
     assert w.min() > 0
+
+
+def test_ntn_boundary_mass_is_the_extended_trace_gram():
+    # J0 = T^T T is symmetric bit for bit, with no averaging, and it is the
+    # boundary mass E^T M_b E of the discretely harmonic extensions E
+    m = build_mesh(6, 5)
+    J0 = build_ntn(m).J0
+    assert np.array_equal(J0, J0.T)
+    full = DofMap.unconstrained(m)
+    K = assemble(GRAD_MASS, m, full).matrix.toarray()
+    trace = boundary_trace_dofs(m)
+    comp = np.setdiff1d(np.arange(full.n_dofs), trace)
+    E = np.zeros((full.n_dofs, trace.size))
+    E[trace, np.arange(trace.size)] = 1.0
+    E[comp] = -np.linalg.solve(K[np.ix_(comp, comp)], K[np.ix_(comp, trace)])
+    Mb = assemble(boundary_mass("All"), m, full).matrix
+    ref = E.T @ (Mb @ E)
+    assert np.linalg.norm(J0 - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_trace_dof_count():
