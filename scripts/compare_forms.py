@@ -45,7 +45,7 @@ EXTRA_CELL = {"label": "32x6 q=0.7", "alpha": 2.0, "eps": 0.25,
 def cells():
     """The cells to compare, as JSON-able dicts; a cell that two experiments
     share (same mesh and layer map) is compared once, under both names."""
-    from steklov_lab.lab_cli import EXPERIMENTS, load_config
+    from steklov_lab.lab_cli import EXPERIMENTS, _eps_label, load_config
     out = {}
     for name in EXPERIMENTS:
         cfg = load_config(name)
@@ -60,7 +60,7 @@ def cells():
                 cell["names"].append(name)
     for cell in out.values():
         names = ", ".join(cell.pop("names"))
-        cell["label"] = f"{names} alpha={cell['alpha']:g} eps=1/{round(1 / cell['eps'])}"
+        cell["label"] = f"{names} alpha={cell['alpha']:g} eps={_eps_label(cell['eps'])}"
     return list(out.values()) + [EXTRA_CELL]
 
 

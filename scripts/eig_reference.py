@@ -29,7 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from steklov_lab.assembly import (HESSIAN_ENERGY, LAPLACIAN_ENERGY,  # noqa: E402
                                   assemble, normal_trace)
 from steklov_lab.lab_cli import load_config  # noqa: E402
-from steklov_lab.mesh import DofMap, mark_essential  # noqa: E402
+from steklov_lab.mesh import mark_essential  # noqa: E402
 from steklov_lab.spectral import factor_spd, solve_steklov  # noqa: E402
 
 LD = np.longdouble
@@ -142,7 +142,7 @@ def main(argv) -> int:
     cfg = load_config(experiment)
     print(f"{experiment} alpha={alpha:g} eps={eps:g} k={cfg.k}")
     for label, mesh, bc, form, part, dom in _pencils(cfg, alpha, eps):
-        dm = mark_essential(mesh, DofMap.unconstrained(mesh), bc)
+        dm = mark_essential(mesh, bc)
         A = assemble(form, mesh, dm, dom, cfg.quad_order).matrix
         trace = assemble(normal_trace(part), mesh, dm, dom, cfg.quad_order)
         B = trace.matrix

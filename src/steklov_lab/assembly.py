@@ -572,34 +572,20 @@ class FeFunction:
         coeffs[3::4] = fxy(x, y)
         return FeFunction(mesh=mesh, coeffs=coeffs)
 
-    def _locate(self, x, y):
-        mesh = self.mesh
-        ix = np.clip(np.searchsorted(mesh.xs, x, side="right") - 1, 0, mesh.nx - 1)
-        iy = np.clip(np.searchsorted(mesh.ys, y, side="right") - 1, 0, mesh.ny - 1)
-        return ix, iy
-
     def eval(self, x, y, dx_order: int = 0, dy_order: int = 0):
         """Evaluate a mixed derivative; points slightly outside the mesh are
         handled by polynomial extension of the nearest element."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        x, y = np.broadcast_arrays(x, y)
-        ix, iy = self._locate(x.ravel(), y.ravel())
-        mesh = self.mesh
-        hx = mesh.w_len / mesh.nx
-        hys = np.diff(mesh.ys)
-        tx = (x.ravel() - mesh.xs[ix]) / hx
-        ty = (y.ravel() - mesh.ys[iy]) / hys[iy]
-        X = hermite1d(tx, hx, dx_order)                    # (4, npts)
-        Y = hermite1d(ty, hys[iy], dy_order)               # per-point height
-        nyp = mesh.ny + 1
-        n0 = ix * nyp + iy
-        nodes = np.stack([n0, n0 + nyp, n0 + nyp + 1, n0 + 1], axis=0)  # (4, npts)
-        out = np.zeros(x.size)
-        for n, (a, b) in enumerate(_NODE_SIDES):
-            for t, (sx, sy) in enumerate(_TYPE_SLOPES):
-                c = self.coeffs[4 * nodes[n] + t]
-                out += c * X[2 * a + sx] * Y[2 * b + sy]
+        x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
+                                   np.atleast_1d(np.asarray(y, dtype=float)))
+        mesh, xf, yf = self.mesh, x.ravel(), y.ravel()
+        ix = np.clip(np.searchsorted(mesh.xs, xf, side="right") - 1, 0, mesh.nx - 1)
+        iy = np.clip(np.searchsorted(mesh.ys, yf, side="right") - 1, 0, mesh.ny - 1)
+        hx, hy = mesh.w_len / mesh.nx, np.diff(mesh.ys)[iy]
+        X = hermite1d((xf - mesh.xs[ix]) / hx, hx, dx_order)[_X_ROWS]  # (16, npts)
+        Y = hermite1d((yf - mesh.ys[iy]) / hy, hy, dy_order)[_Y_ROWS]
+        out = np.zeros(xf.size)
+        for term in self.coeffs[_elem_gdofs(mesh, ix, iy)].T * X * Y:
+            out += term                     # local DOF order, one at a time
         return out.reshape(x.shape)
 
     def value(self, x, y):

@@ -71,21 +71,19 @@ def mode_energy_closed_form(omega: float, beta: float) -> float:
     return 0.75 * omega ** 3 * beta ** 2
 
 
-def _fourier_amplitudes(profile: BoundaryProfile, k_max: int):
+def _fourier_amplitudes(profile: BoundaryProfile):
     """Per-frequency trig amplitudes beta_k = |c_k| of the cosine series."""
     return {k: abs(c) for k, c in enumerate(profile.coefficients)
-            if 1 <= k <= k_max and c != 0.0}
+            if k >= 1 and c != 0.0}
 
 
-def solve_cell(profile: BoundaryProfile, k_max: int = 16) -> CellSolution:
+def solve_cell(profile: BoundaryProfile) -> CellSolution:
     """Semi-analytic cell solution: one decaying mode per profile frequency."""
     if not isinstance(profile, BoundaryProfile):
         raise ProfileError("solve_cell expects a periodic BoundaryProfile")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     modes = []
     total = 0.0
-    for k, beta in sorted(_fourier_amplitudes(profile, k_max).items()):
+    for k, beta in sorted(_fourier_amplitudes(profile).items()):
         w = 2.0 * np.pi * k
         A = beta
         B = -0.5 * w * A
@@ -95,7 +93,7 @@ def solve_cell(profile: BoundaryProfile, k_max: int = 16) -> CellSolution:
     return CellSolution(modes=tuple(modes), gamma=total)
 
 
-def solve_cell_fem(profile: BoundaryProfile, k_max: int = 16, depth: float = 3.0,
+def solve_cell_fem(profile: BoundaryProfile, depth: float = 3.0,
                    n_elements: int = 240) -> float:
     """FEM cross-check of gamma on the strip truncated at y = -depth.
 
@@ -111,7 +109,7 @@ def solve_cell_fem(profile: BoundaryProfile, k_max: int = 16, depth: float = 3.0
     """
     from .assembly import hermite1d, gauss01
 
-    betas = _fourier_amplitudes(profile, k_max)
+    betas = _fourier_amplitudes(profile)
     if not betas:
         return 0.0
     tq, wq = gauss01(6)

@@ -29,7 +29,7 @@ from .assembly import (GRAD_MASS, HESSIAN_ENERGY, LAPLACIAN_ENERGY, MASS,
                        assemble, assemble_boundary_factor, assemble_many,
                        assemble_navier_load, normal_trace, sobolev_forms)
 from .cell_problem import solve_cell
-from .mesh import DofMap, Mesh, build_mesh, mark_essential
+from .mesh import Mesh, build_mesh, mark_essential
 from .navier import solve_navier
 from .profile_geometry import (BoundaryProfile, DomainSpec, GeometryError,
                                ProfileError, build_diffeo, check_assumptions,
@@ -410,7 +410,7 @@ def _sweep(cfg, alphas, solve):
 
 
 def _steklov_cell(cfg, mesh, bc, form, part, domain):
-    dm = mark_essential(mesh, DofMap.unconstrained(mesh), bc)
+    dm = mark_essential(mesh, bc)
     A = assemble(form, mesh, dm, domain, cfg.quad_order)
     B = assemble(normal_trace(part), mesh, dm, domain, cfg.quad_order)
     return solve_steklov(A, B, k=cfg.k, seed=cfg.seed)
@@ -516,7 +516,7 @@ def run_dbs_convergence(config: ExperimentConfig) -> ExperimentReport:
 
     def solve(mesh, dif, _):
         # the four pencils share one DOF map and, per domain, one trace form
-        dm = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
+        dm = mark_essential(mesh, "DirichletAll")
         traces = [(d, assemble(normal_trace("All"), mesh, dm, d, cfg.quad_order))
                   for d in (dif, None)]
         spectra = {}

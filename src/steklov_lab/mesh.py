@@ -3,7 +3,8 @@
 Nodes are laid out column-major: node(ix, iy) = ix * (ny + 1) + iy, which
 keeps the matrix bandwidth proportional to ny for the wide, shallow meshes
 used here.  Each node carries four Hermite degrees of freedom
-(value, d/dx, d/dy, d2/dxdy).  Boundary edges are tagged Gamma (the top,
+(value, d/dx, d/dy, d2/dxdy), DOF 4 node + type, so a DOF vector reshapes to
+an (nx + 1, ny + 1, 4) grid.  Boundary edges are tagged Gamma (the top,
 y = 0) or Sigma (bottom and lateral sides).
 """
 
@@ -32,9 +33,6 @@ class Mesh:
     def n_nodes(self) -> int:
         return (self.nx + 1) * (self.ny + 1)
 
-    def node(self, ix, iy):
-        return ix * (self.ny + 1) + iy
-
     def node_coords(self) -> np.ndarray:
         """(n_nodes, 2) array of coordinates in node order."""
         xx = np.repeat(self.xs, self.ny + 1)
@@ -46,30 +44,6 @@ class Mesh:
 
     def hy(self, ey) -> float:
         return self.ys[ey + 1] - self.ys[ey]
-
-    # node index helpers for the four boundary sides
-    def top_nodes(self):
-        return np.array([self.node(i, self.ny) for i in range(self.nx + 1)])
-
-    def bottom_nodes(self):
-        return np.array([self.node(i, 0) for i in range(self.nx + 1)])
-
-    def left_nodes(self):
-        return np.array([self.node(0, j) for j in range(self.ny + 1)])
-
-    def right_nodes(self):
-        return np.array([self.node(self.nx, j) for j in range(self.ny + 1)])
-
-    def boundary_nodes(self):
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        for arr in (self.top_nodes(), self.bottom_nodes(),
-                    self.left_nodes(), self.right_nodes()):
-            mask[arr] = True
-        return np.nonzero(mask)[0]
-
-    def corner_nodes(self):
-        return np.array([self.node(0, 0), self.node(self.nx, 0),
-                         self.node(self.nx, self.ny), self.node(0, self.ny)])
 
 
 @dataclass(frozen=True)
@@ -134,18 +108,7 @@ def build_mesh(nx: int, ny: int, grading: float = 1.0, w_len: float = 1.0) -> Me
                 xs=xs, ys=ys)
 
 
-def _parse_bc(bc: str):
-    tokens = [t.strip() for t in bc.split("+") if t.strip()]
-    known = {"DirichletAll", "ClampGamma", "ClampSigma"}
-    bad = [t for t in tokens if t not in known]
-    if bad:
-        raise ValueError(f"unknown boundary condition tokens {bad}")
-    if "DirichletAll" not in tokens:
-        raise ValueError("essential constraints must include DirichletAll")
-    return set(tokens)
-
-
-def mark_essential(mesh: Mesh, dofmap: DofMap, bc: str) -> DofMap:
+def mark_essential(mesh: Mesh, bc: str) -> DofMap:
     """Essential constraints for the bicubic Hermite space.
 
     DirichletAll pins u = 0 on the whole boundary: every boundary node loses
@@ -154,28 +117,22 @@ def mark_essential(mesh: Mesh, dofmap: DofMap, bc: str) -> DofMap:
     ClampSigma additionally pin the normal derivative (and the mixed DOF) on
     the tagged part, producing the clamped trace u_nu = 0 there.
     """
-    tokens = _parse_bc(bc)
-    c = dofmap.constrained.copy()
-
-    def fix(nodes, dof_types):
-        for t in dof_types:
-            c[4 * np.asarray(nodes) + t] = True
-
-    top, bottom = mesh.top_nodes(), mesh.bottom_nodes()
-    left, right = mesh.left_nodes(), mesh.right_nodes()
-    horizontal = np.unique(np.concatenate([top, bottom]))
-    vertical = np.unique(np.concatenate([left, right]))
-
-    # value everywhere on the boundary; tangential derivative per edge
-    fix(mesh.boundary_nodes(), [DOF_V])
-    fix(horizontal, [DOF_VX])
-    fix(vertical, [DOF_VY])
-    fix(mesh.corner_nodes(), [DOF_VX, DOF_VY, DOF_VXY])
-
+    tokens = [t.strip() for t in bc.split("+") if t.strip()]
+    bad = sorted(set(tokens) - {"DirichletAll", "ClampGamma", "ClampSigma"})
+    if bad:
+        raise ValueError(f"unknown boundary condition tokens {bad}")
+    if "DirichletAll" not in tokens:
+        raise ValueError("essential constraints must include DirichletAll")
+    # on the DOF grid a step of nx (ny) picks the left and right sides (the
+    # bottom and the top)
+    c = np.zeros((mesh.nx + 1, mesh.ny + 1, 4), dtype=bool)
+    sides, ends = slice(None, None, mesh.nx), slice(None, None, mesh.ny)
+    c[:, ends, [DOF_V, DOF_VX]] = True
+    c[sides, :, [DOF_V, DOF_VY]] = True
+    c[sides, ends, DOF_VXY] = True
     if "ClampGamma" in tokens:
-        fix(top, [DOF_VY, DOF_VXY])
+        c[:, -1, [DOF_VY, DOF_VXY]] = True
     if "ClampSigma" in tokens:
-        fix(bottom, [DOF_VY, DOF_VXY])
-        fix(vertical, [DOF_VX, DOF_VXY])
-
-    return DofMap(n_nodes=dofmap.n_nodes, constrained=c)
+        c[:, 0, [DOF_VY, DOF_VXY]] = True
+        c[sides, :, [DOF_VX, DOF_VXY]] = True
+    return DofMap(n_nodes=mesh.n_nodes, constrained=c.reshape(-1))

@@ -66,7 +66,7 @@ def solve_navier(mesh: Mesh, f, form: FormKind = LAPLACIAN_ENERGY,
     `f` is an FeFunction or a (f, f_x, f_y) triple of callables evaluated at
     physical points.
     """
-    dofmap = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
+    dofmap = mark_essential(mesh, "DirichletAll")
     system = assemble(form, mesh, dofmap, domain, quad_order)
     F = assemble_navier_load(f, mesh, dofmap, domain, quad_order)
     factor = factor_spd(system.matrix)
@@ -112,10 +112,9 @@ def boundary_trace_dofs(mesh: Mesh) -> np.ndarray:
     """Global DOFs that determine the boundary trace of a Hermite function:
     those DirichletAll pins, less the corners' mixed DOFs, which it pins only
     for C1 compatibility."""
-    pinned = mark_essential(mesh, DofMap.unconstrained(mesh),
-                            "DirichletAll").constrained
-    pinned[4 * mesh.corner_nodes() + DOF_VXY] = False
-    return np.nonzero(pinned)[0]
+    pinned = mark_essential(mesh, "DirichletAll").constrained
+    pinned.reshape(mesh.nx + 1, mesh.ny + 1, 4)[::mesh.nx, ::mesh.ny, DOF_VXY] = False
+    return np.flatnonzero(pinned)
 
 
 def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
@@ -147,7 +146,7 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
     E[comp] = -factor.solve(Kct.toarray())
 
     # Navier solves for every basis function
-    dofmap = mark_essential(mesh, full, "DirichletAll")
+    dofmap = mark_essential(mesh, "DirichletAll")
     system = assemble(LAPLACIAN_ENERGY, mesh, dofmap, domain, quad_order)
     loads = (conorm.T @ E)[dofmap.free]
     factor_a = factor_spd(system.matrix)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,19 +94,22 @@ class BoundaryProfile:
                 out += -c * w * w * np.cos(w * y)
         return out
 
-    def sup_norm(self, order: int = 0) -> float:
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        """b, b', b'' at _PERIOD_SAMPLES points of the period cell, taken once."""
         y = np.linspace(-0.5, 0.5, _PERIOD_SAMPLES, endpoint=False)
-        return float(np.max(np.abs(self.eval(y, order))))
+        return np.array([self.eval(y, order) for order in range(3)])
+
+    def sup_norm(self, order: int = 0) -> float:
+        return float(np.max(np.abs(self._samples[order])))
 
     @property
     def nonconstant(self) -> bool:
-        y = np.linspace(-0.5, 0.5, _PERIOD_SAMPLES, endpoint=False)
-        vals = self.eval(y)
+        vals = self._samples[0]
         return float(np.max(vals) - np.min(vals)) > 0.0
 
     def min_value(self) -> float:
-        y = np.linspace(-0.5, 0.5, _PERIOD_SAMPLES, endpoint=False)
-        return float(np.min(self.eval(y)))
+        return float(np.min(self._samples[0]))
 
 
 @dataclass(frozen=True)
@@ -257,8 +261,6 @@ def default_kappa(alpha: float, eps: float) -> float:
 def build_diffeo(spec: DomainSpec, layer: KappaLayer,
                  n_sample: int = 200) -> DiffeoField:
     """Build the flattening diffeomorphism and certify det DPhi > 0 on a sample grid."""
-    if not isinstance(layer, KappaLayer):
-        raise ProfileError(f"unknown layer kind {layer!r}")
     if layer.k_hat <= 6.0:
         raise ProfileError(f"k_hat = {layer.k_hat} must exceed 6")
     if layer.kappa_eps <= spec.sup_g():

@@ -18,7 +18,7 @@ from steklov_lab.assembly import (GRAD_MASS, HESSIAN_ENERGY, LAPLACIAN_ENERGY,
 from steklov_lab.cell_problem import solve_cell
 from steklov_lab.lab_cli import (THRESHOLDS, load_config, run_degeneration,
                                  run_navier_stability, run_trichotomy)
-from steklov_lab.mesh import DofMap, build_mesh, mark_essential
+from steklov_lab.mesh import build_mesh, mark_essential
 from steklov_lab.navier import (build_ntn, mixed_splitting_solve,
                                 ntn_eigenvalues, relative_h1_error,
                                 solve_navier)
@@ -47,7 +47,7 @@ def test_criterion_1_form_identities():
     worst = 0.0
     for n in (4, 12):
         m = build_mesh(n, n)
-        dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+        dm = mark_essential(m, "DirichletAll")
         L = assemble(LAPLACIAN_ENERGY, m, dm).matrix.toarray()
         H = assemble(HESSIAN_ENERGY, m, dm).matrix.toarray()
         G = assemble(GRAD_MASS, m, dm).matrix.toarray()
@@ -97,7 +97,7 @@ def test_criterion_3_assumption_checker():
 
 def test_criterion_4_strange_curvature():
     t0 = time.time()
-    sol = solve_cell(cos_profile(1.5), k_max=8)
+    sol = solve_cell(cos_profile(1.5))
     m = sol.mode(1)
     w = m.omega
     dens = lambda y: 0.5 * (w ** 4 * m.v(y) ** 2 + 2 * w ** 2 * m.v(y, 1) ** 2
@@ -124,14 +124,14 @@ def test_criterion_5_spectral_consistency():
     m16 = build_mesh(16, 16)
     op = build_ntn(m16)
     mu = ntn_eigenvalues(op, 3)
-    dm = mark_essential(m16, DofMap.unconstrained(m16), "DirichletAll")
+    dm = mark_essential(m16, "DirichletAll")
     A = assemble(LAPLACIAN_ENERGY, m16, dm)
     B = assemble(normal_trace("All"), m16, dm)
     d = solve_steklov(A, B, k=3).eigenvalues
     err_ntn = np.max(np.abs(1.0 / mu - d) / d)
 
     m8 = build_mesh(8, 8)
-    dm8 = mark_essential(m8, DofMap.unconstrained(m8), "DirichletAll")
+    dm8 = mark_essential(m8, "DirichletAll")
     A8 = assemble(LAPLACIAN_ENERGY, m8, dm8)
     B8 = assemble(normal_trace("All"), m8, dm8)
     dd = solve_steklov(A8, B8, k=3, method="dense").eigenvalues

@@ -23,7 +23,7 @@ from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
 
 
 def dirichlet(mesh):
-    return mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
+    return mark_essential(mesh, "DirichletAll")
 
 
 def zero_diffeo(eps=0.125):
@@ -380,7 +380,7 @@ def test_node_block_scatter_matches_coo_oracle(pulled_back):
     dif = cos_diffeo(alpha=1.2, eps=0.125) if pulled_back else None
     for m in (build_mesh(16, 5, grading=0.7), build_mesh(24, 3, grading=0.8)):
         full = DofMap.unconstrained(m)
-        for dm in (full, mark_essential(m, full, "DirichletAll+ClampGamma")):
+        for dm in (full, mark_essential(m, "DirichletAll+ClampGamma")):
             for kind, many in zip(VOLUME_KINDS,
                                   assemble_many(VOLUME_KINDS, m, dm, dif)):
                 A, R = many.matrix, _coo_oracle(kind, m, dm, dif)
@@ -408,7 +408,7 @@ def test_entries_sum_element_rows_pairwise():
                 # the node is tr and tl in the row below, bl and br above
                 below = local[iy - 1][8 + t, 8 + t], local[iy - 1][12 + t, 12 + t]
                 above = local[iy][t, t], local[iy][4 + t, 4 + t]
-                g = 4 * m.node(ix, iy) + t
+                g = 4 * (ix * (m.ny + 1) + iy) + t
                 assert A[g, g] == (below[0] + below[1]) + (above[0] + above[1])
                 if below[0] == below[1] and above[0] == above[1]:
                     terms = (*below, *above)
@@ -425,7 +425,7 @@ def test_symmetric_forms_are_exactly_symmetric(pulled_back):
     full = DofMap.unconstrained(m)
     kinds = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY,
              normal_trace("Gamma"), normal_trace("All"), boundary_mass("All"))
-    for dm in (full, mark_essential(m, full, "DirichletAll+ClampGamma")):
+    for dm in (full, mark_essential(m, "DirichletAll+ClampGamma")):
         for kind in kinds:
             A = assemble(kind, m, dm, dif).matrix
             assert A.has_sorted_indices
@@ -444,7 +444,7 @@ def test_one_period_per_row_matches_every_element(monkeypatch, alpha, eps,
     dif = cos_diffeo(alpha=alpha, eps=eps)
     m = build_mesh(nx, 6, grading=0.7)
     assert (_period_elements(m, dif) < nx) == tiled
-    dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+    dm = mark_essential(m, "DirichletAll")
     datum = (lambda x, y: np.sin(np.pi * x) * np.exp(y),
              lambda x, y: np.pi * np.cos(np.pi * x) * np.exp(y),
              lambda x, y: np.sin(np.pi * x) * np.exp(y))

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 
 from steklov_lab.cell_problem import (mode_energy_closed_form, solve_cell,
                                       solve_cell_fem)
+from steklov_lab.lab_cli import load_config
 from steklov_lab.profile_geometry import BoundaryProfile
 
 
@@ -24,7 +25,7 @@ def quad_oracle(omega, A, B, lower):
 
 
 def test_single_mode_matches_adaptive_quadrature():
-    sol = solve_cell(cos_profile(), k_max=4)
+    sol = solve_cell(cos_profile())
     assert len(sol.modes) == 1
     m = sol.mode(1)
     assert m.A == pytest.approx(1.0)
@@ -44,9 +45,15 @@ def test_constant_profile_has_zero_energy():
     assert solve_cell(BoundaryProfile.fourier_cosine([1.0], 1.5)).gamma == 0.0
 
 
-def test_band_limited_truncation_is_exact():
-    p = BoundaryProfile.fourier_cosine([2.0, 0.5, 0.25, 0.1], alpha=1.5)
-    assert solve_cell(p, k_max=3).gamma == solve_cell(p, k_max=16).gamma
+def test_every_profile_mode_counts():
+    # the config takes any number of coefficients and b(y) uses them all, so
+    # gamma sums every mode: 3/4 (2 pi)^3 (0.5^2 + 17^3 * 0.01^2) = 137.91
+    coeffs = (1.0, 0.5) + (0.0,) * 15 + (0.01,)
+    sol = solve_cell(load_config("trichotomy", coefficients=coeffs).profile(1.5))
+    assert [m.k for m in sol.modes] == [1, 17]
+    expected = 0.75 * (2 * np.pi) ** 3 * (0.5 ** 2 + 17 ** 3 * 0.01 ** 2)
+    assert sol.gamma == pytest.approx(expected, rel=1e-12)
+    assert sol.gamma == pytest.approx(137.91, abs=5e-3)
 
 
 def test_quadratic_scaling():
@@ -95,7 +102,7 @@ def test_fem_strip_cross_check():
 def test_gamma_positive_iff_nonconstant(tail):
     coeffs = [1.0 + sum(tail)] + tail   # keeps b nonnegative
     p = BoundaryProfile.fourier_cosine(coeffs, alpha=1.5)
-    g = solve_cell(p, k_max=8).gamma
+    g = solve_cell(p).gamma
     if p.nonconstant:
         assert g > 0.0
         expected = sum(mode_energy_closed_form(2 * np.pi * k, c)

@@ -148,7 +148,7 @@ def test_mesh_rule_resolves_steep_profile():
     lam = []
     for n in (nx, 2 * nx):
         m = build_mesh(n, cfg.ny, cfg.grading, cfg.w_len)
-        dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+        dm = mark_essential(m, "DirichletAll")
         A = assemble(HESSIAN_ENERGY, m, dm, dif, cfg.quad_order)
         B = assemble(normal_trace("All"), m, dm, dif, cfg.quad_order)
         lam.append(solve_steklov(A, B, k=1).eigenvalues[0])
@@ -380,7 +380,7 @@ def test_dbs_h2_distance_matches_unconstrained_forms():
     a, e = cfg.alpha, cfg.eps_list[0]
     mesh, dif = cfg.mesh_for(a, e), cfg.diffeo(a, e)
     full = DofMap.unconstrained(mesh)
-    dm = mark_essential(mesh, full, "DirichletAll")
+    dm = mark_essential(mesh, "DirichletAll")
     coeffs = []
     for domain in (dif, None):
         A = assemble(LAPLACIAN_ENERGY, mesh, dm, domain, cfg.quad_order)
@@ -411,7 +411,7 @@ def test_dbs_cell_spectra_match_pencils_on_their_own_maps():
     for base, form in ((0, LAPLACIAN_ENERGY), (100, HESSIAN_ENERGY)):
         spectra = []
         for domain in (dif, None):
-            dm = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
+            dm = mark_essential(mesh, "DirichletAll")
             A = assemble(form, mesh, dm, domain, cfg.quad_order)
             B = assemble(normal_trace("All"), mesh, dm, domain, cfg.quad_order)
             spectra.append(solve_steklov(A, B, k=cfg.k, seed=cfg.seed).eigenvalues)

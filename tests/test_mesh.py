@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from steklov_lab.assembly import FeFunction, assemble, normal_trace
-from steklov_lab.mesh import DofMap, build_mesh, mark_essential
+from steklov_lab.mesh import (DOF_V, DOF_VX, DOF_VXY, DOF_VY, DofMap, build_mesh,
+                              mark_essential)
+from steklov_lab.navier import boundary_trace_dofs
 
 
 def test_counts_2x2():
@@ -34,35 +36,94 @@ def test_build_mesh_argument_errors():
 
 def test_dirichlet_all_free_count():
     m = build_mesh(2, 2)
-    dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+    dm = mark_essential(m, "DirichletAll")
     # interior node keeps 4, edge non-corners keep 2, corners keep none
     assert dm.n_free == 12
 
 
 def test_clamp_gamma_free_count():
     m = build_mesh(2, 2)
-    dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll+ClampGamma")
+    dm = mark_essential(m, "DirichletAll+ClampGamma")
     assert dm.n_free == 10
 
 
 def test_full_clamp_kills_boundary_form():
     m = build_mesh(3, 3)
-    dm = mark_essential(m, DofMap.unconstrained(m),
-                        "DirichletAll+ClampSigma+ClampGamma")
+    dm = mark_essential(m, "DirichletAll+ClampSigma+ClampGamma")
     B = assemble(normal_trace("All"), m, dm).matrix
     assert B.nnz == 0 or abs(B).max() < 1e-15
+
+
+def _mask_by_node_loops(m, bc):
+    """The constraint mask of `bc`, node by node."""
+    c = np.zeros(4 * m.n_nodes, dtype=bool)
+    for ix in range(m.nx + 1):
+        for iy in range(m.ny + 1):
+            side, end = ix in (0, m.nx), iy in (0, m.ny)
+            pinned = set()
+            if side or end:
+                pinned.add(DOF_V)
+            if end:                                  # bottom or top edge
+                pinned.add(DOF_VX)
+            if side:                                 # left or right edge
+                pinned.add(DOF_VY)
+            if side and end:
+                pinned.add(DOF_VXY)
+            if "ClampGamma" in bc and iy == m.ny:
+                pinned |= {DOF_VY, DOF_VXY}
+            if "ClampSigma" in bc and iy == 0:
+                pinned |= {DOF_VY, DOF_VXY}
+            if "ClampSigma" in bc and side:
+                pinned |= {DOF_VX, DOF_VXY}
+            for t in pinned:
+                c[4 * (ix * (m.ny + 1) + iy) + t] = True
+    return c
+
+
+# Free DOFs.  DirichletAll: an interior node keeps 4, a non-corner node on a
+# bottom/top edge keeps its y-slope and mixed DOF, one on a left/right edge
+# its x-slope and mixed DOF, a corner none; ClampGamma takes the 2 of each
+# non-corner top node, ClampSigma those of the other non-corner boundary
+# nodes.
+#   5x3: 8 interior, 4 + 4 bottom/top, 2 + 2 left/right
+#        DirichletAll 32 + 16 + 8 = 56, +ClampGamma 56 - 8 = 48,
+#        +ClampSigma 56 - 8 - 8 = 40, all three 56 - 24 = 32
+#   3x5: 8 interior, 2 + 2 bottom/top, 4 + 4 left/right
+#        DirichletAll 32 + 8 + 16 = 56, +ClampGamma 56 - 4 = 52,
+#        +ClampSigma 56 - 4 - 16 = 36, all three 56 - 24 = 32
+@pytest.mark.parametrize("nx, ny, counts", [
+    (5, 3, (56, 48, 40, 32)),
+    (3, 5, (56, 52, 36, 32)),
+])
+def test_dof_maps_on_non_square_meshes(nx, ny, counts):
+    m = build_mesh(nx, ny, grading=0.7)
+    bcs = ("DirichletAll", "DirichletAll+ClampGamma", "DirichletAll+ClampSigma",
+           "DirichletAll+ClampSigma+ClampGamma")
+    for bc, n_free in zip(bcs, counts):
+        dm = mark_essential(m, bc)
+        assert dm.n_free == n_free
+        assert np.array_equal(dm.constrained, _mask_by_node_loops(m, bc))
+    # the boundary trace: DirichletAll's pins less the corners' mixed DOFs
+    trace = _mask_by_node_loops(m, "DirichletAll")
+    for ix in (0, nx):
+        for iy in (0, ny):
+            trace[4 * (ix * (ny + 1) + iy) + DOF_VXY] = False
+    assert np.array_equal(boundary_trace_dofs(m), np.flatnonzero(trace))
+    # every boundary node's value, every bottom/top node's x-slope and every
+    # left/right node's y-slope: 16 + 2 (nx + 1) + 2 (ny + 1)
+    assert boundary_trace_dofs(m).size == 16 + 2 * (nx + 1) + 2 * (ny + 1)
 
 
 def test_unknown_bc_token():
     m = build_mesh(2, 2)
     with pytest.raises(ValueError):
-        mark_essential(m, DofMap.unconstrained(m), "DirichletAll+ClampTop")
+        mark_essential(m, "DirichletAll+ClampTop")
 
 
 def test_constrained_functions_vanish_on_boundary():
     # value and edge-tangential derivative are zero at random boundary points
     m = build_mesh(4, 3, grading=0.8)
-    dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+    dm = mark_essential(m, "DirichletAll")
     rng = np.random.default_rng(0)
     coeffs = np.zeros(dm.n_dofs)
     coeffs[dm.free] = rng.standard_normal(dm.n_free)

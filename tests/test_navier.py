@@ -4,7 +4,8 @@ import pytest
 from steklov_lab.assembly import (FeFunction, GRAD_MASS, LAPLACIAN_ENERGY,
                                   assemble, assemble_navier_load, boundary_mass,
                                   gauss01, normal_trace)
-from steklov_lab.mesh import DOF_V, DOF_VXY, DofMap, build_mesh, mark_essential
+from steklov_lab.mesh import (DOF_V, DOF_VX, DOF_VXY, DOF_VY, DofMap, build_mesh,
+                              mark_essential)
 from steklov_lab.navier import (boundary_trace_dofs, build_ntn,
                                 mixed_splitting_solve, normal_derivative_functional,
                                 ntn_eigenvalues, q2_matrices, relative_h1_error,
@@ -14,6 +15,11 @@ from steklov_lab.spectral import solve_steklov
 
 def zeros_fn(mesh):
     return FeFunction(mesh, np.zeros(4 * mesh.n_nodes))
+
+
+def dof_grid(mesh):
+    """Global Hermite DOF 4 (ix (ny + 1) + iy) + type at [ix, iy, type]."""
+    return np.arange(4 * mesh.n_nodes).reshape(mesh.nx + 1, mesh.ny + 1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +107,12 @@ def test_interior_datum_gives_zero_solution():
     # datum in the discrete H^1_0: the load vanishes identically by parts
     m = build_mesh(6, 6)
     coeffs = np.zeros(4 * m.n_nodes)
-    hx, hy = 1.0 / 6.0, 1.0 / 6.0
-    interior = [m.node(i, j) for i in range(1, 6) for j in range(1, 6)]
+    c = coeffs.reshape(m.nx + 1, m.ny + 1, 4)
     rng = np.random.default_rng(1)
-    for n in interior:
-        coeffs[4 * n:4 * n + 4] = rng.standard_normal(4)
+    c[1:-1, 1:-1] = rng.standard_normal((5, 5, 4))
     # zero the boundary-trace data only; normal slopes on the boundary stay
-    for n in m.boundary_nodes():
-        coeffs[4 * n] = 0.0
-    for n in np.concatenate([m.top_nodes(), m.bottom_nodes()]):
-        coeffs[4 * n + 1] = 0.0
-    for n in np.concatenate([m.left_nodes(), m.right_nodes()]):
-        coeffs[4 * n + 2] = 0.0
+    c[:, ::m.ny, [DOF_V, DOF_VX]] = 0.0      # bottom and top
+    c[::m.nx, :, [DOF_V, DOF_VY]] = 0.0      # left and right
     f = FeFunction(m, coeffs)
     sol = solve_navier(m, f)
     load_scale = np.max(np.abs(assemble_navier_load(
@@ -147,13 +147,11 @@ def test_normal_derivative_functional_properties():
     vec = normal_derivative_functional(sol)
     scale = np.max(np.abs(vec))
     # entries of basis functions supported strictly inside the strip vanish
-    interior = [m.node(i, j) for i in range(2, m.nx - 1)
-                for j in range(2, m.ny - 1)]
-    idx = np.concatenate([4 * np.array(interior) + t for t in range(4)])
-    assert np.max(np.abs(vec[idx])) <= 1e-10 * scale
+    dofs = dof_grid(m)
+    assert np.max(np.abs(vec[dofs[2:m.nx - 1, 2:m.ny - 1]])) <= 1e-10 * scale
     # zero-trace functions that touch the boundary pair to zero as well:
     # the normal-slope DOF of a bottom node has vanishing boundary values
-    zero_trace = 4 * m.node(m.nx // 2, 0) + 2
+    zero_trace = dofs[m.nx // 2, 0, DOF_VY]
     assert abs(vec[zero_trace]) <= 1e-10 * scale
 
 
@@ -170,8 +168,7 @@ def test_normal_derivative_consistency_with_surface_quadrature():
         hx = 1.0 / n
         # tent of value-type data on one interior top node
         j = n // 2
-        node = m.node(j, m.ny)
-        pairing = vec[4 * node]
+        pairing = vec[dof_grid(m)[j, m.ny, DOF_V]]
         # exact: int u_nu phi dS over the two top elements around the node,
         # phi the Hermite value function (tangential cubic along the edge)
         from steklov_lab.assembly import hermite1d
@@ -194,7 +191,7 @@ def test_ntn_matches_direct_steklov():
     op = build_ntn(m)
     mu = ntn_eigenvalues(op, 3)
     assert np.all(mu > 0)
-    dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+    dm = mark_essential(m, "DirichletAll")
     A = assemble(LAPLACIAN_ENERGY, m, dm)
     B = assemble(normal_trace("All"), m, dm)
     d = solve_steklov(A, B, k=3, method="dense").eigenvalues
@@ -205,7 +202,8 @@ def test_ntn_basis_saturation():
     m = build_mesh(6, 6)
     # value-only traces span a strict subspace: mu_1 can only grow when the
     # tangential-slope data is added, and saturates at the full trace set
-    value_dofs = [4 * n for n in m.boundary_nodes()]
+    values = dof_grid(m)[..., DOF_V]
+    value_dofs = np.setdiff1d(values, values[1:-1, 1:-1])
     mu_sub = ntn_eigenvalues(build_ntn(m, trace_dofs=value_dofs), 1)[0]
     full = boundary_trace_dofs(m)
     mu_full = ntn_eigenvalues(build_ntn(m, trace_dofs=full), 1)[0]
@@ -215,7 +213,7 @@ def test_ntn_basis_saturation():
     # zero-trace directions are deflated by construction: asking for them
     # back degenerates the boundary mass
     with pytest.raises(RuntimeError):
-        build_ntn(m, trace_dofs=np.union1d(full, [4 * m.node(2, 2)]))
+        build_ntn(m, trace_dofs=np.union1d(full, [dof_grid(m)[2, 2, DOF_V]]))
 
 
 def test_ntn_symmetry():
@@ -250,8 +248,10 @@ def test_trace_dof_count():
     # 16 boundary nodes carry a value; 10 horizontal-edge nodes carry the
     # x-slope, 10 vertical-edge nodes the y-slope (corners carry both)
     assert dofs.size == 16 + 10 + 10
-    assert np.isin(4 * m.boundary_nodes() + DOF_V, dofs).all()
-    assert not np.isin(4 * m.corner_nodes() + DOF_VXY, dofs).any()
+    grid = dof_grid(m)
+    values = grid[..., DOF_V]
+    assert np.isin(np.setdiff1d(values, values[1:-1, 1:-1]), dofs).all()
+    assert not np.isin(grid[::m.nx, ::m.ny, DOF_VXY], dofs).any()
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,6 @@ def test_layer_parameter_errors():
         build_diffeo(spec, KappaLayer(kappa_eps=spec.sup_g() * 0.5, k_hat=8.0))
     with pytest.raises(ProfileError):
         build_diffeo(spec, KappaLayer(kappa_eps=0.13, k_hat=8.0))   # too deep
-    with pytest.raises(ProfileError):
-        build_diffeo(spec, "no layer")
 
 
 def _layer_points(spec, dif, n, rng):

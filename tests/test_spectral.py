@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from steklov_lab.assembly import (LAPLACIAN_ENERGY, HESSIAN_ENERGY, assemble,
                                   normal_trace)
 from steklov_lab.lab_cli import ExperimentConfig
-from steklov_lab.mesh import DofMap, build_mesh, mark_essential
+from steklov_lab.mesh import build_mesh, mark_essential
 from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
                                           build_diffeo, fit_kappa_layer)
 from steklov_lab import spectral
@@ -21,7 +21,7 @@ from steklov_lab.spectral import (SPD_FACTOR_BUDGET, NoSteklovEigenvalues,
 
 def square_pencil(n, form=LAPLACIAN_ENERGY, part="All", grading=1.0):
     m = build_mesh(n, n, grading=grading)
-    dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+    dm = mark_essential(m, "DirichletAll")
     A = assemble(form, m, dm)
     B = assemble(normal_trace(part), m, dm)
     return A, B
@@ -58,7 +58,7 @@ def graded_pulled_back_pencil():
     # a q = 0.7 mesh under the alpha = 2, eps = 1/8 layer map: its Hermite
     # DOFs make diag(A) span ten decades
     m = build_mesh(32, 12, grading=0.7)
-    dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+    dm = mark_essential(m, "DirichletAll")
     spec = DomainSpec(epsilon=1 / 8,
                       profile=BoundaryProfile.fourier_cosine([1.0, 1.0], 2.0))
     dif = build_diffeo(spec, fit_kappa_layer(spec))
@@ -160,7 +160,7 @@ def test_one_eigen_solve_allocates_no_copy_of_A():
     cfg = ExperimentConfig("degeneration", alpha=1.0, eps_list=(1 / 32, 1 / 64),
                            ny=16, w_len=0.25)
     mesh = cfg.mesh_for(1.0, 1 / 64)
-    dm = mark_essential(mesh, DofMap.unconstrained(mesh), "DirichletAll")
+    dm = mark_essential(mesh, "DirichletAll")
     dif = cfg.diffeo(1.0, 1 / 64)
     A = assemble(HESSIAN_ENERGY, mesh, dm, dif, cfg.quad_order)
     B = assemble(normal_trace("All"), mesh, dm, dif, cfg.quad_order)
@@ -240,7 +240,7 @@ def test_sweep_keeps_first_eigenvalue_bounded_below():
     # a deliberately coarse mesh keeps this a fast smoke-level check
     prof = BoundaryProfile.fourier_cosine([1.0, 1.0], alpha=2.0)
     m = build_mesh(32, 8, grading=0.8)
-    dm = mark_essential(m, DofMap.unconstrained(m), "DirichletAll")
+    dm = mark_essential(m, "DirichletAll")
     A0 = assemble(LAPLACIAN_ENERGY, m, dm)
     B0 = assemble(normal_trace("All"), m, dm)
     d0 = solve_steklov(A0, B0, k=1).eigenvalues[0]
