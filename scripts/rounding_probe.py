@@ -8,10 +8,11 @@ ROOT is a checkout that holds src/steklov_lab.  The script wraps the
 assembly names where `lab_cli` and `navier` import them (`assemble`,
 `assemble_many`, `assemble_boundary_factor`, `sobolev_forms`,
 `assemble_navier_load`), the way perfbench/tracer.py wraps its sites, and
-runs `steklov-lab EXPERIMENT --config CFG --out DIR`.  Every matrix and load
-those calls return, a boundary FeSystem's factor included, has a seeded half
-of its stored entries moved by one ulp, up or down.  Which entries move, and which way, is a hash of the seed and
-the entry's (row, column) or load index, so a matrix that was exactly
+runs `steklov-lab EXPERIMENT --config CFG --out DIR`.  Every matrix, load
+and array of Gram values those calls return, a boundary FeSystem's factor
+included, has a seeded half of its stored entries moved by one ulp, up or
+down.  Which entries move, and which way, is a hash of the seed and the
+entry's (row, column) or flat array index, so a matrix that was exactly
 symmetric stays exactly symmetric, and threads see the same nudges as a
 serial run.
 
@@ -34,10 +35,10 @@ import numpy as np
 
 # (module, names) whose calls are wrapped
 SITES = (
-    ("steklov_lab.lab_cli", ("assemble", "assemble_many",
-                             "assemble_boundary_factor", "sobolev_forms",
-                             "assemble_navier_load")),
+    ("steklov_lab.lab_cli", ("assemble", "assemble_boundary_factor",
+                             "sobolev_forms", "assemble_navier_load")),
     ("steklov_lab.navier", ("assemble", "assemble_many",
+                            "assemble_boundary_factor",
                             "assemble_navier_load")),
 )
 
@@ -64,9 +65,11 @@ class Nudger:
         values[selected] = np.nextafter(values[selected], target[selected])
 
     def vector(self, v):
+        """A nudged copy of an array of any shape, keyed by flat index."""
         v = np.array(v, dtype=float)
-        selected, upward = self._bits(np.arange(v.size), 0)
-        self._move(v, selected, upward)
+        flat = v.reshape(-1)                    # a view of the fresh copy
+        selected, upward = self._bits(np.arange(flat.size), 0)
+        self._move(flat, selected, upward)
         return v
 
     def matrix(self, A):
@@ -85,8 +88,6 @@ class Nudger:
         """The nudged copy of anything an assembly function returns."""
         if isinstance(out, np.ndarray):
             return self.vector(out)
-        if isinstance(out, dict):
-            return {k: self(v) for k, v in out.items()}
         if isinstance(out, list):
             return [self(v) for v in out]
         if hasattr(out, "matrix"):             # FeSystem

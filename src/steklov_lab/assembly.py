@@ -227,6 +227,11 @@ _FORM_TAGS = {"Mass": ("v",), "GradMass": ("x", "y"),
               "MixedUDelta": ("v", "xx", "yy")}
 _LOAD_TAGS = ("x", "y", "xx", "yy")
 
+# the forms that are sums of squared fields, K(u, u) = sum factor int f^2:
+# (physical derivative tag, factor) of each field
+_NORM_TERMS = {"Mass": (("v", 1.0),), "GradMass": (("x", 1.0), ("y", 1.0)),
+               "HessianEnergy": (("xx", 1.0), ("xy", 2.0), ("yy", 1.0))}
+
 
 def _gram(P, Q, w):
     """sum_q P[e, q, i] w[e, q] Q[e, q, j], as (nel, 16, 16).  These are the
@@ -250,18 +255,14 @@ def _combine(kind: FormKind, B, w):
     B maps derivative tags to (nel, nq, 16) arrays, w is (nel, nq).
     """
     name = kind.name
-    if name == "Mass":
-        P = Q = B["v"]
-    elif name == "GradMass":
-        return _gram(B["x"], B["x"], w) + _gram(B["y"], B["y"], w)
-    elif name == "LaplacianEnergy":
-        lap = B["xx"] + B["yy"]
-        P = Q = lap
-    elif name == "HessianEnergy":
-        m = _gram(B["xx"], B["xx"], w)
-        m += 2.0 * _gram(B["xy"], B["xy"], w)
-        m += _gram(B["yy"], B["yy"], w)
+    if name in _NORM_TERMS:
+        (tag, _), *rest = _NORM_TERMS[name]
+        m = _gram(B[tag], B[tag], w)
+        for tag, factor in rest:
+            m += factor * _gram(B[tag], B[tag], w)
         return m
+    if name == "LaplacianEnergy":
+        P = Q = B["xx"] + B["yy"]
     elif name == "MixedUDelta":
         P, Q = B["v"], B["xx"] + B["yy"]
     else:
@@ -623,11 +624,40 @@ def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
     return load.reshape(-1)[dofmap.free]
 
 
-def sobolev_forms(mesh: Mesh, dofmap: DofMap,
+def sobolev_forms(kinds, vectors, mesh: Mesh, dofmap: DofMap,
                   domain: DiffeoField | None = None,
-                  quad_order: int | None = None) -> dict:
-    """Mass / GradMass / Hessian matrices over the free DOFs of `dofmap`,
-    the three terms of the H2 norm."""
-    systems = assemble_many((MASS, GRAD_MASS, HESSIAN_ENERGY), mesh, dofmap,
-                            domain, quad_order)
-    return {name: s.matrix for name, s in zip(("mass", "grad", "hess"), systems)}
+                  quad_order: int | None = None) -> np.ndarray:
+    """Gram values v_i^T K v_j, as (len(kinds), nv, nv), of the forms K in
+    `kinds` (Mass, GradMass, HessianEnergy: the terms of the H2 norm) at the
+    free vectors v_1 .. v_nv of `dofmap`, the rows of `vectors`.
+
+    One `_volume_rows` pass that builds no matrix: per element row, each
+    vector's element coefficients are read off the (nx + 1, ny + 1, 4) DOF
+    grid and contracted with the basis arrays into the derivative fields at
+    the quadrature points, and each form sums w f_i f_j over its fields.
+    """
+    if any(kind.name not in _NORM_TERMS for kind in kinds):
+        raise ValueError("sobolev_forms takes Mass, GradMass and HessianEnergy")
+    quad_order = _quad_order(domain, quad_order)
+    _resolution_warning(mesh, domain)
+    V = np.atleast_2d(np.asarray(vectors, dtype=float))
+    nv, nx = V.shape[0], mesh.nx
+    grid = np.zeros((nv, dofmap.n_dofs))
+    grid[:, dofmap.free] = V
+    grid = grid.reshape(nv, nx + 1, mesh.ny + 1, 4)
+    terms = [_NORM_TERMS[kind.name] for kind in kinds]
+    tags = {tag for t in terms for tag, _ in t}
+    out = np.zeros((len(kinds), nv, nv))
+    for ey, B, w, _, _ in _volume_rows(mesh, domain, quad_order, tags):
+        # element ex has the basis and weights of element ex % r, so vector
+        # v's coefficients on it go to c[ex % r, :, ex // r, v] and its field
+        # at point q to f[ex % r, q, ex // r, v]
+        r = len(w)
+        c = np.stack([grid[:, a:a + nx, ey + b] for a, b in _NODE_SIDES], axis=2)
+        c = c.reshape(nv, nx // r, r, 16).transpose(2, 3, 1, 0).reshape(r, 16, -1)
+        wk = np.repeat(w, nx // r, axis=1)
+        for G, t in zip(out, terms):
+            for tag, factor in t:
+                f = np.matmul(B[tag], c).reshape(r, -1, nv)
+                G += factor * _gram(f, f, wk).sum(axis=0)
+    return out

@@ -19,14 +19,17 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-# assemble_navier_load has no caller here, but perfbench/tracer.py times the
-# module's calls by wrapping this name, so it stays importable from lab_cli
+# perfbench/tracer.py times this module's calls to other layers by wrapping
+# the names imported here: assemble, assemble_boundary_factor and
+# sobolev_forms (every norm pass), and assemble_navier_load, which has no
+# caller here but stays importable from lab_cli for that tracer site
 from .assembly import (GRAD_MASS, HESSIAN_ENERGY, LAPLACIAN_ENERGY, MASS,
-                       assemble, assemble_boundary_factor, assemble_many,
+                       assemble, assemble_boundary_factor,
                        assemble_navier_load, normal_trace, sobolev_forms)
 from .cell_problem import solve_cell
 from .mesh import Mesh, build_mesh, mark_essential
@@ -135,8 +138,16 @@ class ExperimentConfig:
             if abs(periods - round(periods)) > 1e-9:
                 raise ConfigError(f"eps = {e} does not tile w_len = {self.w_len}")
 
+    @cached_property
+    def _profiles(self) -> dict:
+        """This config's profiles by alpha, each built once, on first use."""
+        return {}
+
     def profile(self, alpha: float) -> BoundaryProfile:
-        return BoundaryProfile.fourier_cosine(self.coefficients, alpha)
+        if alpha not in self._profiles:
+            self._profiles[alpha] = BoundaryProfile.fourier_cosine(
+                self.coefficients, alpha)
+        return self._profiles[alpha]
 
     def spec(self, alpha: float, eps: float) -> DomainSpec:
         return DomainSpec(epsilon=eps, profile=self.profile(alpha),
@@ -525,15 +536,17 @@ def run_dbs_convergence(config: ExperimentConfig) -> ExperimentReport:
             spectra[tag] = tuple(solve_steklov(
                 assemble(form, mesh, dm, d, cfg.quad_order), B, k=cfg.k,
                 seed=cfg.seed) for d, B in traces)
-        # transplanted H2 distance of the leading bending-form eigenfunction; w
-        # vanishes on the constrained DOFs of the shared map
+        # transplanted H2 distance of the leading bending-form eigenfunction,
+        # the norm of w = q_eps - s q_ref with s the sign of the Mass cross
+        # term q_eps^T M q_ref.  One quadrature pass takes both candidates
+        # q_eps -+ q_ref; by polarization s = -1 iff q_eps + q_ref has the
+        # smaller L2 norm.  w vanishes on the constrained DOFs of the map
         s_eps, s_ref = spectra["lap"]
-        forms = sobolev_forms(mesh, dm, dif, cfg.quad_order)
         q_eps, q_ref = s_eps.modes[:, 0], s_ref.modes[:, 0]
-        if q_eps @ (forms["mass"] @ q_ref) < 0:
-            q_ref = -q_ref
-        w = q_eps - q_ref
-        val = sum(w @ (X @ w) for X in forms.values())   # mass, grad, hess
+        norms = sobolev_forms((MASS, GRAD_MASS, HESSIAN_ENERGY),
+                              (q_eps - q_ref, q_eps + q_ref), mesh, dm, dif,
+                              cfg.quad_order).diagonal(axis1=1, axis2=2)
+        val = norms[:, int(norms[0, 1] < norms[0, 0])].sum()
         return spectra, float(np.sqrt(max(val, 0.0)))
 
     cells = _sweep(cfg, (cfg.alpha,), solve)
@@ -644,12 +657,12 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
         dm, A, u_eps = sol_e.dofmap, sol_e.system.matrix, sol_e.u_free
         w = sol_e.factor.solve(sol_e.load - A @ sol_0.u_free)
         del sol_e           # its factor is freed before the mass/gradient pass
-        # w vanishes on the constrained DOFs, so the free-DOF forms give the
-        # full-DOF norms
-        mass, grad = assemble_many((MASS, GRAD_MASS), mesh, dm, dif,
-                                   cfg.quad_order)
-        return dm, u_eps, tuple(float(np.sqrt(w @ (X @ w)))
-                                for X in (mass.matrix, grad.matrix, A))
+        # w vanishes on the constrained DOFs, so its free-DOF norms are its
+        # full-DOF norms; L2 and gradient by quadrature, energy on A
+        mass, grad = sobolev_forms((MASS, GRAD_MASS), w, mesh, dm, dif,
+                                   cfg.quad_order)[:, 0, 0]
+        return dm, u_eps, tuple(float(np.sqrt(v))
+                                for v in (mass, grad, w @ (A @ w)))
 
     def gamma_residual(mesh, dm, u_eps):
         """Does the empirical limit satisfy the curvature-shifted flat
@@ -666,11 +679,10 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
         # that the factor's rounding enters relative to the difference
         w_free = factor_gam.solve(A_gam @ u_eps - sol_0.load)
         del factor_gam          # freed before the mass/gradient pass
-        mass, grad = assemble_many((MASS, GRAD_MASS), mesh, dm)
-
-        def h1(v):
-            return np.sqrt(v @ (mass.matrix @ v) + v @ (grad.matrix @ v))
-        return h1(w_free) / h1(u_gam)
+        mass, grad = sobolev_forms((MASS, GRAD_MASS), (w_free, u_gam), mesh,
+                                   dm).diagonal(axis1=1, axis2=2)
+        h1 = np.sqrt(mass + grad)                   # of w_free, of u_gam
+        return h1[0] / h1[1]
 
     e0, e1 = cfg.eps_list[0], cfg.eps_list[-1]
 

@@ -598,8 +598,8 @@ def test_mass_form_matches_quadrature():
     m = build_mesh(3, 3)
     rng = np.random.default_rng(6)
     u = FeFunction(m, rng.standard_normal(4 * m.n_nodes))
-    M = sobolev_forms(m, DofMap.unconstrained(m))["mass"]
-    d = np.sqrt(u.coeffs @ (M @ u.coeffs))
+    d = np.sqrt(sobolev_forms((MASS,), u.coeffs, m,
+                              DofMap.unconstrained(m))[0, 0, 0])
     t, w = gauss01(8)
     total = 0.0
     for ex in range(m.nx):
@@ -610,6 +610,30 @@ def test_mass_form_matches_quadrature():
             vals = u.value(X.ravel(), Y.ravel()) ** 2
             total += m.hx(ex) * m.hy(ey) * float(np.outer(w, w).ravel() @ vals)
     assert d == pytest.approx(np.sqrt(total), rel=1e-12)
+
+
+@pytest.mark.parametrize("nv", [1, 2])
+@pytest.mark.parametrize("bc", ["DirichletAll", None])
+@pytest.mark.parametrize("pulled_back", [False, True])
+def test_sobolev_forms_match_assembled_grams(pulled_back, bc, nv):
+    # the quadrature pass gives V K V^T of the assembled forms, cross terms
+    # included; the second vector is close to the first, so no cross term
+    # is small against the diagonal it is compared at
+    m = build_mesh(16, 4, grading=0.8)
+    dm = DofMap.unconstrained(m) if bc is None else mark_essential(m, bc)
+    dif = cos_diffeo(alpha=2.0, eps=0.125) if pulled_back else None
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(dm.n_free)
+    V = np.array([v, v + 0.3 * rng.standard_normal(dm.n_free)])[:nv]
+    kinds = (MASS, GRAD_MASS, HESSIAN_ENERGY)
+    grams = sobolev_forms(kinds, V, m, dm, dif)
+    assert grams.shape == (3, nv, nv)
+    for G, s in zip(grams, assemble_many(kinds, m, dm, dif)):
+        want = V @ (s.matrix @ V.T)
+        assert np.all(np.abs(G - want) <= 1e-12 * np.abs(want))
+    assert np.array_equal(sobolev_forms(kinds[1:], V, m, dm, dif), grams[1:])
+    with pytest.raises(ValueError):
+        sobolev_forms((LAPLACIAN_ENERGY,), V, m, dm, dif)
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,19 +7,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import steklov_lab.assembly as assembly
+import steklov_lab.lab_cli as lab_cli
 from steklov_lab.assembly import (GRAD_MASS, HESSIAN_ENERGY,
                                   LAPLACIAN_ENERGY, MASS, assemble,
                                   assemble_many, normal_trace)
+from steklov_lab.cell_problem import solve_cell
 from steklov_lab.lab_cli import (RUNNERS, AssumptionViolatedError,
                                  ConfigError, ExperimentConfig,
-                                 ExperimentReport, _base_header, emit,
-                                 load_config, main, parse_config_text,
+                                 ExperimentReport, _base_header, _trace_lift,
+                                 emit, load_config, main, parse_config_text,
                                  run_dbs_convergence, run_degeneration,
-                                 run_trichotomy)
+                                 run_navier_stability, run_trichotomy)
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
-from steklov_lab.profile_geometry import GeometryError
+from steklov_lab.navier import solve_navier
+from steklov_lab.profile_geometry import BoundaryProfile, GeometryError
 from steklov_lab.spectral import (NoSteklovEigenvalues,
-                                  SpectralConvergenceError, solve_steklov)
+                                  SpectralConvergenceError, factor_spd,
+                                  solve_steklov)
 
 
 def smoke_cfg(experiment, **kw):
@@ -135,6 +140,15 @@ def test_config_validation():
             smoke_cfg("trichotomy", **{"alphas": (2.0,), **bad})
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="bogus")
+
+
+def test_profile_is_built_once_per_alpha():
+    cfg = smoke_cfg("navier-stability")
+    assert cfg.profile(1.5) is cfg.profile(1.5)
+    assert cfg.spec(2.0, 0.125).profile is cfg.profile(2.0)
+    fresh = BoundaryProfile.fourier_cosine(cfg.coefficients, 1.5)
+    assert cfg.profile(1.5) == fresh
+    assert smoke_cfg("navier-stability").profile(1.5) is not cfg.profile(1.5)
 
 
 def test_mesh_rule_resolves_steep_profile():
@@ -258,6 +272,15 @@ def test_rounding_probe_moves_half_the_entries_by_one_ulp():
     assert not np.array_equal(probe.Nudger(4).matrix(A).data, N.data)
     v = np.linspace(1.0, 2.0, 1000)
     assert 0.4 < np.mean(probe.Nudger(3).vector(v) != v) < 0.6
+    # sobolev_forms' Gram values: an n-d array, nudged by its flat index
+    g = np.linspace(1.0, 2.0, 12).reshape(3, 2, 2)
+    n = probe.Nudger(3)(g)
+    assert n.shape == g.shape and np.any(n != g)
+    assert np.array_equal(n.ravel(), probe.Nudger(3).vector(g.ravel()))
+    # install() wraps every name of SITES, so each must still be imported
+    for module, names in probe.SITES:
+        owner = importlib.import_module(module)
+        assert all(callable(getattr(owner, name)) for name in names)
 
 
 def _write_report(out_dir, header, value):
@@ -398,6 +421,84 @@ def test_dbs_h2_distance_matches_unconstrained_forms():
     row = [r for r in rep.rows if r.n == 201 and r.eps == e][0]
     assert dist > 0
     assert row.value == pytest.approx(dist, rel=1e-12)
+
+
+def _full(dm, v):
+    """A free vector of dm scattered into full Hermite coefficients."""
+    u = np.zeros(dm.n_dofs)
+    u[dm.free] = v
+    return u
+
+
+def test_navier_norms_match_unconstrained_forms():
+    # rows n = 1..3 and 11..13 and metric n = -15 recomputed with Mass and
+    # GradMass assembled on the unconstrained DOF map, each solve's vectors
+    # scattered into full coefficients
+    cfg = smoke_cfg("navier-stability")
+    rep = run_navier_stability(cfg)
+    f = _trace_lift(cfg)
+    for form, alphas, base in ((LAPLACIAN_ENERGY, (cfg.alpha,), 1),
+                               (HESSIAN_ENERGY, cfg.alphas, 11)):
+        for a in alphas:
+            for e in cfg.eps_list:
+                mesh, dif = cfg.mesh_for(a, e), cfg.diffeo(a, e)
+                sol_0 = solve_navier(mesh, f, form=form)
+                sol_e = solve_navier(mesh, f, form=form, domain=dif,
+                                     quad_order=cfg.quad_order)
+                A = sol_e.system.matrix
+                w = sol_e.factor.solve(sol_e.load - A @ sol_0.u_free)
+                u = _full(sol_e.dofmap, w)
+                M, G = (s.matrix for s in assemble_many(
+                    (MASS, GRAD_MASS), mesh, DofMap.unconstrained(mesh), dif,
+                    cfg.quad_order))
+                want = np.sqrt([u @ (M @ u), u @ (G @ u), w @ (A @ w)])
+                got = sorted((r for r in rep.rows if r.alpha == a
+                              and r.eps == e and base <= r.n < base + 3),
+                             key=lambda r: r.n)
+                assert [r.value for r in got] == pytest.approx(want, rel=1e-12)
+    # n = -15: the H1 distance of the critical cell's solution to the
+    # curvature-shifted flat solution, relative to the latter
+    e = cfg.eps_list[-1]
+    mesh, dif = cfg.mesh_for(1.5, e), cfg.diffeo(1.5, e)
+    sol_0 = solve_navier(mesh, f, form=HESSIAN_ENERGY)
+    sol_e = solve_navier(mesh, f, form=HESSIAN_ENERGY, domain=dif,
+                         quad_order=cfg.quad_order)
+    dm, gamma = sol_e.dofmap, solve_cell(cfg.profile(1.5)).gamma
+    A_gam = (sol_0.system.matrix
+             + gamma * assemble(normal_trace("Gamma"), mesh, dm).matrix)
+    fac = factor_spd(A_gam)
+    w = _full(dm, fac.solve(A_gam @ sol_e.u_free - sol_0.load))
+    u_gam = _full(dm, fac.solve(sol_0.load))
+    M, G = (s.matrix for s in assemble_many((MASS, GRAD_MASS), mesh,
+                                            DofMap.unconstrained(mesh)))
+    h1 = [np.sqrt(v @ (M @ v) + v @ (G @ v)) for v in (w, u_gam)]
+    row = [r for r in rep.rows if r.n == -15][0]
+    assert row.value == pytest.approx(h1[0] / h1[1], rel=1e-12)
+
+
+def test_norm_passes_assemble_no_matrix(monkeypatch):
+    # every norm a runner reports is taken by quadrature of its vectors:
+    # lab_cli makes no assemble_many call, and no assemble call of a norm
+    # form, in smoke navier-stability and dbs-convergence runs
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            calls.append((sys._getframe(1).f_globals["__name__"], fn.__name__,
+                          args[0]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for owner in (assembly, lab_cli):
+        for name in ("assemble", "assemble_many"):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    run_navier_stability(smoke_cfg("navier-stability"))
+    run_dbs_convergence(smoke_cfg("dbs-convergence"))
+    mine = [(fn, first) for module, fn, first in calls
+            if module == "steklov_lab.lab_cli"]
+    assert mine and all(fn == "assemble" for fn, _ in mine)
+    assert not {MASS, GRAD_MASS} & {kind for _, kind in mine}
 
 
 def test_dbs_cell_spectra_match_pencils_on_their_own_maps():
