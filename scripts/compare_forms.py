@@ -15,15 +15,17 @@ flat strip and pulled back through the layer map:
 - NormalTrace and BoundaryMass on Gamma and on the whole boundary, as forms
   (`assemble`) and as factors (`assemble_boundary_factor`)
 - the Navier load of a fixed smooth datum (`assemble_navier_load`)
+- the Gram values of Mass, GradMass and HessianEnergy at two seeded vectors
+  (`sobolev_forms`), the terms of every norm the experiments report
 
-and saves every array: indptr, indices and data of each matrix, and each
-load vector.  For every array that differs the script prints its number of
-differing bits.  For every matrix or load that differs it prints its largest
-entry change relative to the largest entry of the same matrix row, or of the
-load; where the two patterns differ, it compares the two as sparse matrices.
-It prints one line per cell and a grand total, and exits 1 if any bit
-differs, if an array is missing on one side, or if a matrix or load changes
-its shape.
+and saves every array: indptr, indices and data of each matrix, each load
+vector and each Gram array.  For every array that differs the script prints
+its number of differing bits.  For every matrix, load or Gram array that
+differs it prints its largest entry change relative to the largest entry of
+the same matrix row, or of the whole array; where the two patterns differ,
+it compares the two as sparse matrices.  It prints one line per cell and a
+grand total, and exits 1 if any bit differs, if an array is missing on one
+side, or if a matrix, load or Gram array changes its shape.
 """
 
 import json
@@ -81,10 +83,11 @@ def dump(cell, out_dir):
                                       MASS, MIXED_U_DELTA, assemble,
                                       assemble_boundary_factor,
                                       assemble_navier_load, boundary_mass,
-                                      normal_trace)
+                                      normal_trace, sobolev_forms)
     from steklov_lab.mesh import DofMap
     mesh, dif, quad = mesh_and_diffeo(cell)
     dm = DofMap.unconstrained(mesh)
+    vectors = np.random.default_rng(0).standard_normal((2, dm.n_free))
     datum = (lambda x, y: np.sin(np.pi * x) * np.exp(y),
              lambda x, y: np.pi * np.cos(np.pi * x) * np.exp(y),
              lambda x, y: np.sin(np.pi * x) * np.exp(y))
@@ -110,6 +113,8 @@ def dump(cell, out_dir):
                     kind, mesh, dm, domain, quad))
         save(f"{side}.NavierLoad", assemble_navier_load(datum, mesh, dm, domain,
                                                         quad))
+        save(f"{side}.SobolevGrams", sobolev_forms(
+            (MASS, GRAD_MASS, HESSIAN_ENERGY), vectors, mesh, dm, domain, quad))
     return f"{mesh.nx}x{mesh.ny}"
 
 
@@ -134,8 +139,8 @@ def run_child(root, cell, out_dir) -> str:
 
 def row_relative_change(old, new) -> float:
     """Largest |new - old| entry of each row over the largest |old| entry
-    of that row, maximised over the rows; a 1-D array is one row."""
-    if old.ndim == 1:
+    of that row, maximised over the rows; a dense array is one row."""
+    if isinstance(old, np.ndarray):
         scale = np.max(np.abs(old), initial=0.0)
         return float(np.max(np.abs(new - old), initial=0.0) / max(scale, 1e-300))
     diff = abs(new - old).max(axis=1).toarray().ravel()
@@ -144,8 +149,8 @@ def row_relative_change(old, new) -> float:
 
 
 def load_entry(directory, name, parts):
-    """The saved vector of a load (parts empty), or the saved parts of a
-    matrix; None if one is missing."""
+    """The saved array of a load or Gram (parts empty), or the saved parts
+    of a matrix; None if one is missing."""
     paths = [os.path.join(directory, f"{name}.{p}.npy" if p else f"{name}.npy")
              for p in parts or ("",)]
     if not all(os.path.exists(p) for p in paths):
@@ -155,7 +160,7 @@ def load_entry(directory, name, parts):
 
 
 def compare_entry(old_dir, new_dir, name, parts):
-    """(differing bits, row-relative change, problem) of one matrix or load;
+    """(differing bits, row-relative change, problem) of one saved entry;
     problem names what makes the two incomparable, else None."""
     old, new = load_entry(old_dir, name, parts), load_entry(new_dir, name, parts)
     if old is None or new is None:
@@ -181,7 +186,7 @@ def compare_entry(old_dir, new_dir, name, parts):
 
 
 def entries(directory):
-    """{name: parts} of the saved matrices and loads."""
+    """{name: parts} of the saved matrices, loads and Gram arrays."""
     out = {}
     for fname in os.listdir(directory):
         stem = fname[:-4]
@@ -220,9 +225,9 @@ def compare(old_root, new_root) -> int:
                     total["differ"] += 1
                 cell_bits += bits
                 cell_rel = max(cell_rel, rel)
-            print(f"{cell['label']} ({size}): {len(names)} matrices and loads, "
-                  f"{int(cell_bits)} differing bits, largest row-relative "
-                  f"change {cell_rel:.3g}")
+            print(f"{cell['label']} ({size}): {len(names)} matrices, loads "
+                  f"and Grams, {int(cell_bits)} differing bits, largest "
+                  f"row-relative change {cell_rel:.3g}")
             total["entries"] += len(names)
             total["bits"] += int(cell_bits)
             total["rel"] = max(total["rel"], cell_rel)
@@ -230,9 +235,9 @@ def compare(old_root, new_root) -> int:
             shutil.rmtree(new_dir)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    print(f"total: {total['entries']} matrices and loads, {total['differ']} "
-          f"differ, {total['bits']} differing bits, largest row-relative "
-          f"change {total['rel']:.3g}")
+    print(f"total: {total['entries']} matrices, loads and Grams, "
+          f"{total['differ']} differ, {total['bits']} differing bits, "
+          f"largest row-relative change {total['rel']:.3g}")
     return 1 if total["bad"] or total["differ"] else 0
 
 

@@ -6,15 +6,14 @@ Usage: python scripts/rounding_probe.py ROOT EXPERIMENT [--config CFG]
 
 ROOT is a checkout that holds src/steklov_lab.  The script wraps the
 assembly names where `lab_cli` and `navier` import them (`assemble`,
-`assemble_many`, `assemble_boundary_factor`, `sobolev_forms`,
-`assemble_navier_load`), the way perfbench/tracer.py wraps its sites, and
-runs `steklov-lab EXPERIMENT --config CFG --out DIR`.  Every matrix, load
-and array of Gram values those calls return, a boundary FeSystem's factor
-included, has a seeded half of its stored entries moved by one ulp, up or
-down.  Which entries move, and which way, is a hash of the seed and the
-entry's (row, column) or flat array index, so a matrix that was exactly
-symmetric stays exactly symmetric, and threads see the same nudges as a
-serial run.
+`assemble_boundary_factor`, `sobolev_forms`, `assemble_navier_load`), the
+way perfbench/tracer.py wraps its sites, and runs `steklov-lab EXPERIMENT
+--config CFG --out DIR`.  Every matrix, load and array of Gram values those
+calls return, a boundary FeSystem's factor included, has a seeded half of
+its stored entries moved by one ulp, up or down.  Which entries move, and
+which way, is a hash of the seed and the entry's (row, column) or flat array
+index, so a matrix that was exactly symmetric stays exactly symmetric, and
+threads see the same nudges as a serial run.
 
 Assembly rounding is all such a change makes, so comparing the reports with
 those of an unperturbed run,
@@ -37,8 +36,7 @@ import numpy as np
 SITES = (
     ("steklov_lab.lab_cli", ("assemble", "assemble_boundary_factor",
                              "sobolev_forms", "assemble_navier_load")),
-    ("steklov_lab.navier", ("assemble", "assemble_many",
-                            "assemble_boundary_factor",
+    ("steklov_lab.navier", ("assemble", "assemble_boundary_factor",
                             "assemble_navier_load")),
 )
 
@@ -88,8 +86,6 @@ class Nudger:
         """The nudged copy of anything an assembly function returns."""
         if isinstance(out, np.ndarray):
             return self.vector(out)
-        if isinstance(out, list):
-            return [self(v) for v in out]
         if hasattr(out, "matrix"):             # FeSystem
             out.matrix = self.matrix(out.matrix)
             if out.factor is not None:

@@ -32,7 +32,7 @@ from .profile_geometry import DiffeoField, GeometryError
 __all__ = [
     "FormKind", "MASS", "GRAD_MASS", "LAPLACIAN_ENERGY", "HESSIAN_ENERGY",
     "MIXED_U_DELTA", "normal_trace", "boundary_mass",
-    "FeSystem", "FeFunction", "assemble", "assemble_many", "assemble_navier_load",
+    "FeSystem", "FeFunction", "assemble", "assemble_navier_load",
     "sobolev_forms", "gauss01",
 ]
 
@@ -109,26 +109,40 @@ def _tensor_basis(X, ty, hy, dy_order):
 
 @dataclass(frozen=True)
 class FormKind:
+    """A bilinear form.  A volume form is the sum of factor * int P Q over its
+    `terms` (P, Q, factor), where P and Q are sums of the physical derivative
+    fields named by their tags; a boundary form has no terms."""
+
     name: str
     part: str | None = None
+    terms: tuple = ()
 
     @property
     def symmetric(self) -> bool:
-        return self.name != "MixedUDelta"
+        return all(P == Q for P, Q, _ in self.terms)
 
     @property
     def on_boundary(self) -> bool:
-        return self.name in ("NormalTrace", "BoundaryMass")
+        return not self.terms
+
+    @property
+    def tags(self) -> frozenset:
+        """The physical derivative fields that a pass over the form reads."""
+        return frozenset(tag for P, Q, _ in self.terms for tag in P + Q)
 
     def __str__(self):
         return self.name if self.part is None else f"{self.name}({self.part})"
 
 
-MASS = FormKind("Mass")
-GRAD_MASS = FormKind("GradMass")
-LAPLACIAN_ENERGY = FormKind("LaplacianEnergy")
-HESSIAN_ENERGY = FormKind("HessianEnergy")
-MIXED_U_DELTA = FormKind("MixedUDelta")
+_LAP = ("xx", "yy")
+MASS = FormKind("Mass", terms=((("v",), ("v",), 1.0),))
+GRAD_MASS = FormKind("GradMass", terms=((("x",), ("x",), 1.0),
+                                        (("y",), ("y",), 1.0)))
+LAPLACIAN_ENERGY = FormKind("LaplacianEnergy", terms=((_LAP, _LAP, 1.0),))
+HESSIAN_ENERGY = FormKind("HessianEnergy", terms=((("xx",), ("xx",), 1.0),
+                                                  (("xy",), ("xy",), 2.0),
+                                                  (("yy",), ("yy",), 1.0)))
+MIXED_U_DELTA = FormKind("MixedUDelta", terms=((("v",), _LAP, 1.0),))
 
 
 def normal_trace(part: str = "All") -> FormKind:
@@ -200,37 +214,24 @@ def _mirror_mean(S):
         Q[...] = P.swapaxes(-1, -2)
 
 
-def _blocks_tocsr(blocks, kinds, dofmap: DofMap):
-    """Yield each form's canonical int32 CSR matrix over the free DOFs, popping
-    its blocks: every free DOF pair in an element, explicit zeros included."""
-    nxp, nyp = blocks[0].shape[:2]
+def _blocks_tocsr(S, dofmap: DofMap) -> sp.csr_matrix:
+    """The canonical int32 CSR matrix of the node-pair blocks S over the free
+    DOFs: every free DOF pair in an element, explicit zeros included."""
+    nxp, nyp = S.shape[:2]
     free_idx = dofmap.free_index().astype(np.int32).reshape(nxp, nyp, 4)
     pad = np.pad(free_idx, ((1, 1), (1, 1), (0, 0)), constant_values=-1)
     cols = np.lib.stride_tricks.sliding_window_view(pad, (3, 3), (0, 1))
     cols = cols.transpose(0, 1, 3, 4, 2)[:, :, None]       # -1 off the mesh
     pattern = (free_idx[..., None, None, None] >= 0) & (cols >= 0)
     row_nnz = pattern.reshape(-1, 36).sum(axis=1)[free_idx.reshape(-1) >= 0]
-    for kind in kinds:
-        S = blocks.pop(0)
-        if kind.symmetric:
-            _mirror_mean(S)
-        indptr = np.r_[0, np.cumsum(row_nnz)].astype(np.int32)
-        A = sp.csr_matrix((S[pattern], np.broadcast_to(cols, S.shape)[pattern],
-                           indptr), shape=(dofmap.n_free,) * 2)
-        A.has_canonical_format = True
-        yield A
+    indptr = np.r_[0, np.cumsum(row_nnz)].astype(np.int32)
+    A = sp.csr_matrix((S[pattern], np.broadcast_to(cols, S.shape)[pattern],
+                       indptr), shape=(dofmap.n_free,) * 2)
+    A.has_canonical_format = True
+    return A
 
 
-# physical derivative tags that each volume form reads from B
-_FORM_TAGS = {"Mass": ("v",), "GradMass": ("x", "y"),
-              "LaplacianEnergy": ("xx", "yy"), "HessianEnergy": ("xx", "xy", "yy"),
-              "MixedUDelta": ("v", "xx", "yy")}
 _LOAD_TAGS = ("x", "y", "xx", "yy")
-
-# the forms that are sums of squared fields, K(u, u) = sum factor int f^2:
-# (physical derivative tag, factor) of each field
-_NORM_TERMS = {"Mass": (("v", 1.0),), "GradMass": (("x", 1.0), ("y", 1.0)),
-               "HessianEnergy": (("xx", 1.0), ("xy", 2.0), ("yy", 1.0))}
 
 
 def _gram(P, Q, w):
@@ -249,25 +250,26 @@ def _weigh(f, P, w):
     return np.matmul(fw[..., None, :], P)[..., 0, :].reshape(f.shape[0], 16)
 
 
-def _combine(kind: FormKind, B, w):
-    """Local matrices for a volume form from physical-derivative basis arrays.
+def _field(B, tags):
+    """The sum of the basis arrays B[tag] over `tags`, added in their order;
+    one tag gives B[tag] itself."""
+    f = B[tags[0]]
+    for tag in tags[1:]:
+        f = f + B[tag]
+    return f
 
-    B maps derivative tags to (nel, nq, 16) arrays, w is (nel, nq).
-    """
-    name = kind.name
-    if name in _NORM_TERMS:
-        (tag, _), *rest = _NORM_TERMS[name]
-        m = _gram(B[tag], B[tag], w)
-        for tag, factor in rest:
-            m += factor * _gram(B[tag], B[tag], w)
-        return m
-    if name == "LaplacianEnergy":
-        P = Q = B["xx"] + B["yy"]
-    elif name == "MixedUDelta":
-        P, Q = B["v"], B["xx"] + B["yy"]
-    else:
+
+def _combine(kind: FormKind, B, w):
+    """Local matrices (nel, 16, 16) of a volume form from the physical
+    derivative basis arrays B (nel, nq, 16) and weights w (nel, nq)."""
+    if kind.on_boundary:
         raise ValueError(f"{kind} is not a volume form")
-    return _gram(P, Q, w)
+    terms = (factor * _gram(_field(B, P), _field(B, Q), w)
+             for P, Q, factor in kind.terms)
+    m = next(terms)
+    for term in terms:
+        m += term
+    return m
 
 
 def _quad_order(domain: DiffeoField | None, quad_order: int | None) -> int:
@@ -313,31 +315,9 @@ def _chain_arrays(domain: DiffeoField, xref, yref, gs=None):
     return tuple(arr.reshape(shape) for arr in (hx, hy, hxx, hxy, hyy, det, y))
 
 
-def _physical_B(Bref, tags, a, b, hxx, hxy, hyy):
-    """Apply the pullback chain rule to reference-derivative basis arrays,
-    for the physical derivative tags in `tags` only."""
-    a_, b_ = a[:, :, None], b[:, :, None]
-    rule = {
-        "v": lambda: np.broadcast_to(Bref["v"], (a.shape[0],) + Bref["v"].shape[-2:]),
-        "x": lambda: Bref["x"] - a_ * Bref["y"],
-        "y": lambda: (1.0 - b_) * Bref["y"],
-        "xx": lambda: (Bref["xx"] - 2.0 * a_ * Bref["xy"] + a_ ** 2 * Bref["yy"]
-                       - hxx[:, :, None] * Bref["y"]),
-        "xy": lambda: ((1.0 - b_) * (Bref["xy"] - a_ * Bref["yy"])
-                       - hxy[:, :, None] * Bref["y"]),
-        "yy": lambda: (1.0 - b_) ** 2 * Bref["yy"] - hyy[:, :, None] * Bref["y"],
-    }
-    return {tag: rule[tag]() for tag in tags}
-
-
 # derivative tag -> (x order, y order) of the basis arrays
 _DERIVS = {"v": (0, 0), "x": (1, 0), "y": (0, 1),
            "xx": (2, 0), "xy": (1, 1), "yy": (0, 2)}
-
-# physical derivative tag -> the reference tags its chain rule reads
-_CHAIN_READS = {"v": ("v",), "x": ("x", "y"), "y": ("y",),
-                "xx": ("xx", "xy", "yy", "y"), "xy": ("xy", "yy", "y"),
-                "yy": ("yy", "y")}
 
 
 def _pull_back(domain: DiffeoField | None, tags, X, ty, hy, xref, yref,
@@ -350,16 +330,30 @@ def _pull_back(domain: DiffeoField | None, tags, X, ty, hy, xref, yref,
     coordinates are xref and yref (nel, npts); det is det DPhi and y the
     physical ordinate there, and gs goes to `_chain_arrays`.  On the flat
     strip B is the reference basis with nel = 1, det is 1 and y is yref.
+    Each reference basis array is built the first time the chain rule
+    reads it.
     """
-    def basis(tag):
-        dx, dy = _DERIVS[tag]
-        return _tensor_basis(X[dx], ty, hy, dy)[None, :, :]
+    ref = {}
+
+    def r(tag):
+        if tag not in ref:
+            dx, dy = _DERIVS[tag]
+            ref[tag] = _tensor_basis(X[dx], ty, hy, dy)[None, :, :]
+        return ref[tag]
     if domain is None:
-        return {tag: basis(tag) for tag in tags}, 1.0, yref
-    Bref = {ref: basis(ref)
-            for ref in {ref for tag in tags for ref in _CHAIN_READS[tag]}}
+        return {tag: r(tag) for tag in tags}, 1.0, yref
     a, b, hxx, hxy, hyy, det, y = _chain_arrays(domain, xref, yref, gs)
-    return _physical_B(Bref, tags, a, b, hxx, hxy, hyy), det, y
+    a, b, hxx, hxy, hyy = (arr[:, :, None] for arr in (a, b, hxx, hxy, hyy))
+    rule = {
+        "v": lambda: np.broadcast_to(r("v"), (len(a),) + r("v").shape[1:]),
+        "x": lambda: r("x") - a * r("y"),
+        "y": lambda: (1.0 - b) * r("y"),
+        "xx": lambda: (r("xx") - 2.0 * a * r("xy") + a ** 2 * r("yy")
+                       - hxx * r("y")),
+        "xy": lambda: (1.0 - b) * (r("xy") - a * r("yy")) - hxy * r("y"),
+        "yy": lambda: (1.0 - b) ** 2 * r("yy") - hyy * r("y"),
+    }
+    return {tag: rule[tag]() for tag in tags}, det, y
 
 
 def _period_elements(mesh: Mesh, domain: DiffeoField | None) -> int:
@@ -499,45 +493,31 @@ def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     return C.tocsr()
 
 
-def _volume_systems(kinds, mesh, dofmap, domain, quad_order) -> list:
-    blocks = [np.zeros((mesh.nx + 1, mesh.ny + 1, 4, 3, 3, 4)) for _ in kinds]
-    tags = {tag for kind in kinds for tag in _FORM_TAGS[kind.name]}
-    for ey, B, w, _, _ in _volume_rows(mesh, domain, quad_order, tags):
-        for S, kind in zip(blocks, kinds):
-            _add_row(S, ey, _combine(kind, B, w))
-    return [FeSystem(matrix=A, mesh=mesh, kind=kind, domain=domain)
-            for kind, A in zip(kinds, _blocks_tocsr(blocks, kinds, dofmap))]
-
-
-def assemble_many(kinds, mesh: Mesh, dofmap: DofMap,
-                  domain: DiffeoField | None = None,
-                  quad_order: int | None = None) -> list:
-    """Assemble several volume forms in one pass over the element rows, so
-    the geometry of each row is computed once; one FeSystem per kind."""
-    if any(kind.on_boundary for kind in kinds):
-        raise ValueError("assemble_many takes volume forms only")
-    quad_order = _quad_order(domain, quad_order)
-    _resolution_warning(mesh, domain)
-    return _volume_systems(kinds, mesh, dofmap, domain, quad_order)
-
-
 def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
              domain: DiffeoField | None = None,
              quad_order: int | None = None) -> FeSystem:
     """Assemble one bilinear form over the free DOFs of `dofmap`.
 
     `domain=None` integrates over the flat reference strip; a DiffeoField pulls
-    the form back from the perturbed domain it describes.  A boundary form
-    is C C^T, C = `assemble_boundary_factor`, so it is exactly symmetric; its
-    FeSystem keeps C as `factor`, which the Steklov solves read.
+    the form back from the perturbed domain it describes.  A volume form is
+    summed in one `_volume_rows` pass into node-pair blocks, and a symmetric
+    one is made exactly symmetric.  A boundary form is C C^T, C =
+    `assemble_boundary_factor`, so it is exactly symmetric; its FeSystem
+    keeps C as `factor`, which the Steklov solves read.
     """
     quad_order = _quad_order(domain, quad_order)
     _resolution_warning(mesh, domain)
-    if not kind.on_boundary:
-        return _volume_systems((kind,), mesh, dofmap, domain, quad_order)[0]
-    C = assemble_boundary_factor(kind, mesh, dofmap, domain, quad_order)
-    return FeSystem(matrix=(C @ C.T).sorted_indices(), mesh=mesh, kind=kind,
-                    domain=domain, factor=C)
+    if kind.on_boundary:
+        C = assemble_boundary_factor(kind, mesh, dofmap, domain, quad_order)
+        return FeSystem(matrix=(C @ C.T).sorted_indices(), mesh=mesh,
+                        kind=kind, domain=domain, factor=C)
+    S = np.zeros((mesh.nx + 1, mesh.ny + 1, 4, 3, 3, 4))
+    for ey, B, w, _, _ in _volume_rows(mesh, domain, quad_order, kind.tags):
+        _add_row(S, ey, _combine(kind, B, w))
+    if kind.symmetric:
+        _mirror_mean(S)
+    return FeSystem(matrix=_blocks_tocsr(S, dofmap), mesh=mesh, kind=kind,
+                    domain=domain)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +572,11 @@ class FeFunction:
     def value(self, x, y):
         return self.eval(x, y, 0, 0)
 
+    def with_gradient(self):
+        """(u, u_x, u_y), callables of physical points."""
+        return (self.value, lambda x, y: self.eval(x, y, 1, 0),
+                lambda x, y: self.eval(x, y, 0, 1))
+
 
 # ---------------------------------------------------------------------------
 # loads and norms
@@ -606,12 +591,7 @@ def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
     callables (f, f_x, f_y).
     """
     quad_order = _quad_order(domain, quad_order)
-    if isinstance(f, FeFunction):
-        fv = f.value
-        fgx = lambda x, y: f.eval(x, y, 1, 0)
-        fgy = lambda x, y: f.eval(x, y, 0, 1)
-    else:
-        fv, fgx, fgy = f
+    fv, fgx, fgy = f.with_gradient() if isinstance(f, FeFunction) else f
 
     load = np.zeros((mesh.nx + 1, mesh.ny + 1, 4))
     for ey, B, w, x, y in _volume_rows(mesh, domain, quad_order, _LOAD_TAGS):
@@ -627,17 +607,19 @@ def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
 def sobolev_forms(kinds, vectors, mesh: Mesh, dofmap: DofMap,
                   domain: DiffeoField | None = None,
                   quad_order: int | None = None) -> np.ndarray:
-    """Gram values v_i^T K v_j, as (len(kinds), nv, nv), of the forms K in
-    `kinds` (Mass, GradMass, HessianEnergy: the terms of the H2 norm) at the
-    free vectors v_1 .. v_nv of `dofmap`, the rows of `vectors`.
+    """Gram values v_i^T K v_j, as (len(kinds), nv, nv), of the symmetric
+    volume forms K in `kinds` (Mass, GradMass and HessianEnergy are the terms
+    of the H2 norm) at the free vectors v_1 .. v_nv of `dofmap`, the rows of
+    `vectors`.
 
     One `_volume_rows` pass that builds no matrix: per element row, each
     vector's element coefficients are read off the (nx + 1, ny + 1, 4) DOF
-    grid and contracted with the basis arrays into the derivative fields at
-    the quadrature points, and each form sums w f_i f_j over its fields.
+    grid and contracted with the basis arrays into the fields P of each
+    term (P, P, factor) at the quadrature points, and each term adds factor
+    times the sum of w P_i P_j.
     """
-    if any(kind.name not in _NORM_TERMS for kind in kinds):
-        raise ValueError("sobolev_forms takes Mass, GradMass and HessianEnergy")
+    if any(kind.on_boundary or not kind.symmetric for kind in kinds):
+        raise ValueError("sobolev_forms takes symmetric volume forms")
     quad_order = _quad_order(domain, quad_order)
     _resolution_warning(mesh, domain)
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -645,8 +627,7 @@ def sobolev_forms(kinds, vectors, mesh: Mesh, dofmap: DofMap,
     grid = np.zeros((nv, dofmap.n_dofs))
     grid[:, dofmap.free] = V
     grid = grid.reshape(nv, nx + 1, mesh.ny + 1, 4)
-    terms = [_NORM_TERMS[kind.name] for kind in kinds]
-    tags = {tag for t in terms for tag, _ in t}
+    tags = frozenset().union(*(kind.tags for kind in kinds))
     out = np.zeros((len(kinds), nv, nv))
     for ey, B, w, _, _ in _volume_rows(mesh, domain, quad_order, tags):
         # element ex has the basis and weights of element ex % r, so vector
@@ -656,8 +637,8 @@ def sobolev_forms(kinds, vectors, mesh: Mesh, dofmap: DofMap,
         c = np.stack([grid[:, a:a + nx, ey + b] for a, b in _NODE_SIDES], axis=2)
         c = c.reshape(nv, nx // r, r, 16).transpose(2, 3, 1, 0).reshape(r, 16, -1)
         wk = np.repeat(w, nx // r, axis=1)
-        for G, t in zip(out, terms):
-            for tag, factor in t:
-                f = np.matmul(B[tag], c).reshape(r, -1, nv)
+        for G, kind in zip(out, kinds):
+            for P, _, factor in kind.terms:
+                f = np.matmul(_field(B, P), c).reshape(r, -1, nv)
                 G += factor * _gram(f, f, wk).sum(axis=0)
     return out

@@ -129,8 +129,8 @@ class ExperimentConfig:
         if self.kappa_exponent < 0:
             raise ConfigError("kappa_exponent must be >= 0 (0: built-in kappa rule)")
         for a in (self.alpha, *self.alphas):
-            try:
-                self.profile(a)
+            try:   # validated uncached: `profile` caches what a runner reads
+                BoundaryProfile.fourier_cosine(self.coefficients, a)
             except ProfileError as exc:
                 raise ConfigError(f"profile at alpha = {a}: {exc}") from None
         for e in self.eps_list:

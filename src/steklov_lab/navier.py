@@ -28,8 +28,8 @@ import scipy.sparse as sp
 
 from .assembly import (FeFunction, FeSystem, FormKind, GRAD_MASS,
                        LAPLACIAN_ENERGY, MIXED_U_DELTA, assemble,
-                       assemble_boundary_factor, assemble_many,
-                       assemble_navier_load, boundary_mass, gauss01)
+                       assemble_boundary_factor, assemble_navier_load,
+                       boundary_mass, gauss01)
 from .mesh import DOF_VXY, DofMap, Mesh, mark_essential
 from .profile_geometry import DiffeoField
 from .spectral import factor_spd
@@ -82,9 +82,10 @@ def _conormal_operator(mesh: Mesh, domain: DiffeoField | None,
     """(G, M + G) over the full Hermite basis: the GradMass form G, and the
     matrix of u -> [ int (Lap(u) psi_m + grad u . grad psi_m) ]_m, M being
     the MixedUDelta form."""
-    M, G = assemble_many((MIXED_U_DELTA, GRAD_MASS), mesh,
-                         DofMap.unconstrained(mesh), domain, quad_order)
-    return G.matrix, (M.matrix + G.matrix).tocsr()
+    full = DofMap.unconstrained(mesh)
+    M, G = (assemble(kind, mesh, full, domain, quad_order).matrix
+            for kind in (MIXED_U_DELTA, GRAD_MASS))
+    return G, (M + G).tocsr()
 
 
 def normal_derivative_functional(sol: NavierSolution,
@@ -287,11 +288,7 @@ def relative_h1_error(u, oracle_mesh: Mesh, oracle_nodal: np.ndarray) -> float:
     points per direction the integrand is exact for a Hermite function whose
     mesh the oracle mesh refines.
     """
-    if isinstance(u, FeFunction):
-        uv, ugx, ugy = (u.value, lambda x, y: u.eval(x, y, 1, 0),
-                        lambda x, y: u.eval(x, y, 0, 1))
-    else:
-        uv, ugx, ugy = u
+    uv, ugx, ugy = u.with_gradient() if isinstance(u, FeFunction) else u
     m = oracle_mesh
     t, w = gauss01(4)
     hx, hy = np.diff(m.xs), np.diff(m.ys)

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 import steklov_lab.assembly as assembly
 from steklov_lab.assembly import (FeFunction, GRAD_MASS, HESSIAN_ENERGY,
                                   LAPLACIAN_ENERGY, MASS, MIXED_U_DELTA,
-                                  _FORM_TAGS, _combine, _elem_gdofs,
-                                  _period_elements, _tensor_basis,
-                                  _volume_rows, _weigh, _x_factors, assemble,
-                                  assemble_boundary_factor, assemble_many,
+                                  _combine, _elem_gdofs, _period_elements,
+                                  _tensor_basis, _volume_rows, _weigh,
+                                  _x_factors, assemble,
+                                  assemble_boundary_factor,
                                   assemble_navier_load, boundary_mass,
                                   gauss01, hermite1d, normal_trace,
                                   sobolev_forms)
@@ -20,6 +20,9 @@ from steklov_lab.mesh import DofMap, build_mesh, mark_essential
 from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
                                           KappaLayer, build_diffeo,
                                           fit_kappa_layer)
+
+
+VOLUME_KINDS = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY, MIXED_U_DELTA)
 
 
 def dirichlet(mesh):
@@ -185,8 +188,8 @@ def test_resolution_warning():
 
 @pytest.mark.parametrize("kind", [MASS, normal_trace("All")])
 def test_resolution_warning_names_the_caller(kind):
-    # a volume form goes through one more frame inside the module than a
-    # boundary form; both are reported at the line that called assemble
+    # a volume form and a boundary form are both reported at the line that
+    # called assemble
     m = build_mesh(4, 3)
     with pytest.warns(UserWarning, match="elements per oscillation period") as rec:
         assemble(kind, m, dirichlet(m), domain=cos_diffeo())
@@ -210,24 +213,34 @@ def test_pulled_back_volume_matches_area():
 
 
 @pytest.mark.parametrize("pulled_back", [False, True])
-def test_assemble_many_matches_assemble(pulled_back):
-    # one pass for several forms gives each form's matrix bit for bit, and
-    # on the free DOFs it gives the unconstrained form restricted to them
+def test_free_form_is_the_restricted_form(pulled_back):
+    # on the free DOFs each volume form is the unconstrained form restricted
+    # to them, bit for bit, and its FeSystem names its kind and domain
     m = build_mesh(16, 4, grading=0.8)
     dm = dirichlet(m)
     dif = cos_diffeo(alpha=2.0, eps=0.125) if pulled_back else None
-    kinds = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY, MIXED_U_DELTA)
-    free = assemble_many(kinds, m, dm, dif)
-    full = assemble_many(kinds, m, DofMap.unconstrained(m), dif)
-    for kind, many, whole in zip(kinds, free, full):
-        one = assemble(kind, m, dm, dif).matrix
-        cut = whole.matrix[dm.free][:, dm.free]
-        assert many.kind == kind and many.domain is dif
+    for kind in VOLUME_KINDS:
+        free = assemble(kind, m, dm, dif)
+        cut = assemble(kind, m, DofMap.unconstrained(m), dif).matrix
+        cut = cut[dm.free][:, dm.free]
+        assert free.kind == kind and free.domain is dif and free.factor is None
         for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(many.matrix, attr), getattr(one, attr))
-            assert np.array_equal(getattr(many.matrix, attr), getattr(cut, attr))
-    with pytest.raises(ValueError):
-        assemble_many((MASS, normal_trace("All")), m, dm, dif)
+            assert np.array_equal(getattr(free.matrix, attr), getattr(cut, attr))
+
+
+def test_form_kinds_derive_from_their_terms():
+    # symmetry, the boundary flag and the fields a pass reads all follow
+    # from each kind's terms; a boundary kind has none and no local matrix
+    assert [k.symmetric for k in VOLUME_KINDS] == [True] * 4 + [False]
+    assert MASS.tags == {"v"} and GRAD_MASS.tags == {"x", "y"}
+    assert LAPLACIAN_ENERGY.tags == {"xx", "yy"}
+    assert HESSIAN_ENERGY.tags == {"xx", "xy", "yy"}
+    assert MIXED_U_DELTA.tags == {"v", "xx", "yy"}
+    for kind in (normal_trace("Gamma"), boundary_mass("All")):
+        assert kind.on_boundary and kind.symmetric and not kind.tags
+        with pytest.raises(ValueError):
+            _combine(kind, {}, None)
+    assert not any(k.on_boundary for k in VOLUME_KINDS)
 
 
 def _fd_derivs(f, x, y, d=1e-4):
@@ -352,7 +365,7 @@ def _coo_oracle(kind, mesh, dofmap, domain):
     free_idx = dofmap.free_index()
     rows, cols, vals = [], [], []
     quad = 4 if domain is None else 6
-    for ey, B, w, _, _ in _volume_rows(mesh, domain, quad, _FORM_TAGS[kind.name]):
+    for ey, B, w, _, _ in _volume_rows(mesh, domain, quad, kind.tags):
         local = _combine(kind, B, w)
         local = np.tile(local, (mesh.nx // local.shape[0], 1, 1))
         fi = free_idx[_elem_gdofs(mesh, np.arange(mesh.nx), ey)]
@@ -369,9 +382,6 @@ def _coo_oracle(kind, mesh, dofmap, domain):
     return sp.coo_matrix((v, (r, c)), shape=(dofmap.n_free,) * 2).tocsr()
 
 
-VOLUME_KINDS = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY, MIXED_U_DELTA)
-
-
 @pytest.mark.filterwarnings("ignore:only .* elements per oscillation period")
 @pytest.mark.parametrize("pulled_back", [False, True])
 def test_node_block_scatter_matches_coo_oracle(pulled_back):
@@ -381,9 +391,9 @@ def test_node_block_scatter_matches_coo_oracle(pulled_back):
     for m in (build_mesh(16, 5, grading=0.7), build_mesh(24, 3, grading=0.8)):
         full = DofMap.unconstrained(m)
         for dm in (full, mark_essential(m, "DirichletAll+ClampGamma")):
-            for kind, many in zip(VOLUME_KINDS,
-                                  assemble_many(VOLUME_KINDS, m, dm, dif)):
-                A, R = many.matrix, _coo_oracle(kind, m, dm, dif)
+            for kind in VOLUME_KINDS:
+                A = assemble(kind, m, dm, dif).matrix
+                R = _coo_oracle(kind, m, dm, dif)
                 assert A.indices.dtype == A.indptr.dtype == np.int32
                 assert A.has_sorted_indices
                 assert np.array_equal(A.indptr, R.indptr), kind
@@ -397,9 +407,8 @@ def test_entries_sum_element_rows_pairwise():
     # on the flat strip, it is their correctly rounded sum; a last-bit
     # error that repeats along x would move the spectra coherently
     m = build_mesh(8, 5, grading=0.7)
-    tags = _FORM_TAGS["HessianEnergy"]
-    local = [_combine(HESSIAN_ENERGY, B, w)[0]
-             for _, B, w, _, _ in _volume_rows(m, None, 4, tags)]
+    local = [_combine(HESSIAN_ENERGY, B, w)[0] for _, B, w, _, _
+             in _volume_rows(m, None, 4, HESSIAN_ENERGY.tags)]
     A = assemble(HESSIAN_ENERGY, m, DofMap.unconstrained(m)).matrix
     exact = 0
     for ix in range(1, m.nx):
@@ -450,15 +459,15 @@ def test_one_period_per_row_matches_every_element(monkeypatch, alpha, eps,
              lambda x, y: np.sin(np.pi * x) * np.exp(y))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tiled_forms = assemble_many(VOLUME_KINDS, m, dm, dif)
+        tiled_forms = [assemble(k, m, dm, dif).matrix for k in VOLUME_KINDS]
         tiled_load = assemble_navier_load(datum, m, dm, dif)
         monkeypatch.setattr(assembly, "_period_elements",
                             lambda mesh, domain: mesh.nx)
-        forms = assemble_many(VOLUME_KINDS, m, dm, dif)
+        forms = [assemble(k, m, dm, dif).matrix for k in VOLUME_KINDS]
         load = assemble_navier_load(datum, m, dm, dif)
     for kind, A, R in zip(VOLUME_KINDS, tiled_forms, forms):
-        assert np.array_equal(A.matrix.indices, R.matrix.indices)
-        rel = _row_rel_diff(A.matrix, R.matrix)
+        assert np.array_equal(A.indices, R.indices)
+        rel = _row_rel_diff(A, R)
         assert rel <= 1e-12, kind
         assert (rel == 0.0) == (not tiled), kind
     assert np.max(np.abs(tiled_load - load)) <= 1e-12 * np.max(np.abs(load))
@@ -625,15 +634,16 @@ def test_sobolev_forms_match_assembled_grams(pulled_back, bc, nv):
     rng = np.random.default_rng(11)
     v = rng.standard_normal(dm.n_free)
     V = np.array([v, v + 0.3 * rng.standard_normal(dm.n_free)])[:nv]
-    kinds = (MASS, GRAD_MASS, HESSIAN_ENERGY)
+    kinds = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY)
     grams = sobolev_forms(kinds, V, m, dm, dif)
-    assert grams.shape == (3, nv, nv)
-    for G, s in zip(grams, assemble_many(kinds, m, dm, dif)):
-        want = V @ (s.matrix @ V.T)
-        assert np.all(np.abs(G - want) <= 1e-12 * np.abs(want))
+    assert grams.shape == (4, nv, nv)
+    for G, kind in zip(grams, kinds):
+        want = V @ (assemble(kind, m, dm, dif).matrix @ V.T)
+        assert np.all(np.abs(G - want) <= 1e-12 * np.abs(want)), kind
     assert np.array_equal(sobolev_forms(kinds[1:], V, m, dm, dif), grams[1:])
-    with pytest.raises(ValueError):
-        sobolev_forms((LAPLACIAN_ENERGY,), V, m, dm, dif)
+    for kind in (MIXED_U_DELTA, normal_trace("All")):
+        with pytest.raises(ValueError):
+            sobolev_forms((MASS, kind), V, m, dm, dif)
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,7 +11,7 @@ import steklov_lab.assembly as assembly
 import steklov_lab.lab_cli as lab_cli
 from steklov_lab.assembly import (GRAD_MASS, HESSIAN_ENERGY,
                                   LAPLACIAN_ENERGY, MASS, assemble,
-                                  assemble_many, normal_trace)
+                                  normal_trace)
 from steklov_lab.cell_problem import solve_cell
 from steklov_lab.lab_cli import (RUNNERS, AssumptionViolatedError,
                                  ConfigError, ExperimentConfig,
@@ -149,6 +149,16 @@ def test_profile_is_built_once_per_alpha():
     fresh = BoundaryProfile.fourier_cosine(cfg.coefficients, 1.5)
     assert cfg.profile(1.5) == fresh
     assert smoke_cfg("navier-stability").profile(1.5) is not cfg.profile(1.5)
+
+
+def test_config_caches_only_the_profiles_a_run_reads():
+    # the config validates every alpha's profile without caching it, so a
+    # degeneration run, which reads only alpha, keeps that one profile
+    cfg = smoke_cfg("degeneration", eps_list=(0.0625, 0.03125))
+    assert set(cfg.alphas) - {cfg.alpha}
+    assert not cfg._profiles
+    run_degeneration(cfg)
+    assert list(cfg._profiles) == [cfg.alpha]
 
 
 def test_mesh_rule_resolves_steep_profile():
@@ -412,8 +422,8 @@ def test_dbs_h2_distance_matches_unconstrained_forms():
         u[dm.free] = solve_steklov(A, B, k=cfg.k, seed=cfg.seed).modes[:, 0]
         coeffs.append(u)
     u_eps, u_ref = coeffs
-    M, G, H = (s.matrix for s in assemble_many((MASS, GRAD_MASS, HESSIAN_ENERGY),
-                                               mesh, full, dif, cfg.quad_order))
+    M, G, H = (assemble(kind, mesh, full, dif, cfg.quad_order).matrix
+               for kind in (MASS, GRAD_MASS, HESSIAN_ENERGY))
     if u_eps @ (M @ u_ref) < 0:
         u_ref = -u_ref
     w = u_eps - u_ref
@@ -448,9 +458,9 @@ def test_navier_norms_match_unconstrained_forms():
                 A = sol_e.system.matrix
                 w = sol_e.factor.solve(sol_e.load - A @ sol_0.u_free)
                 u = _full(sol_e.dofmap, w)
-                M, G = (s.matrix for s in assemble_many(
-                    (MASS, GRAD_MASS), mesh, DofMap.unconstrained(mesh), dif,
-                    cfg.quad_order))
+                full = DofMap.unconstrained(mesh)
+                M, G = (assemble(kind, mesh, full, dif, cfg.quad_order).matrix
+                        for kind in (MASS, GRAD_MASS))
                 want = np.sqrt([u @ (M @ u), u @ (G @ u), w @ (A @ w)])
                 got = sorted((r for r in rep.rows if r.alpha == a
                               and r.eps == e and base <= r.n < base + 3),
@@ -469,8 +479,8 @@ def test_navier_norms_match_unconstrained_forms():
     fac = factor_spd(A_gam)
     w = _full(dm, fac.solve(A_gam @ sol_e.u_free - sol_0.load))
     u_gam = _full(dm, fac.solve(sol_0.load))
-    M, G = (s.matrix for s in assemble_many((MASS, GRAD_MASS), mesh,
-                                            DofMap.unconstrained(mesh)))
+    full = DofMap.unconstrained(mesh)
+    M, G = (assemble(kind, mesh, full).matrix for kind in (MASS, GRAD_MASS))
     h1 = [np.sqrt(v @ (M @ v) + v @ (G @ v)) for v in (w, u_gam)]
     row = [r for r in rep.rows if r.n == -15][0]
     assert row.value == pytest.approx(h1[0] / h1[1], rel=1e-12)
@@ -478,27 +488,22 @@ def test_navier_norms_match_unconstrained_forms():
 
 def test_norm_passes_assemble_no_matrix(monkeypatch):
     # every norm a runner reports is taken by quadrature of its vectors:
-    # lab_cli makes no assemble_many call, and no assemble call of a norm
-    # form, in smoke navier-stability and dbs-convergence runs
+    # lab_cli makes no assemble call of a norm form in smoke
+    # navier-stability and dbs-convergence runs
     calls = []
 
     def spy(fn):
         def wrapped(*args, **kwargs):
-            calls.append((sys._getframe(1).f_globals["__name__"], fn.__name__,
-                          args[0]))
+            calls.append((sys._getframe(1).f_globals["__name__"], args[0]))
             return fn(*args, **kwargs)
         return wrapped
 
     for owner in (assembly, lab_cli):
-        for name in ("assemble", "assemble_many"):
-            if hasattr(owner, name):
-                monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+        monkeypatch.setattr(owner, "assemble", spy(owner.assemble))
     run_navier_stability(smoke_cfg("navier-stability"))
     run_dbs_convergence(smoke_cfg("dbs-convergence"))
-    mine = [(fn, first) for module, fn, first in calls
-            if module == "steklov_lab.lab_cli"]
-    assert mine and all(fn == "assemble" for fn, _ in mine)
-    assert not {MASS, GRAD_MASS} & {kind for _, kind in mine}
+    mine = {kind for module, kind in calls if module == "steklov_lab.lab_cli"}
+    assert mine and not {MASS, GRAD_MASS} & mine
 
 
 def test_dbs_cell_spectra_match_pencils_on_their_own_maps():
