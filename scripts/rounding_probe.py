@@ -13,7 +13,7 @@ calls return, a boundary FeSystem's factor included, has a seeded half of
 its stored entries moved by one ulp, up or down.  Which entries move, and
 which way, is a hash of the seed and the entry's (row, column) or flat array
 index, so a matrix that was exactly symmetric stays exactly symmetric, and
-threads see the same nudges as a serial run.
+the nudges do not depend on the order of the calls.
 
 Assembly rounding is all such a change makes, so comparing the reports with
 those of an unperturbed run,

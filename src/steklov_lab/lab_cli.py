@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import numbers
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 # perfbench/tracer.py times this module's calls to other layers by wrapping
 # the names imported here: assemble, assemble_boundary_factor and
@@ -32,7 +32,7 @@ from .assembly import (GRAD_MASS, HESSIAN_ENERGY, LAPLACIAN_ENERGY, MASS,
                        assemble, assemble_boundary_factor,
                        assemble_navier_load, normal_trace, sobolev_forms)
 from .cell_problem import solve_cell
-from .mesh import Mesh, build_mesh, mark_essential
+from .mesh import Mesh, build_mesh, graded_rows, mark_essential
 from .navier import solve_navier
 from .profile_geometry import (BoundaryProfile, DomainSpec, GeometryError,
                                ProfileError, build_diffeo, check_assumptions,
@@ -99,7 +99,6 @@ class ExperimentConfig:
     kappa_exponent: float = 0.0            # 0 -> built-in kappa rule
     seed: int = 0
     out_dir: str = "out"
-    threads: int = 1                       # worker threads over the cells
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -110,17 +109,17 @@ class ExperimentConfig:
                               "decreasing, length >= 2")
         if self.w_len <= 0:
             raise ConfigError("w_len must be positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.per_period < 8:
             raise ConfigError("mesh rule requires >= 8 elements per period")
-        for key in ("k", "ny", "reference_nx"):
+        for key in ("k", "reference_nx"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if not 0.0 < self.grading <= 1.0:
-            raise ConfigError("grading must lie in (0, 1]")
+        try:    # the rows of every mesh of the run, whatever its nx
+            graded_rows(self.ny, self.grading)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.quad_order < 6:
             # every experiment assembles pulled-back cells with quad_order
             raise ConfigError("quad_order must be >= 6 (pulled-back assembly)")
@@ -399,25 +398,14 @@ def emit(report: ExperimentReport, fmt: str, out_dir: str) -> Path:
 # ---------------------------------------------------------------------------
 # shared solve helpers
 
-def _pmap(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _sweep(cfg, alphas, solve):
     """`{(alpha, eps): (mesh, solve(mesh, diffeo, (alpha, eps)))}` for every
-    cell of the sweep, the cells mapped over the config's worker threads.
-    Every cell's mesh and layer map is built before the first cell is
-    solved, so a cell without an admissible layer fails before any is."""
+    cell of the sweep, solved in order.  Every cell's mesh and layer map is
+    built before the first cell is solved, so a cell without an admissible
+    layer fails before any is."""
     cells = [(a, e) for a in alphas for e in cfg.eps_list]
     setups = [(cfg.mesh_for(*cell), cfg.diffeo(*cell), cell) for cell in cells]
-
-    def one(setup):
-        return setup[0], solve(*setup)
-
-    return dict(zip(cells, _pmap(one, setups, cfg.threads)))
+    return {cell: (mesh, solve(mesh, dif, cell)) for mesh, dif, cell in setups}
 
 
 def _steklov_cell(cfg, mesh, bc, form, part, domain):
@@ -755,19 +743,17 @@ def main(argv=None) -> int:
                         choices=sorted(EXPERIMENTS) + sorted(ALIASES))
     parser.add_argument("--config", default=None, help="key = value file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default 1)")
     args = parser.parse_args(argv)
 
     name = ALIASES.get(args.experiment, args.experiment)
     try:
-        cfg = load_config(name, args.config, out_dir=args.out,
-                          threads=args.threads)
+        cfg = load_config(name, args.config, out_dir=args.out)
         report = RUNNERS[name](cfg)
     except (ConfigError, AssumptionViolatedError, ProfileError) as exc:
         parser.error(" ".join(str(exc).split()))      # one line, exit code 2
-    except (GeometryError, SpectralConvergenceError,
-            NoSteklovEigenvalues) as exc:
+    except (GeometryError, SpectralConvergenceError, NoSteklovEigenvalues,
+            MemoryError, LinAlgError) as exc:
+        # a factor over budget or not positive definite: not a Violated row
         parser.exit(3, f"{parser.prog}: run failed: "
                        f"{' '.join(str(exc).split())}\n")
     csv_path = emit(report, "csv", cfg.out_dir)

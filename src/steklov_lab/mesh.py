@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Mesh", "DofMap", "build_mesh", "mark_essential", "DOF_V", "DOF_VX",
-           "DOF_VY", "DOF_VXY"]
+__all__ = ["Mesh", "DofMap", "build_mesh", "graded_rows", "mark_essential",
+           "DOF_V", "DOF_VX", "DOF_VY", "DOF_VXY"]
 
 DOF_V, DOF_VX, DOF_VY, DOF_VXY = 0, 1, 2, 3
 
@@ -85,27 +85,35 @@ class DofMap:
                       constrained=np.zeros(4 * mesh.n_nodes, dtype=bool))
 
 
-def build_mesh(nx: int, ny: int, grading: float = 1.0, w_len: float = 1.0) -> Mesh:
-    """Tensor mesh of (0, w_len) x (-1, 0), optionally graded toward the top.
+def graded_rows(ny: int, grading: float = 1.0) -> np.ndarray:
+    """The ny + 1 row ordinates of a mesh of (-1, 0), ys[-1] = 0.
 
     With grading q < 1 the vertical spacings form a geometric sequence that is
-    finest at y = 0: h_j = h_bottom * q**j summing exactly to 1.
+    finest at y = 0: h_j = h_bottom * q**j summing exactly to 1.  A grading
+    that rounds an element to no height raises ValueError.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError("element counts must be >= 1")
+    if ny < 1:
+        raise ValueError("ny must be >= 1")
     if not (0.0 < grading <= 1.0):
         raise ValueError("grading must lie in (0, 1]")
-    xs = np.linspace(0.0, w_len, nx + 1)
     if grading == 1.0:
-        ys = np.linspace(-1.0, 0.0, ny + 1)
-    else:
-        q = grading
-        h0 = (1.0 - q) / (1.0 - q ** ny)
-        spac = h0 * q ** np.arange(ny)
-        ys = -1.0 + np.concatenate([[0.0], np.cumsum(spac)])
-        ys[-1] = 0.0
+        return np.linspace(-1.0, 0.0, ny + 1)
+    q = grading
+    h0 = (1.0 - q) / (1.0 - q ** ny)
+    ys = -1.0 + np.concatenate([[0.0], np.cumsum(h0 * q ** np.arange(ny))])
+    ys[-1] = 0.0
+    if (h_min := np.diff(ys).min()) <= 0.0:
+        raise ValueError(f"grading {q:g} leaves an element of height "
+                         f"{h_min:.3g} at ny = {ny}")
+    return ys
+
+
+def build_mesh(nx: int, ny: int, grading: float = 1.0, w_len: float = 1.0) -> Mesh:
+    """Tensor mesh of (0, w_len) x (-1, 0) on the rows of `graded_rows`."""
+    if nx < 1:
+        raise ValueError("nx must be >= 1")
     return Mesh(nx=nx, ny=ny, w_len=float(w_len), grading=float(grading),
-                xs=xs, ys=ys)
+                xs=np.linspace(0.0, w_len, nx + 1), ys=graded_rows(ny, grading))
 
 
 def mark_essential(mesh: Mesh, bc: str) -> DofMap:

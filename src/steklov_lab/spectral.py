@@ -36,7 +36,7 @@ import scipy.sparse.linalg as spla
 __all__ = ["SteklovSpectrum", "NoSteklovEigenvalues", "SpectralConvergenceError",
            "SpdFactor", "factor_spd", "solve_steklov", "rayleigh"]
 
-SPD_FACTOR_BUDGET = 1 << 30            # bytes of band storage per factor
+SPD_FACTOR_BUDGET = 1 << 30     # bytes of one factor band or one dense pencil
 # largest Lanczos certificate accepted: degeneration's default pencils, the
 # largest of the lab, read 1.2e-9, 6.4e-9 and 3.3e-8 (eps = 1/32, 1/64,
 # 1/128; 98,300 to 393,212 DOFs), 30 times below it
@@ -138,6 +138,11 @@ def _jacobi(A):
 
 def _solve_dense(A, C, k):
     n = A.shape[0]
+    need = 16 * n * n                          # the pencil's two n x n arrays
+    if need > SPD_FACTOR_BUDGET:
+        raise MemoryError(
+            f"dense pencil of order {n} needs {need / 2**20:.0f} MB, above "
+            f"the {SPD_FACTOR_BUDGET / 2**20:.0f} MB SPD factor budget")
     top = [max(n - k, 0), n - 1]                        # the k largest mu
     mu, V = sla.eigh((C @ C.T).toarray(), A.toarray(), subset_by_index=top)
     cutoff = max(mu.max(), 0.0) * 1e-10

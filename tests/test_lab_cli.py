@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -123,9 +124,9 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
 def test_config_validation():
     for bad in (dict(eps_list=(0.125,)), dict(per_period=4),
                 dict(eps_list=(0.15, 0.075)), dict(eps_list=(0.125, 0)),
-                dict(w_len=-1), dict(w_len=0), dict(threads=-1),
-                dict(threads=0),
+                dict(w_len=-1), dict(w_len=0),
                 dict(k=0), dict(ny=0), dict(reference_nx=0), dict(grading=0.0),
+                dict(ny=32, grading=0.2),       # a top element of no height
                 dict(grading=-0.5), dict(grading=1.5), dict(quad_order=5),
                 dict(quad_order=0), dict(k_hat=6), dict(k_hat=2),
                 dict(k_hat=-1), dict(kappa_exponent=-1),
@@ -177,18 +178,6 @@ def test_mesh_rule_resolves_steep_profile():
         B = assemble(normal_trace("All"), m, dm, dif, cfg.quad_order)
         lam.append(solve_steklov(A, B, k=1).eigenvalues[0])
     assert abs(lam[0] - lam[1]) <= 0.01 * lam[1]
-
-
-def test_threads_env_fallback(monkeypatch):
-    # the threads key (or --threads) is the only setting: no environment
-    # variable stands in for it, and it defaults to one worker
-    monkeypatch.setenv("STEKLOV_LAB_THREADS", "3")
-    assert ExperimentConfig(experiment="trichotomy").threads == 1
-    assert load_config("trichotomy").threads == 1
-    assert ExperimentConfig(experiment="trichotomy", threads=2).threads == 2
-    assert load_config("trichotomy", threads=2).threads == 2
-    with pytest.raises(ConfigError, match="threads must be >= 1"):
-        load_config("trichotomy", threads=0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,23 +343,6 @@ def test_trichotomy_determinism():
     assert a == b
 
 
-THREADS_SMOKE = {
-    "trichotomy": dict(alphas=(2.0, 1.5)),
-    "dbs-convergence": dict(),
-    "degeneration": dict(eps_list=(0.0625, 0.03125)),
-    "navier-stability": dict(),
-}
-
-
-@pytest.mark.parametrize("experiment", sorted(THREADS_SMOKE))
-def test_threads_match_serial(experiment):
-    serial = RUNNERS[experiment](smoke_cfg(experiment,
-                                           **THREADS_SMOKE[experiment]))
-    threaded = RUNNERS[experiment](smoke_cfg(experiment, threads=2,
-                                             **THREADS_SMOKE[experiment]))
-    assert serial.rows and serial.to_csv() == threaded.to_csv()
-
-
 def test_tracer_sites_resolve():
     # the benchmark's tracer wraps these module names by path; a refactor
     # that drops one makes install() raise
@@ -383,6 +355,38 @@ def test_tracer_sites_resolve():
         t.install()
     finally:
         t.uninstall()
+
+
+BENCH_SMOKE = "ny = 6\nreference_nx = 16\nk = 2\neps_list = 1/8, 1/16\n"
+
+
+@pytest.mark.parametrize("mode", ["run", "trace"])
+@pytest.mark.parametrize("experiment", ["navier-stability", "trichotomy"])
+def test_benchmark_child_runs(tmp_path, experiment, mode):
+    # the benchmark runs each operation through perfbench/child.py, which
+    # reads the config and, in trace mode, the solver objects its checks
+    # recompute from; a refactor that drops one of those fails here, as does
+    # a traced call made before the runner is entered (config checks), whose
+    # span the self times would count but the wall time would not
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    cfg, res = tmp_path / "smoke.cfg", tmp_path / "result.json"
+    cfg.write_text(BENCH_SMOKE)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(bench / "child.py"), experiment,
+                           str(cfg), str(tmp_path), str(res), "0", mode],
+                          env=env, stdout=subprocess.DEVNULL, timeout=300)
+    assert proc.returncode == 0
+    result = json.loads(res.read_text())
+    assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0
+    if mode == "trace":
+        spec = importlib.util.spec_from_file_location("perfbench_checks",
+                                                      bench / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        traced = result["traced_checks"]
+        assert all(traced[name] is not None
+                   for name in checks.TRACED_CHECKS[experiment])
+        assert result["self_sum_s"] <= result["wall_s"]
 
 
 def test_dbs_refuses_violated_condition():
@@ -592,7 +596,12 @@ def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
     late_cell.write_text("eps_list = 1/4, 1/8\nny = 6\nreference_nx = 16\n")
     infinite = tmp_path / "infinite.cfg"
     infinite.write_text("w_len = inf\nny = 6\nreference_nx = 16\n")
-    cases = ((["trichotomy", "--threads", "-1"], "threads must be >= 1"),
+    threads = tmp_path / "threads.cfg"              # sweeps are serial
+    threads.write_text("threads = 2\n")
+    cases = ((["trichotomy", "--threads", "2"],
+              "unrecognized arguments: --threads 2"),
+             (["trichotomy", "--config", str(threads)],
+              "unknown config keys ['threads']"),
              (["trichotomy", "--config", str(tmp_path / "missing.cfg")],
               "cannot read config file"),
              (["trichotomy", "--config", str(bad_value)], "ny must be"),
@@ -616,7 +625,11 @@ def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("error", [GeometryError("layer map inversion stalled"),
                                    SpectralConvergenceError("no convergence"),
-                                   NoSteklovEigenvalues("boundary form is zero")])
+                                   NoSteklovEigenvalues("boundary form is zero"),
+                                   MemoryError("above the SPD factor budget"),
+                                   np.linalg.LinAlgError(
+                                       "251-th leading minor not positive "
+                                       "definite")])
 def test_cli_reports_run_failures_with_exit_code_3(tmp_path, capsys,
                                                     monkeypatch, error):
     # a run-time failure is neither a usage error (2) nor a Violated metric

@@ -32,6 +32,10 @@ def test_build_mesh_argument_errors():
         build_mesh(0, 4)
     with pytest.raises(ValueError):
         build_mesh(4, 4, grading=1.5)
+    # the top spacing, 1.7e-22, is below the rounding of the spacings' sum
+    # near y = 0, so the top element's height comes out -4.4e-16
+    with pytest.raises(ValueError, match="element of height"):
+        build_mesh(4, 32, grading=0.2)
 
 
 def test_dirichlet_all_free_count():

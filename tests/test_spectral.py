@@ -314,6 +314,18 @@ def test_factor_spd_refuses_a_band_over_budget():
     assert peak < 10 * 2**20                 # the band was never allocated
 
 
+def test_dense_route_refuses_arrays_over_budget(monkeypatch):
+    # auto takes the dense route when k >= m; its two n x n arrays are
+    # checked against the budget before they are allocated
+    A, B = square_pencil(4)
+    n, m = A.matrix.shape[0], B.factor.shape[1]
+    monkeypatch.setattr(spectral, "SPD_FACTOR_BUDGET", 16 * n * n - 1)
+    with pytest.raises(MemoryError, match="SPD factor budget"):
+        solve_steklov(A, B, k=m)
+    monkeypatch.setattr(spectral, "SPD_FACTOR_BUDGET", 16 * n * n)
+    assert solve_steklov(A, B, k=2, method="dense").method == "dense"
+
+
 def test_factor_spd_rejects_indefinite_matrix():
     A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
                                 [1.0, -3.0, 1.0],
