@@ -23,9 +23,13 @@ vector and each Gram array.  For every array that differs the script prints
 its number of differing bits.  For every matrix, load or Gram array that
 differs it prints its largest entry change relative to the largest entry of
 the same matrix row, or of the whole array; where the two patterns differ,
-it compares the two as sparse matrices.  It prints one line per cell and a
-grand total, and exits 1 if any bit differs, if an array is missing on one
-side, or if a matrix, load or Gram array changes its shape.
+it compares the two as sparse matrices.  Every matrix of a symmetric form
+(the symmetric volume forms and the boundary forms, not MixedUDelta and not
+the factors) must equal its transpose exactly; the script prints, for each
+side, every such matrix with its number of entries where A != A^T.  It
+prints one line per cell and a grand total, and exits 1 if any bit differs,
+if an array is missing on one side, if a matrix, load or Gram array changes
+its shape, or if a symmetric form of the new tree is not exactly symmetric.
 """
 
 import json
@@ -185,6 +189,22 @@ def compare_entry(old_dir, new_dir, name, parts):
     return sum(b or 0 for b in bits), row_relative_change(*mats), None
 
 
+def asymmetric_entries(directory, name) -> int:
+    """Entries where the saved square matrix `name` differs from its
+    transpose."""
+    indptr, indices, data = load_entry(directory, name, ("indptr", "indices",
+                                                         "data"))
+    n = len(indptr) - 1
+    A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return (A != A.T).nnz
+
+
+def symmetric_form(name, parts) -> bool:
+    """Whether a saved entry is the matrix of a symmetric form."""
+    return bool(parts) and not name.endswith(".factor") and (
+        "MixedUDelta" not in name)
+
+
 def entries(directory):
     """{name: parts} of the saved matrices, loads and Gram arrays."""
     out = {}
@@ -202,7 +222,8 @@ def entries(directory):
 def compare(old_root, new_root) -> int:
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--cells",
                            new_root], capture_output=True, text=True, check=True)
-    total = {"entries": 0, "bits": 0, "differ": 0, "bad": 0, "rel": 0.0}
+    total = {"entries": 0, "bits": 0, "differ": 0, "bad": 0, "rel": 0.0,
+             "symmetric": 0, "old asymmetric": 0, "new asymmetric": 0}
     scratch = tempfile.mkdtemp(prefix="compare_forms_")
     try:
         for cell in json.loads(proc.stdout):
@@ -215,6 +236,13 @@ def compare(old_root, new_root) -> int:
             for name in sorted(names):
                 bits, rel, problem = compare_entry(old_dir, new_dir, name,
                                                    names[name])
+                if symmetric_form(name, names[name]) and not problem:
+                    total["symmetric"] += 1
+                    for side, directory in (("old", old_dir), ("new", new_dir)):
+                        if count := asymmetric_entries(directory, name):
+                            print(f"  {name}: {count} entries of the {side} "
+                                  "matrix differ from its transpose")
+                            total[f"{side} asymmetric"] += 1
                 if problem:
                     print(f"  {name}: {problem}")
                     total["bad"] += 1
@@ -238,7 +266,10 @@ def compare(old_root, new_root) -> int:
     print(f"total: {total['entries']} matrices, loads and Grams, "
           f"{total['differ']} differ, {total['bits']} differing bits, "
           f"largest row-relative change {total['rel']:.3g}")
-    return 1 if total["bad"] or total["differ"] else 0
+    print(f"symmetric forms: {total['symmetric']} matrices per side, "
+          f"{total['old asymmetric']} old and {total['new asymmetric']} new "
+          "not exactly symmetric")
+    return 1 if total["bad"] or total["differ"] or total["new asymmetric"] else 0
 
 
 def main(argv) -> int:

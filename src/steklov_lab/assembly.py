@@ -190,7 +190,10 @@ def _add_row(S, ey, local):
     1, :] couples node (ix, iy) to node (ix + dx, iy + dy), so S lists each
     DOF row in CSR order.  Each local node adds its four node pairs into one
     strided slice of the row's own sums, which then add to S: every entry is
-    the sum of two rows' sums of at most two elements."""
+    the sum of two rows' sums of at most two elements.  An entry and its
+    transpose add the same terms in the same order (0 + a + b within a row,
+    which commutes, and the rows in ey order), so exactly symmetric local
+    matrices give an exactly symmetric S; every edit must keep that."""
     nx, rep = S.shape[0] - 1, local.shape[0]
     # local[:, n, :, c, d, :] couples local node n to the node at sides (c, d)
     local = local.reshape(rep, 4, 4, 4, 4)[:, :, :, [[0, 3], [1, 2]]]
@@ -200,18 +203,6 @@ def _add_row(S, ey, local):
         tgt = tgt.reshape(nx // rep, rep, 4, 2, 2, 4)
         tgt += local[:, n]
     S[:, ey:ey + 2] += row
-
-
-def _mirror_mean(S):
-    """S <- 0.5 * (S + mirror(S)) in place, the block form of (A + A^T) * 0.5,
-    where mirror(S) holds at node p and offset d the transposed block of
-    node p + d at offset -d; the result is exactly symmetric."""
-    nxp, nyp = S.shape[:2]
-    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
-        P = S[:nxp - dx, max(0, -dy):nyp - max(0, dy), :, 1 + dx, 1 + dy, :]
-        Q = S[dx:, max(0, dy):nyp - max(0, -dy), :, 1 - dx, 1 - dy, :]
-        P[...] = 0.5 * (P + Q.swapaxes(-1, -2))
-        Q[...] = P.swapaxes(-1, -2)
 
 
 def _blocks_tocsr(S, dofmap: DofMap) -> sp.csr_matrix:
@@ -416,16 +407,13 @@ def _boundary_batches(kind, mesh, domain, quad_order):
 
     def batch(ex, ey, tx, ty, xref, yref, normal):
         """(P, det, gdofs) on the elements (ex, ey) at the points (tx, ty)."""
-        tags = tuple(normal) if trace else ("v",)
-        B, det, _ = _pull_back(domain, tags, _x_factors(tx, hx), ty,
+        comps = normal if trace else {"v": 1.0}
+        B, det, _ = _pull_back(domain, tuple(comps), _x_factors(tx, hx), ty,
                                mesh.hy(ey), xref, yref)
-        if trace:
-            (tag, c), *rest = normal.items()
-            P = c * B[tag]
-            for tag, c in rest:
-                P = P + c * B[tag]
-        else:
-            P = B["v"]
+        (tag, c), *rest = comps.items()
+        P = c * B[tag]
+        for tag, c in rest:
+            P = P + c * B[tag]
         gdofs = _elem_gdofs(mesh, ex, ey)
         return np.broadcast_to(P, (len(ex), nq, 16)), det, gdofs
 
@@ -500,8 +488,8 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
 
     `domain=None` integrates over the flat reference strip; a DiffeoField pulls
     the form back from the perturbed domain it describes.  A volume form is
-    summed in one `_volume_rows` pass into node-pair blocks, and a symmetric
-    one is made exactly symmetric.  A boundary form is C C^T, C =
+    summed in one `_volume_rows` pass into node-pair blocks, from local
+    matrices made symmetric if the form is.  A boundary form is C C^T, C =
     `assemble_boundary_factor`, so it is exactly symmetric; its FeSystem
     keeps C as `factor`, which the Steklov solves read.
     """
@@ -513,9 +501,8 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
                         kind=kind, domain=domain, factor=C)
     S = np.zeros((mesh.nx + 1, mesh.ny + 1, 4, 3, 3, 4))
     for ey, B, w, _, _ in _volume_rows(mesh, domain, quad_order, kind.tags):
-        _add_row(S, ey, _combine(kind, B, w))
-    if kind.symmetric:
-        _mirror_mean(S)
+        m = _combine(kind, B, w)
+        _add_row(S, ey, 0.5 * (m + m.swapaxes(1, 2)) if kind.symmetric else m)
     return FeSystem(matrix=_blocks_tocsr(S, dofmap), mesh=mesh, kind=kind,
                     domain=domain)
 

@@ -90,7 +90,8 @@ def graded_rows(ny: int, grading: float = 1.0) -> np.ndarray:
 
     With grading q < 1 the vertical spacings form a geometric sequence that is
     finest at y = 0: h_j = h_bottom * q**j summing exactly to 1.  A grading
-    that rounds an element to no height raises ValueError.
+    that leaves an element below 1e-12 high, mostly the ny * 2**-53 rounding
+    of the rows' cumulative sum near y = 0, raises ValueError.
     """
     if ny < 1:
         raise ValueError("ny must be >= 1")
@@ -102,7 +103,7 @@ def graded_rows(ny: int, grading: float = 1.0) -> np.ndarray:
     h0 = (1.0 - q) / (1.0 - q ** ny)
     ys = -1.0 + np.concatenate([[0.0], np.cumsum(h0 * q ** np.arange(ny))])
     ys[-1] = 0.0
-    if (h_min := np.diff(ys).min()) <= 0.0:
+    if (h_min := np.diff(ys).min()) < 1e-12:
         raise ValueError(f"grading {q:g} leaves an element of height "
                          f"{h_min:.3g} at ny = {ny}")
     return ys

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import steklov_lab.assembly as assembly
 from steklov_lab.assembly import (FeFunction, GRAD_MASS, HESSIAN_ENERGY,
                                   LAPLACIAN_ENERGY, MASS, MIXED_U_DELTA,
-                                  _combine, _elem_gdofs, _period_elements,
+                                  _add_row, _blocks_tocsr, _combine,
+                                  _elem_gdofs, _period_elements,
                                   _tensor_basis, _volume_rows, _weigh,
                                   _x_factors, assemble,
                                   assemble_boundary_factor,
@@ -424,6 +425,26 @@ def test_entries_sum_element_rows_pairwise():
                     assert A[g, g] == float(sum(Fraction(float(v)) for v in terms))
                     exact += 1
     assert exact >= (m.nx - 1) * (m.ny - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_scatter_keeps_local_symmetry_exact(rep, j, ny, seed):
+    # the scatter adds an entry and its transpose from the same terms in the
+    # same order, so exactly symmetric local matrices of any magnitude give
+    # an exactly symmetric matrix, and unsymmetrized ones do not
+    m = build_mesh(rep * j, ny)
+    rng = np.random.default_rng(seed)
+    shape = (ny, rep, 16, 16)
+    local = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    for sym, rows in ((True, 0.5 * (local + local.swapaxes(2, 3))),
+                      (False, local)):
+        S = np.zeros((m.nx + 1, m.ny + 1, 4, 3, 3, 4))
+        for ey in range(ny):
+            _add_row(S, ey, rows[ey])
+        A = _blocks_tocsr(S, DofMap.unconstrained(m))
+        assert ((A != A.T).nnz == 0) == sym
 
 
 @pytest.mark.filterwarnings("ignore:only .* elements per oscillation period")

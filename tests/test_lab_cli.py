@@ -127,6 +127,7 @@ def test_config_validation():
                 dict(w_len=-1), dict(w_len=0),
                 dict(k=0), dict(ny=0), dict(reference_nx=0), dict(grading=0.0),
                 dict(ny=32, grading=0.2),       # a top element of no height
+                dict(ny=32, grading=0.4),       # one of 2.8e-13, mostly rounding
                 dict(grading=-0.5), dict(grading=1.5), dict(quad_order=5),
                 dict(quad_order=0), dict(k_hat=6), dict(k_hat=2),
                 dict(k_hat=-1), dict(kappa_exponent=-1),

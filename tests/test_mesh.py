@@ -36,6 +36,9 @@ def test_build_mesh_argument_errors():
     # near y = 0, so the top element's height comes out -4.4e-16
     with pytest.raises(ValueError, match="element of height"):
         build_mesh(4, 32, grading=0.2)
+    # a top element 1.1e-16 high is mostly the rounding of that sum
+    with pytest.raises(ValueError, match="element of height"):
+        build_mesh(4, 32, grading=0.3)
 
 
 def test_dirichlet_all_free_count():
