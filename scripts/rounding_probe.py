@@ -9,11 +9,13 @@ assembly names where `lab_cli` and `navier` import them (`assemble`,
 `assemble_boundary_factor`, `sobolev_forms`, `assemble_navier_load`), the
 way perfbench/tracer.py wraps its sites, and runs `steklov-lab EXPERIMENT
 --config CFG --out DIR`.  Every matrix, load and array of Gram values those
-calls return, a boundary FeSystem's factor included, has a seeded half of
-its stored entries moved by one ulp, up or down.  Which entries move, and
-which way, is a hash of the seed and the entry's (row, column) or flat array
+calls return has a seeded half of its stored entries moved by one ulp, up
+or down: a volume FeSystem's node-pair blocks at the entries of its CSR
+matrix, and a boundary FeSystem's factor.  Which entries move, and which
+way, is a hash of the seed and the entry's (row, column) or flat array
 index, so a matrix that was exactly symmetric stays exactly symmetric, and
-the nudges do not depend on the order of the calls.
+the nudges do not depend on the order of the calls.  A boundary form's
+matrix C C^T is built from its nudged factor.
 
 Assembly rounding is all such a change makes, so comparing the reports with
 those of an unperturbed run,
@@ -70,24 +72,42 @@ class Nudger:
         self._move(flat, selected, upward)
         return v
 
-    def matrix(self, A):
-        """A copy of the CSR matrix A with its stored entries nudged; keyed
-        by the unordered pair {row, column} when A is exactly symmetric."""
-        A = A.tocsr(copy=True)
+    def _entry_bits(self, A):
+        """_bits of the stored entries of the CSR matrix A, keyed by the
+        unordered pair {row, column} when A is exactly symmetric."""
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         cols = A.indices
         if A.shape[0] == A.shape[1] and (A != A.T).nnz == 0:
             rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
-        selected, upward = self._bits(rows, cols)
-        self._move(A.data, selected, upward)
+        return self._bits(rows, cols)
+
+    def matrix(self, A):
+        """A copy of the CSR matrix A with its stored entries nudged."""
+        A = A.tocsr(copy=True)
+        self._move(A.data, *self._entry_bits(A))
         return A
+
+    def blocks(self, system):
+        """A copy of a volume FeSystem's node-pair blocks whose entries in
+        its CSR matrix are nudged as `matrix` nudges that matrix: the CSR
+        of the blocks' flat indices gives each stored entry's place."""
+        from steklov_lab.assembly import _blocks_tocsr
+        S = system.blocks.copy()
+        where = np.arange(S.size, dtype=float).reshape(S.shape)
+        at = _blocks_tocsr(where, system.dofmap).data.astype(np.intp)
+        flat = S.reshape(-1)                    # a view of the fresh copy
+        values = flat[at]
+        self._move(values, *self._entry_bits(system.matrix))
+        flat[at] = values
+        return S
 
     def __call__(self, out):
         """The nudged copy of anything an assembly function returns."""
         if isinstance(out, np.ndarray):
             return self.vector(out)
-        if hasattr(out, "matrix"):             # FeSystem
-            out.matrix = self.matrix(out.matrix)
+        if hasattr(out, "blocks"):             # FeSystem
+            if out.blocks is not None:
+                out.blocks = self.blocks(out)
             if out.factor is not None:
                 out.factor = self.matrix(out.factor)
             return out

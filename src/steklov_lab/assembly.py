@@ -159,22 +159,70 @@ def boundary_mass(part: str = "All") -> FormKind:
 
 @dataclass
 class FeSystem:
-    """Assembled sparse matrix of one bilinear form in free-DOF numbering; a
-    boundary form also keeps its quadrature factor, matrix = C C^T."""
+    """One bilinear form over the free DOFs of `dofmap`.  A volume form keeps
+    its node-pair blocks (see `_add_row`), a boundary form its quadrature
+    factor, B = C C^T.  `matrix` builds the form's CSR matrix on each read
+    and keeps none; `@` and `diagonal` read a volume form's blocks."""
 
-    matrix: sp.csr_matrix
     mesh: Mesh
+    dofmap: DofMap
     kind: FormKind
     domain: DiffeoField | None
+    blocks: np.ndarray | None = None
     factor: sp.csr_matrix | None = None
 
     @property
     def n_free(self) -> int:
-        return self.matrix.shape[0]
+        return self.dofmap.n_free
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n_free,) * 2
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        if self.blocks is None:
+            return (self.factor @ self.factor.T).sorted_indices()
+        return _blocks_tocsr(self.blocks, self.dofmap)
+
+    def diagonal(self) -> np.ndarray:
+        if self.blocks is None:
+            return self.matrix.diagonal()
+        d = self.blocks[:, :, :, 1, 1, :].diagonal(axis1=2, axis2=3)
+        return d.reshape(-1)[self.dofmap.free]
+
+    def __matmul__(self, x):
+        """A x for x of shape (n,) or (n, k), with the bits of `matrix @ x`:
+        a 3 x 3 stencil on the DOF grid, a slab of node columns at a time,
+        that adds each row's 36 terms to 0.0 in the CSR's column order,
+        neighbour (dx, dy) lexicographically, then type.  A term that the
+        CSR does not store multiplies a zero of x and leaves the sum's bits."""
+        if self.blocks is None:
+            return self.matrix @ x
+        S, free = self.blocks, self.dofmap.free
+        nxp, nyp = S.shape[:2]
+        cols = np.atleast_2d(np.asarray(x, dtype=float).T)
+        X = np.zeros((len(cols), self.dofmap.n_dofs))
+        X[:, free] = cols
+        X = np.pad(X.reshape(-1, nxp, nyp, 4), ((0, 0), (1, 1), (1, 1), (0, 0)))
+        # each node's 3 x 3 window of the zero-padded grid, (dx, dy, b) last
+        win = np.lib.stride_tricks.sliding_window_view(X, (3, 3), (1, 2))
+        win = win.transpose(0, 1, 2, 4, 5, 3)
+        y = np.zeros((len(cols), nxp, nyp, 4))
+        for i0 in range(0, nxp, _SLAB):
+            s = S[i0:i0 + _SLAB].reshape(-1, nyp, 4, 36)
+            for w, yj in zip(win, y):
+                p = s * w[i0:i0 + _SLAB].reshape(-1, nyp, 1, 36)
+                for t in range(36):
+                    yj[i0:i0 + _SLAB] += p[..., t]
+        return y.reshape(len(cols), -1)[:, free].T.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
 # scatter helpers
+
+_SLAB = 32      # node columns per slab of a pass over node-pair blocks
+
 
 def _elem_gdofs(mesh: Mesh, ex_arr, ey: int) -> np.ndarray:
     """(nel, 16) global DOF indices for a row of elements."""
@@ -489,22 +537,21 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     `domain=None` integrates over the flat reference strip; a DiffeoField pulls
     the form back from the perturbed domain it describes.  A volume form is
     summed in one `_volume_rows` pass into node-pair blocks, from local
-    matrices made symmetric if the form is.  A boundary form is C C^T, C =
-    `assemble_boundary_factor`, so it is exactly symmetric; its FeSystem
-    keeps C as `factor`, which the Steklov solves read.
+    matrices made symmetric if the form is, and its FeSystem keeps the
+    blocks.  A boundary form is C C^T, C = `assemble_boundary_factor`, so it
+    is exactly symmetric; its FeSystem keeps C as `factor`, which the
+    Steklov solves read.
     """
     quad_order = _quad_order(domain, quad_order)
     _resolution_warning(mesh, domain)
     if kind.on_boundary:
         C = assemble_boundary_factor(kind, mesh, dofmap, domain, quad_order)
-        return FeSystem(matrix=(C @ C.T).sorted_indices(), mesh=mesh,
-                        kind=kind, domain=domain, factor=C)
+        return FeSystem(mesh, dofmap, kind, domain, factor=C)
     S = np.zeros((mesh.nx + 1, mesh.ny + 1, 4, 3, 3, 4))
     for ey, B, w, _, _ in _volume_rows(mesh, domain, quad_order, kind.tags):
         m = _combine(kind, B, w)
         _add_row(S, ey, 0.5 * (m + m.swapaxes(1, 2)) if kind.symmetric else m)
-    return FeSystem(matrix=_blocks_tocsr(S, dofmap), mesh=mesh, kind=kind,
-                    domain=domain)
+    return FeSystem(mesh, dofmap, kind, domain, blocks=S)
 
 
 # ---------------------------------------------------------------------------
@@ -527,18 +574,6 @@ class FeFunction:
         full = np.zeros(dofmap.n_dofs)
         full[dofmap.free] = np.asarray(vec, dtype=float)
         return FeFunction(mesh=mesh, coeffs=full)
-
-    @staticmethod
-    def interpolate(mesh: Mesh, f, fx, fy, fxy) -> "FeFunction":
-        """Hermite interpolant of f from its nodal values and derivatives."""
-        pts = mesh.node_coords()
-        x, y = pts[:, 0], pts[:, 1]
-        coeffs = np.empty(4 * mesh.n_nodes)
-        coeffs[0::4] = f(x, y)
-        coeffs[1::4] = fx(x, y)
-        coeffs[2::4] = fy(x, y)
-        coeffs[3::4] = fxy(x, y)
-        return FeFunction(mesh=mesh, coeffs=coeffs)
 
     def eval(self, x, y, dx_order: int = 0, dy_order: int = 0):
         """Evaluate a mixed derivative; points slightly outside the mesh are

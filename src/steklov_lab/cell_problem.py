@@ -26,8 +26,7 @@ import numpy as np
 
 from .profile_geometry import BoundaryProfile, ProfileError
 
-__all__ = ["CellMode", "CellSolution", "solve_cell", "mode_energy_closed_form",
-           "solve_cell_fem"]
+__all__ = ["CellMode", "CellSolution", "solve_cell", "mode_energy_closed_form"]
 
 
 @dataclass(frozen=True)
@@ -91,55 +90,3 @@ def solve_cell(profile: BoundaryProfile) -> CellSolution:
         modes.append(CellMode(k=k, omega=w, beta=beta, A=A, B=B, gamma=g))
         total += g
     return CellSolution(modes=tuple(modes), gamma=total)
-
-
-def solve_cell_fem(profile: BoundaryProfile, depth: float = 3.0,
-                   n_elements: int = 240) -> float:
-    """FEM cross-check of gamma on the strip truncated at y = -depth.
-
-    Periodic lateral conditions reduce each trigonometric mode to a 1D
-    fourth-order problem in the vertical coordinate,
-
-        v'''' - 2 w^2 v'' + w^4 v = 0,  v(0) = beta,  v''(0) = 0,
-
-    discretized with cubic Hermite elements and clamped at the bottom.  The
-    minimum of the mode energy over the truncated strip converges to the
-    closed-form value as depth grows; this is a diagnostic, not part of the
-    acceptance path.
-    """
-    from .assembly import hermite1d, gauss01
-
-    betas = _fourier_amplitudes(profile)
-    if not betas:
-        return 0.0
-    tq, wq = gauss01(6)
-    total = 0.0
-    for k, beta in sorted(betas.items()):
-        w = 2.0 * np.pi * k
-        nodes = np.linspace(-depth, 0.0, n_elements + 1)
-        ndof = 2 * (n_elements + 1)
-        K = np.zeros((ndof, ndof))
-        for e in range(n_elements):
-            h = nodes[e + 1] - nodes[e]
-            B0 = hermite1d(tq, h, 0)
-            B1 = hermite1d(tq, h, 1)
-            B2 = hermite1d(tq, h, 2)
-            # local energy:  w^4 v^2 + 2 w^2 v'^2 + v''^2
-            loc = (w ** 4 * np.einsum("iq,jq,q->ij", B0, B0, wq * h)
-                   + 2 * w ** 2 * np.einsum("iq,jq,q->ij", B1, B1, wq * h)
-                   + np.einsum("iq,jq,q->ij", B2, B2, wq * h))
-            idx = np.array([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3])
-            # hermite1d row order is (val-l, slope-l, val-r, slope-r)
-            K[np.ix_(idx, idx)] += loc
-        # constraints: clamped bottom v(-L) = v'(-L) = 0, trace v(0) = beta
-        fixed = {0: 0.0, 1: 0.0, ndof - 2: beta}
-        free = np.array([i for i in range(ndof) if i not in fixed])
-        xfix = np.zeros(ndof)
-        for i, val in fixed.items():
-            xfix[i] = val
-        rhs = -K[np.ix_(free, list(fixed))] @ np.array(list(fixed.values()))
-        sol = np.zeros(ndof)
-        sol[free] = np.linalg.solve(K[np.ix_(free, free)], rhs)
-        sol += xfix
-        total += 0.5 * float(sol @ (K @ sol))
-    return total

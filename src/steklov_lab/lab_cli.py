@@ -642,7 +642,7 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
         whose difference it is."""
         sol_e = solve_navier(mesh, f_triple, form=form, domain=dif,
                              quad_order=cfg.quad_order)
-        dm, A, u_eps = sol_e.dofmap, sol_e.system.matrix, sol_e.u_free
+        dm, A, u_eps = sol_e.dofmap, sol_e.system, sol_e.u_free
         w = sol_e.factor.solve(sol_e.load - A @ sol_0.u_free)
         del sol_e           # its factor is freed before the mass/gradient pass
         # w vanishes on the constrained DOFs, so its free-DOF norms are its

@@ -34,10 +34,9 @@ from .mesh import DOF_VXY, DofMap, Mesh, mark_essential
 from .profile_geometry import DiffeoField
 from .spectral import factor_spd
 
-__all__ = ["NavierSolution", "NtnOperator", "solve_navier",
-           "normal_derivative_functional", "build_ntn", "ntn_eigenvalues",
-           "q2_matrices", "mixed_splitting_solve", "relative_h1_error",
-           "q2_eval"]
+__all__ = ["NavierSolution", "NtnOperator", "solve_navier", "build_ntn",
+           "ntn_eigenvalues", "q2_matrices", "mixed_splitting_solve",
+           "relative_h1_error", "q2_eval"]
 
 
 @dataclass
@@ -48,7 +47,7 @@ class NavierSolution:
     dofmap: DofMap
     system: FeSystem
     load: np.ndarray
-    factor: object             # factor of system.matrix, for defect solves
+    factor: object             # factor of system, for defect solves
 
     @property
     def u(self) -> FeFunction:
@@ -69,10 +68,10 @@ def solve_navier(mesh: Mesh, f, form: FormKind = LAPLACIAN_ENERGY,
     dofmap = mark_essential(mesh, "DirichletAll")
     system = assemble(form, mesh, dofmap, domain, quad_order)
     F = assemble_navier_load(f, mesh, dofmap, domain, quad_order)
-    factor = factor_spd(system.matrix)
+    factor = factor_spd(system)
     u_free = factor.solve(F)
     fn = float(np.linalg.norm(F))
-    res = float(np.linalg.norm(system.matrix @ u_free - F)) / fn if fn > 0 else 0.0
+    res = float(np.linalg.norm(system @ u_free - F)) / fn if fn > 0 else 0.0
     return NavierSolution(u_free=u_free, residual=res, domain=domain,
                           dofmap=dofmap, system=system, load=F, factor=factor)
 
@@ -86,18 +85,6 @@ def _conormal_operator(mesh: Mesh, domain: DiffeoField | None,
     M, G = (assemble(kind, mesh, full, domain, quad_order).matrix
             for kind in (MIXED_U_DELTA, GRAD_MASS))
     return G, (M + G).tocsr()
-
-
-def normal_derivative_functional(sol: NavierSolution,
-                                 quad_order: int | None = None) -> np.ndarray:
-    """<u_nu, psi_m> for every function psi_m of the full Hermite basis.
-
-    Entries for basis functions supported strictly inside the domain vanish
-    (the pairing only sees the boundary trace of the test function).
-    """
-    u = sol.u
-    _, op = _conormal_operator(u.mesh, sol.domain, quad_order)
-    return np.asarray(op @ u.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +137,7 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
     dofmap = mark_essential(mesh, "DirichletAll")
     system = assemble(LAPLACIAN_ENERGY, mesh, dofmap, domain, quad_order)
     loads = (conorm.T @ E)[dofmap.free]
-    factor_a = factor_spd(system.matrix)
+    factor_a = factor_spd(system)
     U_free = factor_a.solve(loads)
     U = np.zeros((n_dofs, trace_dofs.size))
     U[dofmap.free] = U_free

@@ -21,7 +21,8 @@ D = diag(A)^{-1/2}, where B y = C (C^T y).  Methods:
 inner solves here, the Navier solves, the Navier-to-Neumann extensions and
 the Q2 oracle) is factored by a banded Cholesky in the matrix's own DOF
 order.  On the tensor meshes the column-major Hermite numbering is already
-banded, with half-bandwidth 4 (ny + 2) - 1.
+banded, with half-bandwidth 4 (ny + 2) - 1.  No solve builds a CSR of a
+volume form A: its band, products and diagonal are read from its blocks.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import _SLAB, FeSystem
+
 __all__ = ["SteklovSpectrum", "NoSteklovEigenvalues", "SpectralConvergenceError",
-           "SpdFactor", "factor_spd", "solve_steklov", "rayleigh"]
+           "SpdFactor", "factor_spd", "solve_steklov"]
 
 SPD_FACTOR_BUDGET = 1 << 30     # bytes of one factor band or one dense pencil
 # largest Lanczos certificate accepted: degeneration's default pencils, the
@@ -74,21 +77,66 @@ class SpdFactor:
                                     check_finite=False)
 
 
-def factor_spd(A) -> SpdFactor:
-    """Banded Cholesky factor of a sparse SPD matrix in its own DOF order.
+def _as_matrix(A):
+    m = A.matrix if isinstance(A, FeSystem) else A
+    return sp.csr_matrix(m) if not sp.issparse(m) else m.tocsr()
 
-    The upper band is read straight from the canonical CSR form, and the
-    half-bandwidth off it.  A band whose storage, 8 (band + 1) n bytes, would
-    exceed SPD_FACTOR_BUDGET raises MemoryError before the band is
-    allocated; a matrix that is not positive definite raises LinAlgError.
-    """
+
+_UPPER = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))   # a node's upper neighbours
+
+
+def _blocks_band(A):
+    """(n, band, finite, entries) of a volume FeSystem's upper band, read
+    from its node-pair blocks through the free index: `entries` yields
+    (flat index, value) per upper neighbour (the node itself: types b >= a)
+    and slab of node columns, which keeps its index arrays small."""
+    S, n = A.blocks, A.dofmap.n_free
+    nxp, nyp = S.shape[:2]
+    idx = A.dofmap.free_index().reshape(nxp, nyp, 4)
+    pad = np.pad(idx, ((0, 1), (1, 1), (0, 0)), constant_values=-1)
+    lo, hi = np.where(idx >= 0, idx, n).min(axis=2), pad.max(axis=2)
+    band = max(int((hi[dx:dx + nxp, 1 + dy:1 + dy + nyp] - lo).max(initial=0))
+               for dx, dy in _UPPER)
+
+    def entries():
+        for i0 in range(0, nxp, _SLAB):
+            r = idx[i0:i0 + _SLAB, :, :, None]
+            for dx, dy in _UPPER:
+                c = pad[i0 + dx:i0 + dx + len(r), 1 + dy:1 + dy + nyp, None]
+                keep = (r >= 0) & (c >= r)
+                yield ((band * (c + 1) + r)[keep],
+                       S[i0:i0 + len(r), :, :, 1 + dx, 1 + dy][keep])
+    return n, band, bool(np.isfinite(S).all()), entries()
+
+
+def _csr_band(A):
+    """(n, band, finite, entries) of a sparse matrix's upper band, read from
+    its canonical CSR form as one (flat index in the band, value) pair."""
     A = sp.csr_matrix(A, copy=not A.has_canonical_format)
     A.sum_duplicates()
-    n = A.shape[0]
-    off = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    off = np.subtract(A.indices, off, out=off)                # col - row
-    upper = off >= 0
-    band = int(off.max(initial=0))
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    band = int((A.indices - rows).max(initial=0))
+    upper = A.indices >= rows
+    vals = A.data[upper]
+    at = band * (A.indices[upper] + np.intp(1)) + rows[upper]
+    return A.shape[0], band, bool(np.isfinite(vals).all()), [(at, vals)]
+
+
+def factor_spd(A) -> SpdFactor:
+    """Banded Cholesky factor of an SPD matrix in its own DOF order.
+
+    A volume FeSystem's band is written straight from its node-pair blocks,
+    with no CSR of A; a sparse matrix's, or a boundary FeSystem's, is read
+    from the canonical CSR form.  Before the band is allocated, a
+    non-finite entry raises ValueError, and a band whose storage,
+    8 (band + 1) n bytes, would exceed SPD_FACTOR_BUDGET raises
+    MemoryError.  A matrix that is not positive definite raises LinAlgError.
+    """
+    volume = getattr(A, "blocks", None) is not None
+    n, band, finite, entries = (_blocks_band(A) if volume
+                                else _csr_band(_as_matrix(A)))
+    if not finite:
+        raise ValueError("SPD factor of a matrix with non-finite entries")
     need = 8 * (band + 1) * n
     if need > SPD_FACTOR_BUDGET:
         raise MemoryError(
@@ -96,16 +144,10 @@ def factor_spd(A) -> SpdFactor:
             f"{need / 2**20:.0f} MB, above the {SPD_FACTOR_BUDGET / 2**20:.0f} "
             "MB SPD factor budget")
     ab = np.zeros((band + 1, n), order="F")   # LAPACK's layout: no copy
-    # upper entry (row, col) at ab[band + row - col, col], as a flat index
-    at = A.indices[upper] * np.intp(band + 1) + (band - off[upper])
-    del off
-    ab.reshape(-1, order="F")[at] = A.data[upper]
-    return SpdFactor(sla.cholesky_banded(ab, overwrite_ab=True, lower=False))
-
-
-def _as_matrix(A):
-    m = A.matrix if hasattr(A, "matrix") else A
-    return sp.csr_matrix(m) if not sp.issparse(m) else m.tocsr()
+    for at, values in entries:      # ab[band + row - col, col], flat index
+        ab.reshape(-1, order="F")[at] = values      # band (col + 1) + row
+    return SpdFactor(sla.cholesky_banded(ab, overwrite_ab=True, lower=False,
+                                         check_finite=False))
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:
@@ -144,7 +186,8 @@ def _solve_dense(A, C, k):
             f"dense pencil of order {n} needs {need / 2**20:.0f} MB, above "
             f"the {SPD_FACTOR_BUDGET / 2**20:.0f} MB SPD factor budget")
     top = [max(n - k, 0), n - 1]                        # the k largest mu
-    mu, V = sla.eigh((C @ C.T).toarray(), A.toarray(), subset_by_index=top)
+    mu, V = sla.eigh((C @ C.T).toarray(), _as_matrix(A).toarray(),
+                     subset_by_index=top)
     cutoff = max(mu.max(), 0.0) * 1e-10
     positive = int(np.sum(mu > max(cutoff, 10 * np.finfo(float).tiny)))
     if positive < k:
@@ -183,15 +226,15 @@ def solve_steklov(A, B, k: int = 1, method: str = "auto",
                   seed: int = 0) -> SteklovSpectrum:
     """k smallest eigenvalues of A q = d B q off the kernel of B.
 
-    B is given by its factor C, B = C C^T, in either of two forms: a
-    boundary FeSystem, whose `factor` is C, or a bare sparse n x m matrix,
-    which is taken as C itself.  `auto` takes `lanczos` whenever k < m and
-    `dense` otherwise.
+    A is a volume FeSystem or a sparse matrix.  B is given by its factor C,
+    B = C C^T, in either of two forms: a boundary FeSystem, whose `factor`
+    is C, or a bare sparse n x m matrix, which is taken as C itself.
+    `auto` takes `lanczos` whenever k < m and `dense` otherwise.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    A = _as_matrix(A)
-    if hasattr(B, "matrix"):                   # an FeSystem
+    A = A if isinstance(A, FeSystem) else _as_matrix(A)
+    if isinstance(B, FeSystem):
         if B.factor is None:
             raise ValueError(f"{B.kind} carries no boundary factor")
         B = B.factor
@@ -207,15 +250,3 @@ def solve_steklov(A, B, k: int = 1, method: str = "auto",
     if method == "lanczos":
         return _solve_lanczos(A, C, k, seed)
     raise ValueError(f"unknown method {method!r}")
-
-
-def rayleigh(A, B, q) -> float:
-    """Rayleigh quotient (q^T A q) / (q^T B q); an upper bound for d_1."""
-    A = _as_matrix(A)
-    B = _as_matrix(B)
-    q = np.asarray(q, dtype=float)
-    den = float(q @ (B @ q))
-    num = float(q @ (A @ q))
-    if den <= max(abs(num), 1.0) * 1e-14:
-        raise ZeroDivisionError("q^T B q = 0: Rayleigh quotient undefined")
-    return num / den

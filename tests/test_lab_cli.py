@@ -277,6 +277,12 @@ def test_rounding_probe_moves_half_the_entries_by_one_ulp():
     n = probe.Nudger(3)(g)
     assert n.shape == g.shape and np.any(n != g)
     assert np.array_equal(n.ravel(), probe.Nudger(3).vector(g.ravel()))
+    # an FeSystem of the form has its node-pair blocks nudged at the
+    # entries of its CSR matrix, as that matrix is nudged
+    F = assemble(HESSIAN_ENERGY, m, DofMap.unconstrained(m))
+    S = F.blocks
+    assert probe.Nudger(3)(F) is F and F.blocks is not S
+    assert np.array_equal(F.matrix.data, N.data)
     # install() wraps every name of SITES, so each must still be imported
     for module, names in probe.SITES:
         owner = importlib.import_module(module)

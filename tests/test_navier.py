@@ -7,10 +7,11 @@ from steklov_lab.assembly import (FeFunction, GRAD_MASS, LAPLACIAN_ENERGY,
 from steklov_lab.mesh import (DOF_V, DOF_VX, DOF_VXY, DOF_VY, DofMap, build_mesh,
                               mark_essential)
 from steklov_lab.navier import (boundary_trace_dofs, build_ntn,
-                                mixed_splitting_solve, normal_derivative_functional,
-                                ntn_eigenvalues, q2_matrices, relative_h1_error,
-                                solve_navier)
+                                mixed_splitting_solve, ntn_eigenvalues,
+                                q2_matrices, relative_h1_error, solve_navier)
 from steklov_lab.spectral import solve_steklov
+
+from oracles import interpolate, normal_derivative_functional
 
 
 def zeros_fn(mesh):
@@ -116,10 +117,10 @@ def test_interior_datum_gives_zero_solution():
     f = FeFunction(m, coeffs)
     sol = solve_navier(m, f)
     load_scale = np.max(np.abs(assemble_navier_load(
-        FeFunction.interpolate(m, lambda x, y: np.asarray(x) * 0 + 1.0,
-                               fx=lambda x, y: 0 * np.asarray(x),
-                               fy=lambda x, y: 0 * np.asarray(x),
-                               fxy=lambda x, y: 0 * np.asarray(x)),
+        interpolate(m, lambda x, y: np.asarray(x) * 0 + 1.0,
+                    fx=lambda x, y: 0 * np.asarray(x),
+                    fy=lambda x, y: 0 * np.asarray(x),
+                    fxy=lambda x, y: 0 * np.asarray(x)),
         m, sol.dofmap)))
     assert np.max(np.abs(sol.load)) <= 1e-12 * load_scale
     assert np.max(np.abs(sol.u.coeffs)) <= 1e-10

@@ -16,7 +16,9 @@ from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
 from steklov_lab import spectral
 from steklov_lab.spectral import (SPD_FACTOR_BUDGET, NoSteklovEigenvalues,
                                   SpectralConvergenceError, _finalize,
-                                  factor_spd, rayleigh, solve_steklov)
+                                  factor_spd, solve_steklov)
+
+from oracles import rayleigh
 
 
 def square_pencil(n, form=LAPLACIAN_ENERGY, part="All", grading=1.0):
@@ -154,9 +156,11 @@ def test_one_eigen_solve_allocates_no_copy_of_A():
     # a pulled-back degeneration cell, alpha = 1 and eps = 1/64 on the
     # w_len = 1/4, ny = 16 strip: 24,572 free DOFs and m = 4,800 boundary
     # points.  Beside the band and the ARPACK basis on the m points, the
-    # factor's index arrays, the solve's vectors and ARPACK's work vectors
-    # fit in 1.5 times the CSR bytes of A; a scaled copy of A held through
-    # the solve does not.  Measured peak 24.1 MB against a bound of 29.5 MB.
+    # factor's index arrays, the solve's vectors, ARPACK's work vectors and
+    # the stencil's grids fit in half the bytes of A's node-pair blocks
+    # (7.2 MB); a CSR of A (9.7 MB) or a scaled copy of the blocks held
+    # through the solve does not.  Measured peak 16.7 MB against a bound of
+    # 18.6 MB (24.1 MB against 29.5 MB when the solve read A's CSR).
     cfg = ExperimentConfig("degeneration", alpha=1.0, eps_list=(1 / 32, 1 / 64),
                            ny=16, w_len=0.25)
     mesh = cfg.mesh_for(1.0, 1 / 64)
@@ -164,11 +168,9 @@ def test_one_eigen_solve_allocates_no_copy_of_A():
     dif = cfg.diffeo(1.0, 1 / 64)
     A = assemble(HESSIAN_ENERGY, mesh, dm, dif, cfg.quad_order)
     B = assemble(normal_trace("All"), mesh, dm, dif, cfg.quad_order)
-    M = A.matrix
     n, m = B.factor.shape
     band = 4 * (cfg.ny + 2) - 1                     # half-bandwidth
-    csr = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-    bound = 8 * (band + 1) * n + 8 * 40 * m + 1.5 * csr
+    bound = 8 * (band + 1) * n + 8 * 40 * m + 0.5 * A.blocks.nbytes
     tracemalloc.start()
     try:
         s = solve_steklov(A, B, k=cfg.k)
@@ -296,6 +298,22 @@ def test_factor_spd_reads_the_upper_band_of_any_csr_order():
     for X in (M, R):
         assert np.array_equal(factor_spd(X).band_factor, ref)
     assert np.array_equal(R.indices, M.indices[order])
+
+
+def test_factor_spd_refuses_non_finite_entries_before_the_band():
+    A, _ = square_pencil(32)
+    A.blocks[2, 2, 0, 1, 1, 0] = np.nan           # a free diagonal entry
+    M = A.matrix
+    band = 4 * (32 + 2) - 1
+    for X in (A, M):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="non-finite"):
+                factor_spd(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (band + 1) * A.n_free      # the band's bytes
 
 
 def test_factor_spd_refuses_a_band_over_budget():
