@@ -11,25 +11,29 @@ q = 0.7 under the alpha = 2, eps = 1/4 layer map.  For each cell, each tree
 is imported in its own subprocess, which assembles on the cell's mesh, on the
 flat strip and pulled back through the layer map:
 
-- every volume form (`assemble`)
+- every volume form (`assemble`), with the block readers' results on it:
+  its diagonal, its product with the first seeded vector below and with
+  both, on the unconstrained DOF map and on that of
+  `mark_essential(mesh, "DirichletAll+ClampGamma")`, whose products take
+  the seeded vectors at its free DOFs
 - NormalTrace and BoundaryMass on Gamma and on the whole boundary, as forms
   (`assemble`) and as factors (`assemble_boundary_factor`)
 - the Navier load of a fixed smooth datum (`assemble_navier_load`)
 - the Gram values of Mass, GradMass and HessianEnergy at two seeded vectors
   (`sobolev_forms`), the terms of every norm the experiments report
 
-and saves every array: indptr, indices and data of each matrix, each load
-vector and each Gram array.  For every array that differs the script prints
-its number of differing bits.  For every matrix, load or Gram array that
-differs it prints its largest entry change relative to the largest entry of
-the same matrix row, or of the whole array; where the two patterns differ,
-it compares the two as sparse matrices.  Every matrix of a symmetric form
+and saves every array: indptr, indices and data of each matrix, and each
+diagonal, product, load vector and Gram array.  For every array that
+differs the script prints its number of differing bits.  For every matrix
+or other array that differs it prints its largest entry change relative to
+the largest entry of the same matrix row, or of the whole array; where the
+two patterns differ, it compares the two as sparse matrices.  Every matrix of a symmetric form
 (the symmetric volume forms and the boundary forms, not MixedUDelta and not
 the factors) must equal its transpose exactly; the script prints, for each
 side, every such matrix with its number of entries where A != A^T.  It
 prints one line per cell and a grand total, and exits 1 if any bit differs,
-if an array is missing on one side, if a matrix, load or Gram array changes
-its shape, or if a symmetric form of the new tree is not exactly symmetric.
+if an array is missing on one side, if a matrix or other array changes its
+shape, or if a symmetric form of the new tree is not exactly symmetric.
 """
 
 import json
@@ -88,9 +92,10 @@ def dump(cell, out_dir):
                                       assemble_boundary_factor,
                                       assemble_navier_load, boundary_mass,
                                       normal_trace, sobolev_forms)
-    from steklov_lab.mesh import DofMap
+    from steklov_lab.mesh import DofMap, mark_essential
     mesh, dif, quad = mesh_and_diffeo(cell)
     dm = DofMap.unconstrained(mesh)
+    clamped = mark_essential(mesh, "DirichletAll+ClampGamma")
     vectors = np.random.default_rng(0).standard_normal((2, dm.n_free))
     datum = (lambda x, y: np.sin(np.pi * x) * np.exp(y),
              lambda x, y: np.pi * np.cos(np.pi * x) * np.exp(y),
@@ -108,6 +113,11 @@ def dump(cell, out_dir):
                      MIXED_U_DELTA):
             save_matrix(f"{side}.{kind}", assemble(kind, mesh, dm, domain,
                                                    quad).matrix)
+            for label, dofs in (("", dm), (".clamped", clamped)):
+                A, V = assemble(kind, mesh, dofs, domain, quad), vectors.T
+                save(f"{side}.{kind}{label}.diagonal", A.diagonal())
+                save(f"{side}.{kind}{label}.product1", A @ V[dofs.free, 0])
+                save(f"{side}.{kind}{label}.product2", A @ V[dofs.free])
         for make in (normal_trace, boundary_mass):
             for part in ("Gamma", "All"):
                 kind = make(part)
@@ -253,8 +263,8 @@ def compare(old_root, new_root) -> int:
                     total["differ"] += 1
                 cell_bits += bits
                 cell_rel = max(cell_rel, rel)
-            print(f"{cell['label']} ({size}): {len(names)} matrices, loads "
-                  f"and Grams, {int(cell_bits)} differing bits, largest "
+            print(f"{cell['label']} ({size}): {len(names)} matrices and "
+                  f"arrays, {int(cell_bits)} differing bits, largest "
                   f"row-relative change {cell_rel:.3g}")
             total["entries"] += len(names)
             total["bits"] += int(cell_bits)
@@ -263,7 +273,7 @@ def compare(old_root, new_root) -> int:
             shutil.rmtree(new_dir)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    print(f"total: {total['entries']} matrices, loads and Grams, "
+    print(f"total: {total['entries']} matrices and arrays, "
           f"{total['differ']} differ, {total['bits']} differing bits, "
           f"largest row-relative change {total['rel']:.3g}")
     print(f"symmetric forms: {total['symmetric']} matrices per side, "

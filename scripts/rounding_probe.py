@@ -88,17 +88,22 @@ class Nudger:
         return A
 
     def blocks(self, system):
-        """A copy of a volume FeSystem's node-pair blocks whose entries in
-        its CSR matrix are nudged as `matrix` nudges that matrix: the CSR
-        of the blocks' flat indices gives each stored entry's place."""
-        from steklov_lab.assembly import _blocks_tocsr
+        """A copy of a volume FeSystem's node-pair blocks whose stored
+        entries are nudged as `matrix` nudges its CSR matrix: the free index
+        of `assembly._neighbours` gives each entry's (row, column), keyed
+        by the unordered pair when the form is symmetric, which makes its
+        blocks exactly symmetric."""
+        from steklov_lab.assembly import _neighbours, _window
         S = system.blocks.copy()
-        where = np.arange(S.size, dtype=float).reshape(S.shape)
-        at = _blocks_tocsr(where, system.dofmap).data.astype(np.intp)
-        flat = S.reshape(-1)                    # a view of the fresh copy
-        values = flat[at]
-        self._move(values, *self._entry_bits(system.matrix))
-        flat[at] = values
+        rows, pad = _neighbours(system.dofmap, *S.shape[:2])
+        rows, cols = (np.broadcast_to(a, S.shape) for a in (rows, _window(pad)))
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols = rows[keep], cols[keep]
+        if system.kind.symmetric:
+            rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+        values = S[keep]
+        self._move(values, *self._bits(rows, cols))
+        S[keep] = values
         return S
 
     def __call__(self, out):

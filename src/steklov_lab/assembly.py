@@ -162,7 +162,7 @@ class FeSystem:
     """One bilinear form over the free DOFs of `dofmap`.  A volume form keeps
     its node-pair blocks (see `_add_row`), a boundary form its quadrature
     factor, B = C C^T.  `matrix` builds the form's CSR matrix on each read
-    and keeps none; `@` and `diagonal` read a volume form's blocks."""
+    and keeps none; the other readers read a volume form's blocks."""
 
     mesh: Mesh
     dofmap: DofMap
@@ -186,36 +186,52 @@ class FeSystem:
         return _blocks_tocsr(self.blocks, self.dofmap)
 
     def diagonal(self) -> np.ndarray:
-        if self.blocks is None:
-            return self.matrix.diagonal()
         d = self.blocks[:, :, :, 1, 1, :].diagonal(axis1=2, axis2=3)
         return d.reshape(-1)[self.dofmap.free]
 
+    def half_bandwidth(self) -> int:
+        """The largest col - row of a stored entry, from the index alone."""
+        rows, pad = _neighbours(self.dofmap, *self.blocks.shape[:2])
+        lo = np.where(rows >= 0, rows, self.n_free).min(axis=(2, 3, 4, 5))
+        return int((_window(pad).max(axis=(2, 3, 4, 5)) - lo).max(initial=0))
+
+    def entries(self):
+        """Yield the blocks' entries as (row, col, value) arrays that
+        broadcast, a chunk per slab of node columns and neighbour column
+        dx.  A row off the free DOFs reads n_free and a column -1, so
+        col >= row picks the stored entries on and above the diagonal."""
+        S = self.blocks
+        rows, pad = _neighbours(self.dofmap, *S.shape[:2])
+        rows, cols = np.where(rows >= 0, rows, self.n_free), _window(pad)
+        for i0 in range(0, len(S), _SLAB):
+            for dx in range(3):
+                yield (rows[i0:i0 + _SLAB, :, :, 0],
+                       cols[i0:i0 + _SLAB, :, :, dx], S[i0:i0 + _SLAB, :, :, dx])
+
     def __matmul__(self, x):
-        """A x for x of shape (n,) or (n, k), with the bits of `matrix @ x`:
-        a 3 x 3 stencil on the DOF grid, a slab of node columns at a time,
-        that adds each row's 36 terms to 0.0 in the CSR's column order,
-        neighbour (dx, dy) lexicographically, then type.  A term that the
-        CSR does not store multiplies a zero of x and leaves the sum's bits."""
+        """A x for x of shape (n,) or (n, k), with the bits of `matrix @ x`.
+        x and a 0.0 that index -1 reads are gathered onto the padded index
+        grid; each row adds its `_window`'s 36 terms to 0.0 in the CSR's
+        column order, and goes to its free index (a constrained row to the
+        dropped slot -1).  A term that the CSR does not store multiplies
+        that 0.0 and leaves the sum's bits."""
         if self.blocks is None:
             return self.matrix @ x
-        S, free = self.blocks, self.dofmap.free
+        S = self.blocks
         nxp, nyp = S.shape[:2]
-        cols = np.atleast_2d(np.asarray(x, dtype=float).T)
-        X = np.zeros((len(cols), self.dofmap.n_dofs))
-        X[:, free] = cols
-        X = np.pad(X.reshape(-1, nxp, nyp, 4), ((0, 0), (1, 1), (1, 1), (0, 0)))
-        # each node's 3 x 3 window of the zero-padded grid, (dx, dy, b) last
-        win = np.lib.stride_tricks.sliding_window_view(X, (3, 3), (1, 2))
-        win = win.transpose(0, 1, 2, 4, 5, 3)
-        y = np.zeros((len(cols), nxp, nyp, 4))
+        rows, pad = _neighbours(self.dofmap, nxp, nyp)
+        X = np.atleast_2d(np.asarray(x, dtype=float).T)
+        win = _window(np.take(np.pad(X, ((0, 0), (0, 1))), pad, axis=1))
+        y = np.empty((len(X), X.shape[1] + 1))
         for i0 in range(0, nxp, _SLAB):
             s = S[i0:i0 + _SLAB].reshape(-1, nyp, 4, 36)
             for w, yj in zip(win, y):
                 p = s * w[i0:i0 + _SLAB].reshape(-1, nyp, 1, 36)
+                out = np.zeros(p.shape[:-1])
                 for t in range(36):
-                    yj[i0:i0 + _SLAB] += p[..., t]
-        return y.reshape(len(cols), -1)[:, free].T.reshape(np.shape(x))
+                    out += p[..., t]
+                yj[rows[i0:i0 + _SLAB, :, :, 0, 0, 0]] = out
+        return y[:, :-1].T.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +269,33 @@ def _add_row(S, ey, local):
     S[:, ey:ey + 2] += row
 
 
+def _window(grid):
+    """Each node's 3 x 3 neighbour window, (..., nxp, nyp, 1, 3, 3, 4) with
+    (dx, dy, type) last, as a strided view of a node grid (..., nxp + 2,
+    nyp + 2, 4) padded by one node; it broadcasts against the blocks S."""
+    win = np.lib.stride_tricks.sliding_window_view(grid, (3, 3), (-3, -2))
+    return np.moveaxis(win, -3, -1)[..., None, :, :, :]
+
+
+def _neighbours(dofmap: DofMap, nxp: int, nyp: int):
+    """The free index of each node's DOFs, (nxp, nyp, 4, 1, 1, 1), and its
+    grid padded by one node, whose `_window` indexes the columns of S; -1
+    off the mesh or at a constrained DOF."""
+    idx = dofmap.free_index().reshape(nxp, nyp, 4)
+    pad = np.pad(idx, ((1, 1), (1, 1), (0, 0)), constant_values=-1)
+    return idx[..., None, None, None], pad
+
+
 def _blocks_tocsr(S, dofmap: DofMap) -> sp.csr_matrix:
     """The canonical int32 CSR matrix of the node-pair blocks S over the free
     DOFs: every free DOF pair in an element, explicit zeros included."""
-    nxp, nyp = S.shape[:2]
-    free_idx = dofmap.free_index().astype(np.int32).reshape(nxp, nyp, 4)
-    pad = np.pad(free_idx, ((1, 1), (1, 1), (0, 0)), constant_values=-1)
-    cols = np.lib.stride_tricks.sliding_window_view(pad, (3, 3), (0, 1))
-    cols = cols.transpose(0, 1, 3, 4, 2)[:, :, None]       # -1 off the mesh
-    pattern = (free_idx[..., None, None, None] >= 0) & (cols >= 0)
-    row_nnz = pattern.reshape(-1, 36).sum(axis=1)[free_idx.reshape(-1) >= 0]
+    rows, pad = _neighbours(dofmap, *S.shape[:2])
+    cols = np.broadcast_to(_window(pad.astype(np.int32)), S.shape)
+    pattern = (rows >= 0) & (cols >= 0)
+    row_nnz = pattern.reshape(-1, 36).sum(axis=1)[rows.reshape(-1) >= 0]
     indptr = np.r_[0, np.cumsum(row_nnz)].astype(np.int32)
-    A = sp.csr_matrix((S[pattern], np.broadcast_to(cols, S.shape)[pattern],
-                       indptr), shape=(dofmap.n_free,) * 2)
+    A = sp.csr_matrix((S[pattern], cols[pattern], indptr),
+                      shape=(dofmap.n_free,) * 2)
     A.has_canonical_format = True
     return A
 

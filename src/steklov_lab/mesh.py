@@ -33,12 +33,6 @@ class Mesh:
     def n_nodes(self) -> int:
         return (self.nx + 1) * (self.ny + 1)
 
-    def node_coords(self) -> np.ndarray:
-        """(n_nodes, 2) array of coordinates in node order."""
-        xx = np.repeat(self.xs, self.ny + 1)
-        yy = np.tile(self.ys, self.nx + 1)
-        return np.column_stack([xx, yy])
-
     def hx(self, ex) -> float:
         return self.xs[ex + 1] - self.xs[ex]
 

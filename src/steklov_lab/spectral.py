@@ -21,8 +21,9 @@ D = diag(A)^{-1/2}, where B y = C (C^T y).  Methods:
 inner solves here, the Navier solves, the Navier-to-Neumann extensions and
 the Q2 oracle) is factored by a banded Cholesky in the matrix's own DOF
 order.  On the tensor meshes the column-major Hermite numbering is already
-banded, with half-bandwidth 4 (ny + 2) - 1.  No solve builds a CSR of a
-volume form A: its band, products and diagonal are read from its blocks.
+banded, with half-bandwidth 4 (ny + 2) - 1.  A volume form is read only
+through its FeSystem's entries, products and diagonal, so no solve builds
+its CSR, and this module knows nothing of its node-pair blocks' layout.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import _SLAB, FeSystem
+from .assembly import FeSystem
 
 __all__ = ["SteklovSpectrum", "NoSteklovEigenvalues", "SpectralConvergenceError",
            "SpdFactor", "factor_spd", "solve_steklov"]
@@ -82,59 +83,26 @@ def _as_matrix(A):
     return sp.csr_matrix(m) if not sp.issparse(m) else m.tocsr()
 
 
-_UPPER = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))   # a node's upper neighbours
-
-
-def _blocks_band(A):
-    """(n, band, finite, entries) of a volume FeSystem's upper band, read
-    from its node-pair blocks through the free index: `entries` yields
-    (flat index, value) per upper neighbour (the node itself: types b >= a)
-    and slab of node columns, which keeps its index arrays small."""
-    S, n = A.blocks, A.dofmap.n_free
-    nxp, nyp = S.shape[:2]
-    idx = A.dofmap.free_index().reshape(nxp, nyp, 4)
-    pad = np.pad(idx, ((0, 1), (1, 1), (0, 0)), constant_values=-1)
-    lo, hi = np.where(idx >= 0, idx, n).min(axis=2), pad.max(axis=2)
-    band = max(int((hi[dx:dx + nxp, 1 + dy:1 + dy + nyp] - lo).max(initial=0))
-               for dx, dy in _UPPER)
-
-    def entries():
-        for i0 in range(0, nxp, _SLAB):
-            r = idx[i0:i0 + _SLAB, :, :, None]
-            for dx, dy in _UPPER:
-                c = pad[i0 + dx:i0 + dx + len(r), 1 + dy:1 + dy + nyp, None]
-                keep = (r >= 0) & (c >= r)
-                yield ((band * (c + 1) + r)[keep],
-                       S[i0:i0 + len(r), :, :, 1 + dx, 1 + dy][keep])
-    return n, band, bool(np.isfinite(S).all()), entries()
-
-
-def _csr_band(A):
-    """(n, band, finite, entries) of a sparse matrix's upper band, read from
-    its canonical CSR form as one (flat index in the band, value) pair."""
-    A = sp.csr_matrix(A, copy=not A.has_canonical_format)
-    A.sum_duplicates()
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    band = int((A.indices - rows).max(initial=0))
-    upper = A.indices >= rows
-    vals = A.data[upper]
-    at = band * (A.indices[upper] + np.intp(1)) + rows[upper]
-    return A.shape[0], band, bool(np.isfinite(vals).all()), [(at, vals)]
-
-
 def factor_spd(A) -> SpdFactor:
     """Banded Cholesky factor of an SPD matrix in its own DOF order.
 
-    A volume FeSystem's band is written straight from its node-pair blocks,
-    with no CSR of A; a sparse matrix's, or a boundary FeSystem's, is read
-    from the canonical CSR form.  Before the band is allocated, a
-    non-finite entry raises ValueError, and a band whose storage,
-    8 (band + 1) n bytes, would exceed SPD_FACTOR_BUDGET raises
-    MemoryError.  A matrix that is not positive definite raises LinAlgError.
+    A is a volume FeSystem, read in the chunks of its `entries`, or a
+    sparse matrix, read from its canonical CSR form as one chunk.  Before
+    the band is allocated, a non-finite entry raises ValueError, and a band
+    whose storage, 8 (band + 1) n bytes, would exceed SPD_FACTOR_BUDGET
+    raises MemoryError; then one loop writes the entries with col >= row of
+    either.  A matrix that is not positive definite raises LinAlgError.
     """
-    volume = getattr(A, "blocks", None) is not None
-    n, band, finite, entries = (_blocks_band(A) if volume
-                                else _csr_band(_as_matrix(A)))
+    if isinstance(A, FeSystem):
+        n, band, chunks = A.n_free, A.half_bandwidth(), A.entries()
+        finite = np.isfinite(A.blocks).all()
+    else:
+        A = _as_matrix(A)
+        A = sp.csr_matrix(A, copy=not A.has_canonical_format)
+        A.sum_duplicates()
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        n, band = A.shape[0], int((A.indices - rows).max(initial=0))
+        finite, chunks = np.isfinite(A.data).all(), [(rows, A.indices, A.data)]
     if not finite:
         raise ValueError("SPD factor of a matrix with non-finite entries")
     need = 8 * (band + 1) * n
@@ -144,8 +112,10 @@ def factor_spd(A) -> SpdFactor:
             f"{need / 2**20:.0f} MB, above the {SPD_FACTOR_BUDGET / 2**20:.0f} "
             "MB SPD factor budget")
     ab = np.zeros((band + 1, n), order="F")   # LAPACK's layout: no copy
-    for at, values in entries:      # ab[band + row - col, col], flat index
-        ab.reshape(-1, order="F")[at] = values      # band (col + 1) + row
+    for rows, cols, values in chunks:   # ab[band + row - col, col], at
+        upper = cols >= rows            # flat index band (col + 1) + row
+        at = band * (cols + np.intp(1)) + rows
+        ab.reshape(-1, order="F")[at[upper]] = values[upper]
     return SpdFactor(sla.cholesky_banded(ab, overwrite_ab=True, lower=False,
                                          check_finite=False))
 

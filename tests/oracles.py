@@ -13,8 +13,8 @@ from steklov_lab.navier import _conormal_operator
 
 def interpolate(mesh: Mesh, f, fx, fy, fxy) -> FeFunction:
     """Hermite interpolant of f from its nodal values and derivatives."""
-    pts = mesh.node_coords()
-    x, y = pts[:, 0], pts[:, 1]
+    x = np.repeat(mesh.xs, mesh.ny + 1)             # the nodes in node order
+    y = np.tile(mesh.ys, mesh.nx + 1)
     coeffs = np.empty(4 * mesh.n_nodes)
     coeffs[0::4] = f(x, y)
     coeffs[1::4] = fx(x, y)
