@@ -27,13 +27,14 @@ diagonal, product, load vector and Gram array.  For every array that
 differs the script prints its number of differing bits.  For every matrix
 or other array that differs it prints its largest entry change relative to
 the largest entry of the same matrix row, or of the whole array; where the
-two patterns differ, it compares the two as sparse matrices.  Every matrix of a symmetric form
-(the symmetric volume forms and the boundary forms, not MixedUDelta and not
-the factors) must equal its transpose exactly; the script prints, for each
-side, every such matrix with its number of entries where A != A^T.  It
-prints one line per cell and a grand total, and exits 1 if any bit differs,
-if an array is missing on one side, if a matrix or other array changes its
-shape, or if a symmetric form of the new tree is not exactly symmetric.
+two patterns differ, it compares the two as sparse matrices.  Every matrix
+of a symmetric form (the symmetric volume forms and the boundary forms, not
+MixedUDelta and not the factors) must equal its transpose exactly; the
+script prints, for each side, every such matrix with its number of entries
+where A != A^T.  It prints one line per cell and a grand total, and exits 1
+if any bit differs, if an array is missing on one side, if a matrix or
+other array changes its shape, or if a symmetric form of the new tree is
+not exactly symmetric.
 """
 
 import json
@@ -114,10 +115,11 @@ def dump(cell, out_dir):
             save_matrix(f"{side}.{kind}", assemble(kind, mesh, dm, domain,
                                                    quad).matrix)
             for label, dofs in (("", dm), (".clamped", clamped)):
-                A, V = assemble(kind, mesh, dofs, domain, quad), vectors.T
+                A = assemble(kind, mesh, dofs, domain, quad)
                 save(f"{side}.{kind}{label}.diagonal", A.diagonal())
-                save(f"{side}.{kind}{label}.product1", A @ V[dofs.free, 0])
-                save(f"{side}.{kind}{label}.product2", A @ V[dofs.free])
+                save(f"{side}.{kind}{label}.product1", A @ vectors[0, dofs.free])
+                save(f"{side}.{kind}{label}.product2",
+                     A @ vectors[:, dofs.free].T)
         for make in (normal_trace, boundary_mass):
             for part in ("Gamma", "All"):
                 kind = make(part)
