@@ -2,12 +2,15 @@
 """Compare the forms that two source trees assemble, bit by bit and entry by
 entry.
 
-Usage: python scripts/compare_forms.py OLD_ROOT NEW_ROOT
+Usage: python scripts/compare_forms.py [--workloads] OLD_ROOT NEW_ROOT
 
 Each root is a checkout that holds src/steklov_lab.  The cells are each
 default (alpha, eps) cell of the four experiments, on the mesh and layer map
 that the experiment's config gives it, plus one 32x6 mesh graded with
-q = 0.7 under the alpha = 2, eps = 1/4 layer map.  For each cell, each tree
+q = 0.7 under the alpha = 2, eps = 1/4 layer map.  With --workloads they
+also include each cell of the benchmark's workload configs, as
+perfbench/workloads.py (next to this script) writes them; the script reads
+that file and writes nothing under perfbench/.  For each cell, each tree
 is imported in its own subprocess, which assembles on the cell's mesh, on the
 flat strip and pulled back through the layer map:
 
@@ -51,15 +54,33 @@ import scipy.sparse as sp
 SWEEPS_ALPHAS = ("trichotomy", "navier-stability")
 EXTRA_CELL = {"label": "32x6 q=0.7", "alpha": 2.0, "eps": 0.25,
               "nx": 32, "ny": 6, "grading": 0.7}
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
-def cells():
-    """The cells to compare, as JSON-able dicts; a cell that two experiments
+def config(name, workload=False):
+    """The default config of experiment `name`, or its benchmark workload
+    config (seed 0, which no form reads)."""
+    from steklov_lab.lab_cli import load_config, parse_config_text
+    if not workload:
+        return load_config(name)
+    sys.path.insert(0, PERFBENCH)
+    from workloads import config_text
+    return load_config(name, None, **parse_config_text(config_text(name, 0)))
+
+
+def cells(workloads=False):
+    """The cells to compare, as JSON-able dicts; a cell that two configs
     share (same mesh and layer map) is compared once, under both names."""
-    from steklov_lab.lab_cli import EXPERIMENTS, _eps_label, load_config
+    from steklov_lab.lab_cli import EXPERIMENTS, _eps_label
+    runs = [(name, False) for name in EXPERIMENTS]
+    if workloads:
+        sys.path.insert(0, PERFBENCH)
+        from workloads import WORKLOADS
+        runs += [(name, True) for name in WORKLOADS]
     out = {}
-    for name in EXPERIMENTS:
-        cfg = load_config(name)
+    for name, workload in runs:
+        cfg = config(name, workload)
         alphas = cfg.alphas if name in SWEEPS_ALPHAS else (cfg.alpha,)
         for a in alphas:
             for e in cfg.eps_list:
@@ -67,8 +88,9 @@ def cells():
                 key = (mesh.nx, mesh.ny, cfg.grading, cfg.w_len, a, e,
                        cfg.kappa(a, e), cfg.k_hat)
                 cell = out.setdefault(key, {"names": [], "experiment": name,
+                                            "workload": workload,
                                             "alpha": a, "eps": e})
-                cell["names"].append(name)
+                cell["names"].append(f"{name} workload" if workload else name)
     for cell in out.values():
         names = ", ".join(cell.pop("names"))
         cell["label"] = f"{names} alpha={cell['alpha']:g} eps={_eps_label(cell['eps'])}"
@@ -76,9 +98,8 @@ def cells():
 
 
 def mesh_and_diffeo(cell):
-    from steklov_lab.lab_cli import load_config
     from steklov_lab.mesh import build_mesh
-    cfg = load_config(cell.get("experiment", "trichotomy"))
+    cfg = config(cell.get("experiment", "trichotomy"), cell.get("workload"))
     if "nx" in cell:
         mesh = build_mesh(cell["nx"], cell["ny"], cell["grading"])
     else:
@@ -231,9 +252,10 @@ def entries(directory):
             for name, parts in out.items()}
 
 
-def compare(old_root, new_root) -> int:
+def compare(old_root, new_root, workloads=False) -> int:
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--cells",
-                           new_root], capture_output=True, text=True, check=True)
+                           new_root] + ["--workloads"] * workloads,
+                          capture_output=True, text=True, check=True)
     total = {"entries": 0, "bits": 0, "differ": 0, "bad": 0, "rel": 0.0,
              "symmetric": 0, "old asymmetric": 0, "new asymmetric": 0}
     scratch = tempfile.mkdtemp(prefix="compare_forms_")
@@ -285,18 +307,20 @@ def compare(old_root, new_root) -> int:
 
 
 def main(argv) -> int:
-    if argv[:1] == ["--cells"] and len(argv) == 2:
+    if argv[:1] == ["--cells"] and len(argv) in (2, 3):
         sys.path.insert(0, os.path.join(argv[1], "src"))
-        print(json.dumps(cells()))
+        print(json.dumps(cells(argv[2:] == ["--workloads"])))
         return 0
     if argv[:1] == ["--dump"] and len(argv) == 4:
         sys.path.insert(0, os.path.join(argv[1], "src"))
         print(dump(json.loads(argv[2]), argv[3]))
         return 0
-    if len(argv) != 2:
+    workloads = argv[:1] == ["--workloads"]
+    roots = argv[1:] if workloads else argv
+    if len(roots) != 2:
         print(__doc__.strip().splitlines()[3], file=sys.stderr)
         return 2
-    return compare(*(os.path.abspath(p) for p in argv))
+    return compare(*(os.path.abspath(p) for p in roots), workloads)
 
 
 if __name__ == "__main__":

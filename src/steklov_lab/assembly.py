@@ -15,7 +15,8 @@ a = h_x, b = h_y evaluated at the physical point,
 and the volume element is dx = det(DPhi)^{-1} dx_hat.  On the oscillating
 graph the surface element is sqrt(1 + g'^2) dx' and the outward normal is
 (-g', 1)/sqrt(1 + g'^2).  Volume and boundary integrals take this chain rule
-through one pull-back, `_pull_back`.
+through one pull-back, `_pull_back`; each cell's volume quadrature is pulled
+back once, as a `CellPullBack`, for every pass over it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .profile_geometry import DiffeoField, GeometryError
 __all__ = [
     "FormKind", "MASS", "GRAD_MASS", "LAPLACIAN_ENERGY", "HESSIAN_ENERGY",
     "MIXED_U_DELTA", "normal_trace", "boundary_mass",
-    "FeSystem", "FeFunction", "assemble", "assemble_navier_load",
-    "sobolev_forms", "gauss01",
+    "FeSystem", "FeFunction", "CellPullBack", "assemble",
+    "assemble_navier_load", "sobolev_forms", "gauss01",
 ]
 
 
@@ -95,13 +96,22 @@ def _x_factors(tx, hx):
     return [hermite1d(tx, hx, d)[_X_ROWS].T for d in range(3)]
 
 
-def _tensor_basis(X, ty, hy, dy_order):
-    """(nq, 16) array of local basis derivatives at the tensor Gauss points,
-    point index ix * nqy + iy, from an x-factor of `_x_factors`.  It is
-    C-contiguous: the contraction's summation order, and so the rounding of
-    every assembled form, follows the layout."""
-    Y = hermite1d(ty, hy, dy_order)[_Y_ROWS].T                  # (nqy, 16)
-    return np.multiply(X[:, None, :], Y[None, :, :], order="C").reshape(-1, 16)
+def _y_factors(ty, hy):
+    """y-factors (rows, nqy, 16) of the tensor basis, per y-derivative order,
+    for the element heights hy, one per row.  Each row's comes from its own
+    `hermite1d` call, so it has the bits of a pass over that row alone."""
+    return [np.stack([hermite1d(ty, h, d)[_Y_ROWS].T for h in hy])
+            for d in range(3)]
+
+
+def _tensor_basis(X, Y):
+    """(rows, nqx * nqy, 16) array of local basis derivatives at the tensor
+    Gauss points, point index ix * nqy + iy, from an x-factor of
+    `_x_factors` and a y-factor of `_y_factors`.  It is C-contiguous: the
+    contraction's summation order, and so the rounding of every assembled
+    form, follows the layout."""
+    return np.multiply(X[None, :, None, :], Y[:, None, :, :],
+                       order="C").reshape(len(Y), -1, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +170,7 @@ def boundary_mass(part: str = "All") -> FormKind:
 @dataclass
 class FeSystem:
     """One bilinear form over the free DOFs of `dofmap`.  A volume form keeps
-    its node-pair blocks (see `_add_row`), a boundary form its quadrature
+    its node-pair blocks (see `_add_rows`), a boundary form its quadrature
     factor, B = C C^T.  `matrix` builds the form's CSR matrix on each read
     and keeps none; the other readers read a volume form's blocks."""
 
@@ -202,11 +212,13 @@ class FeSystem:
         col >= row picks the stored entries on and above the diagonal."""
         S = self.blocks
         rows, pad = _neighbours(self.dofmap, *S.shape[:2])
-        rows, cols = np.where(rows >= 0, rows, self.n_free), _window(pad)
+        cols = _window(pad)
         for i0 in range(0, len(S), _SLAB):
+            r = rows[i0:i0 + _SLAB, :, :, 0]
+            r = np.where(r >= 0, r, self.n_free)
             for dx in range(3):
-                yield (rows[i0:i0 + _SLAB, :, :, 0],
-                       cols[i0:i0 + _SLAB, :, :, dx], S[i0:i0 + _SLAB, :, :, dx])
+                yield (r, cols[i0:i0 + _SLAB, :, :, dx],
+                       S[i0:i0 + _SLAB, :, :, dx])
 
     def __matmul__(self, x):
         """A x for x of shape (n,) or (n, k), with the bits of `matrix @ x`.
@@ -240,33 +252,41 @@ class FeSystem:
 _SLAB = 32      # node columns per slab of a pass over node-pair blocks
 
 
-def _elem_gdofs(mesh: Mesh, ex_arr, ey: int) -> np.ndarray:
-    """(nel, 16) global DOF indices for a row of elements."""
+def _elem_gdofs(mesh: Mesh, ex, ey) -> np.ndarray:
+    """(nel, 16) global DOF indices of the elements (ex, ey), a row or a
+    column of elements: one of ex and ey is an array."""
     nyp = mesh.ny + 1
-    n0 = ex_arr * nyp + ey
+    n0 = ex * nyp + ey
     nodes = np.stack([n0, n0 + nyp, n0 + nyp + 1, n0 + 1], axis=1)  # bl br tr tl
     return (4 * nodes[:, :, None] + np.arange(4)[None, None, :]).reshape(-1, 16)
 
 
-def _add_row(S, ey, local):
-    """Add local matrices (rep, 16, 16) to element row ey of the node-pair
-    blocks S, element ex getting local[ex % rep].  S[ix, iy, :, dx + 1, dy +
-    1, :] couples node (ix, iy) to node (ix + dx, iy + dy), so S lists each
-    DOF row in CSR order.  Each local node adds its four node pairs into one
-    strided slice of the row's own sums, which then add to S: every entry is
-    the sum of two rows' sums of at most two elements.  An entry and its
-    transpose add the same terms in the same order (0 + a + b within a row,
-    which commutes, and the rows in ey order), so exactly symmetric local
-    matrices give an exactly symmetric S; every edit must keep that."""
-    nx, rep = S.shape[0] - 1, local.shape[0]
-    # local[:, n, :, c, d, :] couples local node n to the node at sides (c, d)
-    local = local.reshape(rep, 4, 4, 4, 4)[:, :, :, [[0, 3], [1, 2]]]
-    row = np.zeros((nx + 1, 2) + S.shape[2:])
+def _add_rows(S, ey, local):
+    """Add local matrices (rows, rep, 16, 16) to the element rows ey, ey + 1,
+    ... of the node-pair blocks S, element ex of a row getting its
+    local[ex % rep].  S[ix, iy, :, dx + 1, dy + 1, :] couples node (ix, iy)
+    to node (ix + dx, iy + dy), so S lists each DOF row in CSR order.  Every
+    entry is the sum of two rows' sums of at most two elements, each local
+    node adding its four node pairs through one strided slice: (0 + the
+    upper half of the row below) + the lower half of its own row.  So the
+    calls go in ey order, every row's upper half adds straight into its node
+    row of S, still 0, and then every row's lower half, summed first in a
+    temporary, adds to S.  An entry and its transpose add the same terms in
+    the same order (0 + a + b within a row, which commutes, and the rows in
+    ey order), so exactly symmetric local matrices give an exactly symmetric
+    S; every edit must keep that."""
+    nx, (nr, rep) = S.shape[0] - 1, local.shape[:2]
+    # local[n, ..., c, d, :] couples local node n to the node at sides (c, d),
+    # with the rep axis before the rows, as in the targets
+    local = local.reshape(nr, rep, 4, 4, 4, 4)[..., [[0, 3], [1, 2]], :]
+    local = np.moveaxis(local, 2, 0).swapaxes(1, 2)
+    lower = np.zeros((nx + 1, nr) + S.shape[2:])
     for n, (a, b) in enumerate(_NODE_SIDES):
-        tgt = row[a:a + nx, b, :, 1 - a:3 - a, 1 - b:3 - b, :]
-        tgt = tgt.reshape(nx // rep, rep, 4, 2, 2, 4)
-        tgt += local[:, n]
-    S[:, ey:ey + 2] += row
+        tgt = S[:, ey + 1:ey + nr + 1] if b else lower
+        tgt = tgt[a:a + nx, :, :, 1 - a:3 - a, 1 - b:3 - b, :]
+        tgt = tgt.reshape(nx // rep, rep, nr, 4, 2, 2, 4)
+        tgt += local[n]
+    S[:, ey:ey + nr] += lower
 
 
 def _window(grid):
@@ -304,19 +324,21 @@ _LOAD_TAGS = ("x", "y", "xx", "yy")
 
 
 def _gram(P, Q, w):
-    """sum_q P[e, q, i] w[e, q] Q[e, q, j], as (nel, 16, 16).  These are the
-    multiply and matmul that numpy 2.4's einsum("eqi,eqj,eq->eij",
-    optimize=True) runs, so the bits are einsum's, without its path search
-    on every call."""
-    return np.matmul(np.swapaxes(P * w[:, :, None], 1, 2), Q)
+    """sum_q P[..., e, q, i] w[..., e, q] Q[..., e, q, j], as (..., nel, 16,
+    16).  These are the multiply and matmul that numpy 2.4's
+    einsum("eqi,eqj,eq->eij", optimize=True) runs on each (nel, nq, 16)
+    slice, so the bits are einsum's, without its path search on every call."""
+    return np.matmul(np.swapaxes(P * w[..., None], -1, -2), Q)
 
 
 def _weigh(f, P, w):
-    """sum_q f[e, q] w[e, q] P[e, q, i], as (nel, 16), with P (rep, nq, 16) and
-    w (rep, nq) repeated over f's nel rows: the multiply and matmul of
-    einsum("eq,eqi,eq->ei", optimize=True) on the repeated arrays."""
-    fw = f.reshape(-1, *w.shape) * w
-    return np.matmul(fw[..., None, :], P)[..., 0, :].reshape(f.shape[0], 16)
+    """sum_q f[..., e, q] w[..., e, q] P[..., e, q, i], as (..., nel, 16),
+    with P (..., rep, nq, 16) and w (..., rep, nq) repeated over f's nel
+    elements: the multiply and matmul of einsum("eq,eqi,eq->ei",
+    optimize=True) on each slice's repeated arrays."""
+    fw = f.reshape(f.shape[:-2] + (-1,) + w.shape[-2:]) * w[..., None, :, :]
+    out = np.matmul(fw[..., None, :], P[..., None, :, :, :])[..., 0, :]
+    return out.reshape(f.shape[:-1] + (16,))
 
 
 def _field(B, tags):
@@ -367,21 +389,20 @@ def _resolution_warning(mesh: Mesh, domain: DiffeoField | None):
             f"{want} for graph slope {spec.sup_g(1):.3g})", stacklevel=3)
 
 
-def _chain_arrays(domain: DiffeoField, xref, yref, gs=None):
-    """Physical chain-rule data at reference quadrature points; gs, if given,
-    holds g_eps, g_eps' and g_eps'' at xref.ravel().
+def _chain_arrays(domain: DiffeoField, x, yref, gs=None):
+    """Physical chain-rule data at reference points (x, yref), arrays that
+    broadcast to (rows, points), each row of points one layer-map inversion;
+    gs, if given, holds g_eps, g_eps' and g_eps'' at x.
 
-    Returns (a, b, hxx, hxy, hyy, det, y) arrays shaped like xref, where y is
-    the physical ordinate of each point.
+    Returns (a, b, hxx, hxy, hyy, det, y) arrays of shape (rows, points),
+    where y is the physical ordinate of each point.
     """
-    shape = xref.shape
-    x = xref.ravel()
-    y = domain.physical_y(x, yref.ravel(), None if gs is None else gs[0])
+    y = domain.physical_y(x, yref, None if gs is None else gs[0])
     _, hx, hy, hxx, hxy, hyy = domain.h_derivs(x, y, gs)
     det = 1.0 - hy
     if np.min(det) <= 0.0:
         raise GeometryError("det DPhi <= 0 at a quadrature point")
-    return tuple(arr.reshape(shape) for arr in (hx, hy, hxx, hxy, hyy, det, y))
+    return hx, hy, hxx, hxy, hyy, det, y
 
 
 # derivative tag -> (x order, y order) of the basis arrays
@@ -389,32 +410,30 @@ _DERIVS = {"v": (0, 0), "x": (1, 0), "y": (0, 1),
            "xx": (2, 0), "xy": (1, 1), "yy": (0, 2)}
 
 
-def _pull_back(domain: DiffeoField | None, tags, X, ty, hy, xref, yref,
-               gs=None):
-    """The one reference -> physical pull-back of every integral: (B, det, y).
+def _pull_back(tags, X, Y, chain):
+    """The one reference -> physical pull-back of every integral's basis.
 
-    B maps each derivative tag in `tags` to the physical-derivative basis
-    arrays (nel, npts, 16) of an hx-by-hy element at its tensor points
-    (tx, ty), given as X = `_x_factors(tx, hx)` and ty, whose reference
-    coordinates are xref and yref (nel, npts); det is det DPhi and y the
-    physical ordinate there, and gs goes to `_chain_arrays`.  On the flat
-    strip B is the reference basis with nel = 1, det is 1 and y is yref.
-    Each reference basis array is built the first time the chain rule
-    reads it.
+    Maps each derivative tag in `tags` to the physical-derivative basis
+    array (rows, nel, npts, 16) of the tensor points of element rows, from
+    the factors X = `_x_factors` and Y = `_y_factors` (one per row) of the
+    reference basis, through the chain rule with the arrays chain = (a, b,
+    hxx, hxy, hyy) of `_chain_arrays`, each shaped (rows, nel, npts, 1).  On
+    the flat strip chain is None, and the basis is the reference basis, with
+    nel = 1.  Each reference basis array is built the first time the chain
+    rule reads it.
     """
     ref = {}
 
     def r(tag):
         if tag not in ref:
             dx, dy = _DERIVS[tag]
-            ref[tag] = _tensor_basis(X[dx], ty, hy, dy)[None, :, :]
+            ref[tag] = _tensor_basis(X[dx], Y[dy])[:, None]
         return ref[tag]
-    if domain is None:
-        return {tag: r(tag) for tag in tags}, 1.0, yref
-    a, b, hxx, hxy, hyy, det, y = _chain_arrays(domain, xref, yref, gs)
-    a, b, hxx, hxy, hyy = (arr[:, :, None] for arr in (a, b, hxx, hxy, hyy))
+    if chain is None:
+        return {tag: r(tag) for tag in tags}
+    a, b, hxx, hxy, hyy = chain
     rule = {
-        "v": lambda: np.broadcast_to(r("v"), (len(a),) + r("v").shape[1:]),
+        "v": lambda: np.broadcast_to(r("v"), a.shape[:-1] + (16,)),
         "x": lambda: r("x") - a * r("y"),
         "y": lambda: (1.0 - b) * r("y"),
         "xx": lambda: (r("xx") - 2.0 * a * r("xy") + a ** 2 * r("yy")
@@ -422,7 +441,7 @@ def _pull_back(domain: DiffeoField | None, tags, X, ty, hy, xref, yref,
         "xy": lambda: (1.0 - b) * (r("xy") - a * r("yy")) - hxy * r("y"),
         "yy": lambda: (1.0 - b) ** 2 * r("yy") - hyy * r("y"),
     }
-    return {tag: rule[tag]() for tag in tags}, det, y
+    return {tag: rule[tag]() for tag in tags}
 
 
 def _period_elements(mesh: Mesh, domain: DiffeoField | None) -> int:
@@ -433,37 +452,83 @@ def _period_elements(mesh: Mesh, domain: DiffeoField | None) -> int:
     return mesh.nx // periods if tiles else mesh.nx
 
 
-def _volume_rows(mesh: Mesh, domain: DiffeoField | None, quad_order: int,
-                 tags):
-    """The one quadrature/geometry pass over the mesh: per element row, yield
-    (ey, B, w, x, y).
+# bytes of the temporaries of one chunk of element rows in a pass over a
+# cell (a row may exceed it alone), as `_SLAB` bounds the block readers
+_CHUNK_BYTES = 4 << 20
 
-    The layer map depends on x only through the eps-periodic g_eps, so a row
-    is pulled back on one period, its first rep = `_period_elements`
-    elements, and element ex has the data of element ex % rep.  B maps each
-    derivative tag in `tags` to physical-derivative basis arrays (rep,
-    nq*nq, 16) and w (rep, nq*nq) holds the quadrature weights, 1/det DPhi
-    included; x (nx, nq*nq) and y (rep, nq*nq) are the physical quadrature
-    points.  On the flat strip B and w have one element and y has nx.  The
-    basis x-factors and g_eps, g_eps', g_eps'' are computed once per pass.
+
+class CellPullBack:
+    """One cell's volume quadrature, pulled back once for every pass over it.
+
+    The layer map depends on x only through the eps-periodic g_eps, so each
+    element row is pulled back on one period, its first rep =
+    `_period_elements` elements, and element ex has the data of element ex
+    % rep.  All ny rows are pulled back together, in one layer-map
+    inversion with a Newton row per element row.  The cell keeps the
+    physical quadrature points, x (nx, nq*nq) and y (ny, rep, nq*nq), the
+    weights w (ny, rep, nq*nq), 1/det DPhi included, and what `basis` reads:
+    the basis x-factors, each row's y-factors and the chain-rule arrays.  On
+    the flat strip rep is 1, and y and w are those of each row's one
+    element.  `assemble`, `assemble_navier_load` and `sobolev_forms` read a
+    cell given to them and build their own otherwise.
     """
-    nq = quad_order
-    tq, wq = gauss01(nq)
-    hx = mesh.w_len / mesh.nx
-    rep = _period_elements(mesh, domain)
-    xq = mesh.xs[:-1, None] + hx * tq[None, :]                       # (nx, nq)
-    xref = np.repeat(xq, nq, axis=1)                              # (nx, nq*nq)
-    X = _x_factors(tq, hx)
-    gs = None if domain is None else [
-        np.repeat(domain.spec.g(xq[:rep], k), nq, axis=1).ravel()
-        for k in range(3)]
-    for ey in range(mesh.ny):
-        hy = mesh.hy(ey)
-        w = np.outer(wq * hx, wq * hy).ravel()[None, :]
-        yq = mesh.ys[ey] + hy * tq                                   # (nq,)
-        yref = np.broadcast_to(np.tile(yq, nq), (rep, nq * nq))
-        B, det, y = _pull_back(domain, tags, X, tq, hy, xref[:rep], yref, gs)
-        yield ey, B, w / det, xref, y
+
+    def __init__(self, mesh: Mesh, domain: DiffeoField | None = None,
+                 quad_order: int | None = None):
+        self.mesh, self.domain = mesh, domain
+        self.quad_order = nq = _quad_order(domain, quad_order)
+        tq, wq = gauss01(nq)
+        hx = mesh.w_len / mesh.nx
+        hy = np.diff(mesh.ys)
+        xq = mesh.xs[:-1, None] + hx * tq[None, :]                   # (nx, nq)
+        self.x = np.repeat(xq, nq, axis=1)                       # (nx, nq*nq)
+        yq = mesh.ys[:-1, None] + hy[:, None] * tq                   # (ny, nq)
+        self.y = np.tile(yq, nq)[:, None, :]                  # (ny, 1, nq*nq)
+        w = (wq * hx)[:, None] * (wq * hy[:, None])[:, None, :]
+        self.w = w.reshape(mesh.ny, 1, -1)
+        rep = 1 if domain is None else _period_elements(mesh, domain)
+        self.rep, self._chain = rep, None
+        self._X, self._Y = _x_factors(tq, hx), _y_factors(tq, hy)
+        if domain is not None:
+            shape = (mesh.ny, rep, nq * nq)
+            gs = [np.repeat(domain.spec.g(xq[:rep], k), nq, axis=1)
+                  .reshape(1, -1) for k in range(3)]
+            *chain, det, y = _chain_arrays(
+                domain, self.x[:rep].reshape(1, -1),
+                np.broadcast_to(self.y, shape).reshape(mesh.ny, -1), gs)
+            self._chain = [arr.reshape(shape + (1,)) for arr in chain]
+            self.y, self.w = y.reshape(shape), self.w / det.reshape(shape)
+
+    @property
+    def basis_bytes(self) -> int:
+        """The bytes of one basis array on one element row."""
+        return self.w[0].nbytes * 16
+
+    def chunks(self, row_bytes: int):
+        """Slices of consecutive element rows, in ey order, whose temporaries
+        of row_bytes each stay within _CHUNK_BYTES (at least one row)."""
+        step = max(1, _CHUNK_BYTES // max(row_bytes, 1))
+        return (slice(e, min(e + step, self.mesh.ny))
+                for e in range(0, self.mesh.ny, step))
+
+    def basis(self, tags, rows: slice) -> dict:
+        """`_pull_back` of `tags` on the element rows `rows`: each tag's
+        basis arrays (rows, rep, nq*nq, 16).  They are built per call and
+        not kept, so that a cell held across a factorization stays small."""
+        chain = self._chain and [arr[rows] for arr in self._chain]
+        return _pull_back(tags, self._X, [Y[rows] for Y in self._Y], chain)
+
+
+def _cell(mesh: Mesh, domain: DiffeoField | None, quad_order: int | None,
+          cell: CellPullBack | None) -> CellPullBack:
+    """`cell` if given, after checking that it is this (mesh, domain,
+    quad_order)'s; else a new one."""
+    if cell is None:
+        return CellPullBack(mesh, domain, quad_order)
+    if (cell.mesh is not mesh or cell.domain is not domain
+            or cell.quad_order != _quad_order(domain, quad_order)):
+        raise ValueError("the pull-back is of another cell")
+    return cell
 
 
 def _boundary_batches(kind, mesh, domain, quad_order):
@@ -474,7 +539,9 @@ def _boundary_batches(kind, mesh, domain, quad_order):
     points, 1-D weights, unnormalised normal and surface factor.  A normal
     maps derivative tags to its nonzero components, so no zero term enters
     the sum.  The forms square the normal derivative, so its sign is free:
-    the bottom keeps (0, 1).
+    the bottom keeps (0, 1).  Each edge is one batch, with one layer-map
+    inversion per element row on the sides, so every point keeps the bits
+    of a batch per row.
     """
     nq = quad_order
     tq, wq = gauss01(nq)
@@ -483,17 +550,26 @@ def _boundary_batches(kind, mesh, domain, quad_order):
     xq = mesh.xs[:-1, None] + hx * tq[None, :]                       # (nx, nq)
     trace = kind.name == "NormalTrace"
 
-    def batch(ex, ey, tx, ty, xref, yref, normal):
-        """(P, det, gdofs) on the elements (ex, ey) at the points (tx, ty)."""
+    def batch(ex, ey, tx, ty, x, yref, normal):
+        """(P, det, gdofs) on the elements (ex, ey) at the points (tx, ty),
+        whose reference coordinates x, yref (rows, nel, npts) have a row per
+        element row in ey."""
         comps = normal if trace else {"v": 1.0}
-        B, det, _ = _pull_back(domain, tuple(comps), _x_factors(tx, hx), ty,
-                               mesh.hy(ey), xref, yref)
+        hy = [mesh.hy(e) for e in np.atleast_1d(ey)]
+        chain, det = None, 1.0
+        if domain is not None:
+            *chain, det, _ = _chain_arrays(domain, x.reshape(len(hy), -1),
+                                           yref.reshape(len(hy), -1))
+            chain = [arr.reshape(x.shape + (1,)) for arr in chain]
+            det = det.reshape(-1, x.shape[-1])
+        B = _pull_back(tuple(comps), _x_factors(tx, hx), _y_factors(ty, hy),
+                       chain)
         (tag, c), *rest = comps.items()
         P = c * B[tag]
         for tag, c in rest:
             P = P + c * B[tag]
-        gdofs = _elem_gdofs(mesh, ex, ey)
-        return np.broadcast_to(P, (len(ex), nq, 16)), det, gdofs
+        P = np.broadcast_to(P, x.shape + (16,)).reshape(-1, x.shape[-1], 16)
+        return P, det, _elem_gdofs(mesh, ex, ey)
 
     # top, the graph y = g_eps(x) at y_hat = 0: normal (-g', 1) and
     # dS = sqrt(1 + g'^2) dx, so the trace carries 1/sqrt(1 + g'^2)
@@ -504,25 +580,25 @@ def _boundary_batches(kind, mesh, domain, quad_order):
         normal = {"x": -gp[:, :, None], "y": 1.0}
         s = np.sqrt(1.0 + gp ** 2)
         w_top = w / s if trace else w * s
-    P, _, gdofs = batch(ex_all, mesh.ny - 1, tq, np.ones(1), xq,
-                        np.zeros_like(xq), normal)
+    P, _, gdofs = batch(ex_all, mesh.ny - 1, tq, np.ones(1), xq[None],
+                        np.zeros((1,) + xq.shape), normal)
     yield P, w_top, gdofs
     if kind.part == "Gamma":
         return
     # bottom, y = -1 below the layer: normal (0, 1), dS = dx
-    P, _, gdofs = batch(ex_all, 0, tq, np.zeros(1), xq,
-                        np.full_like(xq, mesh.ys[0]), {"y": 1.0})
+    P, _, gdofs = batch(ex_all, 0, tq, np.zeros(1), xq[None],
+                        np.full((1,) + xq.shape, mesh.ys[0]), {"y": 1.0})
     yield P, w, gdofs
-    # sides x = 0 and x = w_len, one batch per element row: normal (-+1, 0),
-    # dS = dy_hat / det DPhi
+    # sides x = 0 and x = w_len, one batch each over the element rows:
+    # normal (-+1, 0), dS = dy_hat / det DPhi
+    ey_all = np.arange(mesh.ny)
+    hy = np.array([mesh.hy(ey) for ey in ey_all])
+    yq = (mesh.ys[:-1, None] + hy[:, None] * tq)[:, None, :]     # (ny, 1, nq)
     for ex, tx, x_edge, sgn in ((0, 0.0, 0.0, -1.0),
                                 (mesh.nx - 1, 1.0, mesh.w_len, 1.0)):
-        for ey in range(mesh.ny):
-            hy = mesh.hy(ey)
-            yq = (mesh.ys[ey] + hy * tq)[None, :]
-            P, det, gdofs = batch(np.array([ex]), ey, np.array([tx]), tq,
-                                  np.full_like(yq, x_edge), yq, {"x": sgn})
-            yield P, (wq * hy)[None, :] / det, gdofs
+        P, det, gdofs = batch(ex, ey_all, np.array([tx]), tq,
+                              np.full_like(yq, x_edge), yq, {"x": sgn})
+        yield P, (wq * hy[:, None]) / det, gdofs
 
 
 def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
@@ -561,13 +637,15 @@ def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
 
 def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
              domain: DiffeoField | None = None,
-             quad_order: int | None = None) -> FeSystem:
+             quad_order: int | None = None,
+             cell: CellPullBack | None = None) -> FeSystem:
     """Assemble one bilinear form over the free DOFs of `dofmap`.
 
     `domain=None` integrates over the flat reference strip; a DiffeoField pulls
     the form back from the perturbed domain it describes.  A volume form is
-    summed in one `_volume_rows` pass into node-pair blocks, from local
-    matrices made symmetric if the form is, and its FeSystem keeps the
+    summed in one pass over the rows of `cell`, the (mesh, domain)'s
+    `CellPullBack` (built here if not given), into node-pair blocks, from
+    local matrices made symmetric if the form is, and its FeSystem keeps the
     blocks.  A boundary form is C C^T, C = `assemble_boundary_factor`, so it
     is exactly symmetric; its FeSystem keeps C as `factor`, which the
     Steklov solves read.
@@ -577,10 +655,13 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     if kind.on_boundary:
         C = assemble_boundary_factor(kind, mesh, dofmap, domain, quad_order)
         return FeSystem(mesh, dofmap, kind, domain, factor=C)
+    cell = _cell(mesh, domain, quad_order, cell)
     S = np.zeros((mesh.nx + 1, mesh.ny + 1, 4, 3, 3, 4))
-    for ey, B, w, _, _ in _volume_rows(mesh, domain, quad_order, kind.tags):
-        m = _combine(kind, B, w)
-        _add_row(S, ey, 0.5 * (m + m.swapaxes(1, 2)) if kind.symmetric else m)
+    # per row: the lower halves' sums and a few basis arrays
+    for rows in cell.chunks(S[:, 0].nbytes + 4 * cell.basis_bytes):
+        m = _combine(kind, cell.basis(kind.tags, rows), cell.w[rows])
+        _add_rows(S, rows.start,
+                  0.5 * (m + m.swapaxes(-1, -2)) if kind.symmetric else m)
     return FeSystem(mesh, dofmap, kind, domain, blocks=S)
 
 
@@ -635,44 +716,54 @@ class FeFunction:
 
 def assemble_navier_load(f, mesh: Mesh, dofmap: DofMap,
                          domain: DiffeoField | None = None,
-                         quad_order: int | None = None) -> np.ndarray:
+                         quad_order: int | None = None,
+                         cell: CellPullBack | None = None) -> np.ndarray:
     """Load vector with entries int (f Lap(phi_i) + grad f . grad phi_i) dx.
 
     `f` is an FeFunction (evaluated at physical points, so on a perturbed
     domain it acts as the restriction of a function of space) or a triple of
-    callables (f, f_x, f_y).
+    callables (f, f_x, f_y), evaluated on a chunk of element rows at a time,
+    at points (rows, nx, nq*nq).  `cell` is as in `assemble`.
     """
-    quad_order = _quad_order(domain, quad_order)
+    cell = _cell(mesh, domain, quad_order, cell)
     fv, fgx, fgy = f.with_gradient() if isinstance(f, FeFunction) else f
-
-    load = np.zeros((mesh.nx + 1, mesh.ny + 1, 4))
-    for ey, B, w, x, y in _volume_rows(mesh, domain, quad_order, _LOAD_TAGS):
-        y = np.tile(y, (mesh.nx // len(y), 1))
+    nx = mesh.nx
+    load = np.zeros((nx + 1, mesh.ny + 1, 4))
+    # per row: the points, the datum's fields and the basis arrays
+    for rows in cell.chunks(5 * (cell.x.nbytes + cell.basis_bytes)):
+        B, w = cell.basis(_LOAD_TAGS, rows), cell.w[rows]
+        y = np.tile(cell.y[rows], (1, nx // cell.y.shape[1], 1))
+        x = np.broadcast_to(cell.x, y.shape).copy()
         loc = _weigh(fv(x, y), B["xx"] + B["yy"], w)
         loc += _weigh(fgx(x, y), B["x"], w)
         loc += _weigh(fgy(x, y), B["y"], w)
-        for n, (a, b) in enumerate(_NODE_SIDES):
-            load[a:a + mesh.nx, ey + b] += loc[:, 4 * n:4 * n + 4]
+        # a node row adds its row below's upper half, then its own row's
+        # lower half, each node of an element in local order
+        for n in (2, 3, 0, 1):
+            a, b = _NODE_SIDES[n]
+            load[a:a + nx, rows.start + b:rows.stop + b] += (
+                loc[:, :, 4 * n:4 * n + 4].swapaxes(0, 1))
     return load.reshape(-1)[dofmap.free]
 
 
 def sobolev_forms(kinds, vectors, mesh: Mesh, dofmap: DofMap,
                   domain: DiffeoField | None = None,
-                  quad_order: int | None = None) -> np.ndarray:
+                  quad_order: int | None = None,
+                  cell: CellPullBack | None = None) -> np.ndarray:
     """Gram values v_i^T K v_j, as (len(kinds), nv, nv), of the symmetric
     volume forms K in `kinds` (Mass, GradMass and HessianEnergy are the terms
     of the H2 norm) at the free vectors v_1 .. v_nv of `dofmap`, the rows of
-    `vectors`.
+    `vectors`.  `cell` is as in `assemble`.
 
-    One `_volume_rows` pass that builds no matrix: per element row, each
-    vector's element coefficients are read off the (nx + 1, ny + 1, 4) DOF
-    grid and contracted with the basis arrays into the fields P of each
+    One pass over the cell's rows that builds no matrix: per element row,
+    each vector's element coefficients are read off the (nx + 1, ny + 1, 4)
+    DOF grid and contracted with the basis arrays into the fields P of each
     term (P, P, factor) at the quadrature points, and each term adds factor
-    times the sum of w P_i P_j.
+    times the sum of w P_i P_j, row by row.
     """
     if any(kind.on_boundary or not kind.symmetric for kind in kinds):
         raise ValueError("sobolev_forms takes symmetric volume forms")
-    quad_order = _quad_order(domain, quad_order)
+    cell = _cell(mesh, domain, quad_order, cell)
     _resolution_warning(mesh, domain)
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     nv, nx = V.shape[0], mesh.nx
@@ -681,16 +772,26 @@ def sobolev_forms(kinds, vectors, mesh: Mesh, dofmap: DofMap,
     grid = grid.reshape(nv, nx + 1, mesh.ny + 1, 4)
     tags = frozenset().union(*(kind.tags for kind in kinds))
     out = np.zeros((len(kinds), nv, nv))
-    for ey, B, w, _, _ in _volume_rows(mesh, domain, quad_order, tags):
+    r = cell.rep
+    # per row: a term's fields, weighted, and the basis arrays
+    for rows in cell.chunks(4 * nv * cell.x.nbytes + 3 * cell.basis_bytes):
         # element ex has the basis and weights of element ex % r, so vector
-        # v's coefficients on it go to c[ex % r, :, ex // r, v] and its field
-        # at point q to f[ex % r, q, ex // r, v]
-        r = len(w)
-        c = np.stack([grid[:, a:a + nx, ey + b] for a, b in _NODE_SIDES], axis=2)
-        c = c.reshape(nv, nx // r, r, 16).transpose(2, 3, 1, 0).reshape(r, 16, -1)
-        wk = np.repeat(w, nx // r, axis=1)
+        # v's coefficients on it go to c[e, ex % r, :, ex // r, v] in row e
+        # and its field at point q to f[e, ex % r, q, ex // r, v]
+        B, w, ne = cell.basis(tags, rows), cell.w[rows], rows.stop - rows.start
+        c = np.stack([grid[:, a:a + nx, rows.start + b:rows.stop + b]
+                      for a, b in _NODE_SIDES], axis=3)
+        c = c.reshape(nv, nx // r, r, ne, 16).transpose(3, 2, 4, 1, 0)
+        c = c.reshape(ne, r, 16, -1)
+        wk = np.repeat(w, nx // r, axis=-1)
         for G, kind in zip(out, kinds):
+            grams = []
             for P, _, factor in kind.terms:
-                f = np.matmul(_field(B, P), c).reshape(r, -1, nv)
-                G += factor * _gram(f, f, wk).sum(axis=0)
+                f = np.matmul(_field(B, P), c).reshape(ne, r, -1, nv)
+                grams.append((factor, _gram(f, f, wk)))
+            # each row's sum over its elements, as a pass per row takes
+            # it, then the rows in ey order
+            for e in range(ne):
+                for factor, g in grams:
+                    G += factor * g[e].sum(axis=0)
     return out

@@ -29,7 +29,7 @@ from numpy.linalg import LinAlgError
 # sobolev_forms (every norm pass), and assemble_navier_load, which has no
 # caller here but stays importable from lab_cli for that tracer site
 from .assembly import (GRAD_MASS, HESSIAN_ENERGY, LAPLACIAN_ENERGY, MASS,
-                       assemble, assemble_boundary_factor,
+                       CellPullBack, assemble, assemble_boundary_factor,
                        assemble_navier_load, normal_trace, sobolev_forms)
 from .cell_problem import solve_cell
 from .mesh import Mesh, build_mesh, graded_rows, mark_essential
@@ -515,15 +515,17 @@ def run_dbs_convergence(config: ExperimentConfig) -> ExperimentReport:
 
     def solve(mesh, dif, _):
         # the four pencils share one DOF map and, per domain, one trace form
+        # and one pull-back, which the H2 distance's pass reads too
         dm = mark_essential(mesh, "DirichletAll")
-        traces = [(d, assemble(normal_trace("All"), mesh, dm, d, cfg.quad_order))
+        traces = [(d, CellPullBack(mesh, d, cfg.quad_order),
+                   assemble(normal_trace("All"), mesh, dm, d, cfg.quad_order))
                   for d in (dif, None)]
         spectra = {}
         for tag, form in (("lap", LAPLACIAN_ENERGY), ("hess", HESSIAN_ENERGY)):
             # each A goes straight into its solve, so no A outlives its solve
             spectra[tag] = tuple(solve_steklov(
-                assemble(form, mesh, dm, d, cfg.quad_order), B, k=cfg.k,
-                seed=cfg.seed) for d, B in traces)
+                assemble(form, mesh, dm, d, cfg.quad_order, cell), B,
+                k=cfg.k, seed=cfg.seed) for d, cell, B in traces)
         # transplanted H2 distance of the leading bending-form eigenfunction,
         # the norm of w = q_eps - s q_ref with s the sign of the Mass cross
         # term q_eps^T M q_ref.  One quadrature pass takes both candidates
@@ -531,9 +533,10 @@ def run_dbs_convergence(config: ExperimentConfig) -> ExperimentReport:
         # smaller L2 norm.  w vanishes on the constrained DOFs of the map
         s_eps, s_ref = spectra["lap"]
         q_eps, q_ref = s_eps.modes[:, 0], s_ref.modes[:, 0]
-        norms = sobolev_forms((MASS, GRAD_MASS, HESSIAN_ENERGY),
+        grams = sobolev_forms((MASS, GRAD_MASS, HESSIAN_ENERGY),
                               (q_eps - q_ref, q_eps + q_ref), mesh, dm, dif,
-                              cfg.quad_order).diagonal(axis1=1, axis2=2)
+                              cfg.quad_order, traces[0][1])
+        norms = grams.diagonal(axis1=1, axis2=2)
         val = norms[:, int(norms[0, 1] < norms[0, 0])].sum()
         return spectra, float(np.sqrt(max(val, 0.0)))
 
@@ -639,16 +642,18 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
         the solved one (bending or curvature).  w is taken in defect form,
         A_eps^{-1} (F_eps - A_eps u_0), on the solve's factor, so that the
         factor's rounding enters it relative to w, not to the two solutions
-        whose difference it is."""
+        whose difference it is.  The solve and the norms read one
+        pull-back of the cell, freed with it."""
+        cell = CellPullBack(mesh, dif, cfg.quad_order)
         sol_e = solve_navier(mesh, f_triple, form=form, domain=dif,
-                             quad_order=cfg.quad_order)
+                             quad_order=cfg.quad_order, cell=cell)
         dm, A, u_eps = sol_e.dofmap, sol_e.system, sol_e.u_free
         w = sol_e.factor.solve(sol_e.load - A @ sol_0.u_free)
         del sol_e           # its factor is freed before the mass/gradient pass
         # w vanishes on the constrained DOFs, so its free-DOF norms are its
         # full-DOF norms; L2 and gradient by quadrature, energy on A
         mass, grad = sobolev_forms((MASS, GRAD_MASS), w, mesh, dm, dif,
-                                   cfg.quad_order)[:, 0, 0]
+                                   cfg.quad_order, cell)[:, 0, 0]
         return dm, u_eps, tuple(float(np.sqrt(v))
                                 for v in (mass, grad, w @ (A @ w)))
 

@@ -11,6 +11,7 @@ y = 0) or Sigma (bottom and lateral sides).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,32 +47,44 @@ class DofMap:
 
     Global index of (node, type) is 4*node + type.  `constrained` flags the
     essentially fixed DOFs; `free_index` maps global -> free numbering
-    (-1 for constrained DOFs).
+    (-1 for constrained DOFs).  The map keeps a read-only copy of the mask,
+    so `free`, `n_free` and `free_index()` are computed once, on first
+    read, and returned read-only.
     """
 
     n_nodes: int
     constrained: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.constrained.shape != (4 * self.n_nodes,):
+        mask = np.array(self.constrained, dtype=bool)
+        if mask.shape != (4 * self.n_nodes,):
             raise ValueError("constraint mask has wrong length")
+        mask.flags.writeable = False
+        object.__setattr__(self, "constrained", mask)
 
     @property
     def n_dofs(self) -> int:
         return 4 * self.n_nodes
 
-    @property
+    @cached_property
     def free(self) -> np.ndarray:
-        return np.nonzero(~self.constrained)[0]
+        free = np.nonzero(~self.constrained)[0]
+        free.flags.writeable = False
+        return free
 
-    @property
+    @cached_property
     def n_free(self) -> int:
-        return int(np.sum(~self.constrained))
+        return int(np.count_nonzero(~self.constrained))
 
-    def free_index(self) -> np.ndarray:
+    @cached_property
+    def _free_index(self) -> np.ndarray:
         idx = -np.ones(self.n_dofs, dtype=np.int64)
         idx[~self.constrained] = np.arange(self.n_free)
+        idx.flags.writeable = False
         return idx
+
+    def free_index(self) -> np.ndarray:
+        return self._free_index
 
     @staticmethod
     def unconstrained(mesh: Mesh) -> "DofMap":

@@ -26,8 +26,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import (FeFunction, FeSystem, FormKind, GRAD_MASS,
-                       LAPLACIAN_ENERGY, MIXED_U_DELTA, assemble,
+from .assembly import (CellPullBack, FeFunction, FeSystem, FormKind,
+                       GRAD_MASS, LAPLACIAN_ENERGY, MIXED_U_DELTA, assemble,
                        assemble_boundary_factor, assemble_navier_load,
                        boundary_mass, gauss01)
 from .mesh import DOF_VXY, DofMap, Mesh, mark_essential
@@ -58,16 +58,20 @@ class NavierSolution:
 
 def solve_navier(mesh: Mesh, f, form: FormKind = LAPLACIAN_ENERGY,
                  domain: DiffeoField | None = None,
-                 quad_order: int | None = None) -> NavierSolution:
+                 quad_order: int | None = None,
+                 cell: CellPullBack | None = None) -> NavierSolution:
     """Discrete solution of a(u, phi) = int (f Lap(phi) + grad f . grad phi)
     with u = 0 on the whole boundary; a is the energy form `form`.
 
     `f` is an FeFunction or a (f, f_x, f_y) triple of callables evaluated at
-    physical points.
+    physical points.  The form and the load read one pull-back of the cell,
+    `cell` if given.
     """
     dofmap = mark_essential(mesh, "DirichletAll")
-    system = assemble(form, mesh, dofmap, domain, quad_order)
-    F = assemble_navier_load(f, mesh, dofmap, domain, quad_order)
+    if cell is None:
+        cell = CellPullBack(mesh, domain, quad_order)
+    system = assemble(form, mesh, dofmap, domain, quad_order, cell)
+    F = assemble_navier_load(f, mesh, dofmap, domain, quad_order, cell)
     factor = factor_spd(system)
     u_free = factor.solve(F)
     fn = float(np.linalg.norm(F))
@@ -77,12 +81,13 @@ def solve_navier(mesh: Mesh, f, form: FormKind = LAPLACIAN_ENERGY,
 
 
 def _conormal_operator(mesh: Mesh, domain: DiffeoField | None,
-                       quad_order: int | None = None):
+                       quad_order: int | None = None,
+                       cell: CellPullBack | None = None):
     """(G, M + G) over the full Hermite basis: the GradMass form G, and the
     matrix of u -> [ int (Lap(u) psi_m + grad u . grad psi_m) ]_m, M being
     the MixedUDelta form."""
     full = DofMap.unconstrained(mesh)
-    M, G = (assemble(kind, mesh, full, domain, quad_order).matrix
+    M, G = (assemble(kind, mesh, full, domain, quad_order, cell).matrix
             for kind in (MIXED_U_DELTA, GRAD_MASS))
     return G, (M + G).tocsr()
 
@@ -100,7 +105,7 @@ def boundary_trace_dofs(mesh: Mesh) -> np.ndarray:
     """Global DOFs that determine the boundary trace of a Hermite function:
     those DirichletAll pins, less the corners' mixed DOFs, which it pins only
     for C1 compatibility."""
-    pinned = mark_essential(mesh, "DirichletAll").constrained
+    pinned = mark_essential(mesh, "DirichletAll").constrained.copy()
     pinned.reshape(mesh.nx + 1, mesh.ny + 1, 4)[::mesh.nx, ::mesh.ny, DOF_VXY] = False
     return np.flatnonzero(pinned)
 
@@ -120,7 +125,8 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
         trace_dofs = boundary_trace_dofs(mesh)
     trace_dofs = np.asarray(trace_dofs, dtype=np.int64)
     full = DofMap.unconstrained(mesh)
-    G, conorm = _conormal_operator(mesh, domain, quad_order)
+    cell = CellPullBack(mesh, domain, quad_order)
+    G, conorm = _conormal_operator(mesh, domain, quad_order, cell)
     K = G.tocsc()
     n_dofs = full.n_dofs
     comp = np.setdiff1d(np.arange(n_dofs), trace_dofs)
@@ -135,7 +141,7 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
 
     # Navier solves for every basis function
     dofmap = mark_essential(mesh, "DirichletAll")
-    system = assemble(LAPLACIAN_ENERGY, mesh, dofmap, domain, quad_order)
+    system = assemble(LAPLACIAN_ENERGY, mesh, dofmap, domain, quad_order, cell)
     loads = (conorm.T @ E)[dofmap.free]
     factor_a = factor_spd(system)
     U_free = factor_a.solve(loads)

@@ -219,32 +219,42 @@ class DiffeoField:
         """Invert y - h(x, y) = yhat for y (vectorized safeguarded Newton).
 
         y -> y - h(x, y) is strictly increasing (det DPhi > 0), so the root is
-        unique in [yhat, g_eps(x)].  Stops once the residual is below
-        1e-13 (1 + sup g_eps), after at most 60 steps.  g_eps(x) is evaluated
-        once, or taken from g if given; each step needs only h and h_y.
+        unique in [yhat, g_eps(x)].  x, yhat and g broadcast to (..., points);
+        each row of points (a 1-D input is one row) stops on its own, once its
+        residual is below 1e-13 (1 + sup g_eps), after at most 60 steps, so
+        it takes the steps, and has the bits, of a call on that row alone.
+        g_eps(x) is evaluated once, or taken from g if given; each step needs
+        only h and h_y.
         """
         x = np.asarray(x, dtype=float)
-        yhat = np.asarray(yhat, dtype=float)
-        g = self.spec.g(x) if g is None else g
+        g = self.spec.g(x) if g is None else np.asarray(g, dtype=float)
+        shape = np.broadcast_shapes(x.shape, np.shape(yhat), g.shape)
+        rows = (-1, shape[-1] if shape else 1)
+        yhat, g = (np.broadcast_to(a, shape).reshape(rows)
+                   for a in (np.asarray(yhat, dtype=float), g))
         sup_g = self.spec.sup_g()
         below = yhat <= g - self.layer.k_hat * self.layer.kappa_eps
         y = np.where(below, yhat, np.minimum(g, yhat + sup_g))
         scale = 1.0 + sup_g
+        live = np.arange(len(y))           # the rows not yet converged
         for _ in range(60):
-            *_, h, hy = self._blend(g, y)
-            f = y - h - yhat
-            if np.max(np.abs(f)) < 1e-13 * scale:
+            yl, gl = y[live], g[live]
+            *_, h, hy = self._blend(gl, yl)
+            f = yl - h - yhat[live]
+            go = ~(np.max(np.abs(f), axis=1) < 1e-13 * scale)
+            if not go.any():
                 break
-            step = f / np.maximum(1.0 - hy, 1e-3)
-            y = y - step
-            y = np.minimum(y, g)
-            y = np.where(below, yhat, y)
+            live, yl, gl = live[go], yl[go], gl[go]
+            step = f[go] / np.maximum(1.0 - hy[go], 1e-3)
+            yl = yl - step
+            yl = np.minimum(yl, gl)
+            y[live] = np.where(below[live], yhat[live], yl)
         else:
-            h = self._blend(g, y)[4]
-            resid = float(np.max(np.abs(y - h - yhat)))
+            h = self._blend(g[live], y[live])[4]
+            resid = float(np.max(np.abs(y[live] - h - yhat[live])))
             if resid > 1e-9 * scale:
                 raise GeometryError(f"layer map inversion stalled, residual {resid:.2e}")
-        return np.where(below, yhat, y)
+        return np.where(below, yhat, y).reshape(shape)
 
 
 def default_kappa(alpha: float, eps: float) -> float:

@@ -136,9 +136,10 @@ def _finalize(A, C, mu, Q, k, method, s):
     d = 1.0 / mu[top]
     Q = Q[:, top]
     Aq, CtQ = A @ Q, C.T @ Q
-    Bq = C @ CtQ
-    res = (np.linalg.norm(s[:, None] * (Aq - Bq * d), axis=0)
-           / np.linalg.norm(s[:, None] * Aq, axis=0))
+    den = np.linalg.norm(s[:, None] * Aq, axis=0)
+    Aq -= C @ CtQ * d               # in place, to hold fewer n x k arrays
+    Aq *= s[:, None]
+    res = np.linalg.norm(Aq, axis=0) / den
     Q = _fix_signs(Q / np.linalg.norm(CtQ, axis=0))
     return SteklovSpectrum(eigenvalues=d, modes=Q, residuals=res, method=method)
 

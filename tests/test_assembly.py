@@ -8,12 +8,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import steklov_lab.assembly as assembly
-from steklov_lab.assembly import (FeFunction, GRAD_MASS, HESSIAN_ENERGY,
-                                  LAPLACIAN_ENERGY, MASS, MIXED_U_DELTA,
-                                  _add_row, _blocks_tocsr, _combine,
-                                  _elem_gdofs, _period_elements,
-                                  _tensor_basis, _volume_rows, _weigh,
-                                  _x_factors, assemble,
+from steklov_lab.assembly import (CellPullBack, FeFunction, GRAD_MASS,
+                                  HESSIAN_ENERGY, LAPLACIAN_ENERGY, MASS,
+                                  MIXED_U_DELTA, _add_rows, _blocks_tocsr,
+                                  _combine, _elem_gdofs, _period_elements,
+                                  _tensor_basis, _weigh, _x_factors,
+                                  _y_factors, assemble,
                                   assemble_boundary_factor,
                                   assemble_navier_load, boundary_mass,
                                   gauss01, hermite1d, normal_trace,
@@ -46,6 +46,16 @@ def cos_diffeo(alpha=2.0, eps=0.125):
     return build_diffeo(spec, fit_kappa_layer(spec))
 
 
+def cell_rows(mesh, domain, quad, tags):
+    """Per element row of the cell's one pull-back: (ey, B, w, x), B mapping
+    each tag to the row's basis arrays (rep, nq*nq, 16), w (rep, nq*nq) and
+    x (nx, nq*nq)."""
+    cell = CellPullBack(mesh, domain, quad)
+    for ey in range(mesh.ny):
+        B = cell.basis(tags, slice(ey, ey + 1))
+        yield ey, {tag: b[0] for tag, b in B.items()}, cell.w[ey], cell.x
+
+
 # ---------------------------------------------------------------------------
 # element-level oracle
 
@@ -71,19 +81,21 @@ def test_element_mass_trace_against_high_order_quadrature():
 def test_tensor_basis_matches_outer_products(orders):
     # the broadcast product equals one outer product per local DOF, bit for
     # bit, in the C-contiguous layout that the contractions' summation order
-    # sees; the x-factor, computed once per pass, serves rows of every height
+    # sees; the x-factor, computed once per cell, serves rows of every height
     tx, _ = gauss01(6)
     ty = np.linspace(0.1, 0.9, 5)
     X_pass = _x_factors(tx, 0.3)[orders[0]]
-    for hy in (0.05, 0.3, 0.0123):
+    heights = (0.05, 0.3, 0.0123)
+    out = _tensor_basis(X_pass, _y_factors(ty, heights)[orders[1]])
+    assert out.flags["C_CONTIGUOUS"]
+    assert out.shape == (len(heights), tx.size * ty.size, 16)
+    for hy, row in zip(heights, out):
         X, Y = hermite1d(tx, 0.3, orders[0]), hermite1d(ty, hy, orders[1])
         ref = np.empty((tx.size * ty.size, 16))
         for n, (a, b) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
             for t, (sx, sy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
                 ref[:, 4 * n + t] = np.outer(X[2 * a + sx], Y[2 * b + sy]).ravel()
-        out = _tensor_basis(X_pass, ty, hy, orders[1])
-        assert out.flags["C_CONTIGUOUS"]
-        assert np.array_equal(out, ref)
+        assert np.array_equal(row, ref)
 
 
 def test_hermite_basis_partition_of_unity():
@@ -338,7 +350,7 @@ def test_matmul_contractions_equal_einsum_bit_for_bit(pulled_back):
     tags = ("v", "x", "y", "xx", "xy", "yy")
     kinds = (MASS, GRAD_MASS, LAPLACIAN_ENERGY, HESSIAN_ENERGY, MIXED_U_DELTA)
     rng = np.random.default_rng(11)
-    for _, B, w, x, _ in _volume_rows(m, dif, 6, tags):
+    for _, B, w, x in cell_rows(m, dif, 6, tags):
         for kind in kinds:
             assert np.array_equal(_combine(kind, B, w),
                                   _einsum_combine(kind.name, B, w)), kind
@@ -370,7 +382,7 @@ def _coo_oracle(kind, mesh, dofmap, domain):
     free_idx = dofmap.free_index()
     rows, cols, vals = [], [], []
     quad = 4 if domain is None else 6
-    for ey, B, w, _, _ in _volume_rows(mesh, domain, quad, kind.tags):
+    for ey, B, w, _ in cell_rows(mesh, domain, quad, kind.tags):
         local = _combine(kind, B, w)
         local = np.tile(local, (mesh.nx // local.shape[0], 1, 1))
         fi = free_idx[_elem_gdofs(mesh, np.arange(mesh.nx), ey)]
@@ -412,8 +424,8 @@ def test_entries_sum_element_rows_pairwise():
     # on the flat strip, it is their correctly rounded sum; a last-bit
     # error that repeats along x would move the spectra coherently
     m = build_mesh(8, 5, grading=0.7)
-    local = [_combine(HESSIAN_ENERGY, B, w)[0] for _, B, w, _, _
-             in _volume_rows(m, None, 4, HESSIAN_ENERGY.tags)]
+    local = [_combine(HESSIAN_ENERGY, B, w)[0] for _, B, w, _
+             in cell_rows(m, None, 4, HESSIAN_ENERGY.tags)]
     A = assemble(HESSIAN_ENERGY, m, DofMap.unconstrained(m)).matrix
     exact = 0
     for ix in range(1, m.nx):
@@ -433,20 +445,24 @@ def test_entries_sum_element_rows_pairwise():
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
-       st.integers(0, 2 ** 32 - 1))
-def test_scatter_keeps_local_symmetry_exact(rep, j, ny, seed):
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_scatter_keeps_local_symmetry_exact(rep, j, ny, chunk, seed):
     # the scatter adds an entry and its transpose from the same terms in the
     # same order, so exactly symmetric local matrices of any magnitude give
-    # an exactly symmetric matrix, and unsymmetrized ones do not
+    # an exactly symmetric matrix, and unsymmetrized ones do not; the rows
+    # go in chunks of any size, and give the bits of one row at a time
     m = build_mesh(rep * j, ny)
     rng = np.random.default_rng(seed)
     shape = (ny, rep, 16, 16)
     local = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
     for sym, rows in ((True, 0.5 * (local + local.swapaxes(2, 3))),
                       (False, local)):
-        S = np.zeros((m.nx + 1, m.ny + 1, 4, 3, 3, 4))
+        S, S1 = (np.zeros((m.nx + 1, m.ny + 1, 4, 3, 3, 4)) for _ in range(2))
+        for ey in range(0, ny, chunk):
+            _add_rows(S, ey, rows[ey:ey + chunk])
         for ey in range(ny):
-            _add_row(S, ey, rows[ey])
+            _add_rows(S1, ey, rows[ey:ey + 1])
+        assert np.array_equal(S.view(np.uint64), S1.view(np.uint64))
         A = _blocks_tocsr(S, DofMap.unconstrained(m))
         assert ((A != A.T).nnz == 0) == sym
 
@@ -471,17 +487,25 @@ def test_block_operations_have_the_bits_of_the_csr(nx, ny, grading, bc, kind,
     # its node-pair blocks (a product adds each row's terms in the CSR's
     # column order), so they have the bits of the same operations on the
     # CSR matrix it builds; where dpbtrf fails, as on a singular
-    # unconstrained energy form, it fails at the same leading minor
+    # unconstrained energy form, it fails at the same leading minor.  The
+    # CSR reads the same neighbour index, so the product and the diagonal
+    # are also checked, within rounding, against the COO oracle, which
+    # places each element's local matrix through `_elem_gdofs` alone
     m = build_mesh(nx, ny, grading=grading)
     dm = DofMap.unconstrained(m) if bc is None else mark_essential(m, bc)
-    A = assemble(kind, m, dm, shared_diffeo() if pulled_back else None)
-    M = A.matrix
+    dif = shared_diffeo() if pulled_back else None
+    A = assemble(kind, m, dm, dif)
+    M, R = A.matrix, _coo_oracle(kind, m, dm, dif)
     assert A.shape == M.shape == (dm.n_free,) * 2
     rng = np.random.default_rng(seed)
     for v in (rng.standard_normal(dm.n_free),
               rng.standard_normal((dm.n_free, 2))):
         assert np.array_equal(A @ v, M @ v)
+        scale = abs(R) @ abs(v)
+        assert np.all(np.abs(A @ v - R @ v) <= 1e-12 * scale)
     assert np.array_equal(A.diagonal(), M.diagonal())
+    row_max = np.abs(R.toarray()).max(axis=1, initial=0.0)
+    assert np.all(np.abs(A.diagonal() - R.diagonal()) <= 1e-13 * row_max)
 
     def factor_or_failure(X):
         try:

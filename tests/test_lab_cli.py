@@ -22,7 +22,8 @@ from steklov_lab.lab_cli import (RUNNERS, AssumptionViolatedError,
                                  run_navier_stability, run_trichotomy)
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
 from steklov_lab.navier import solve_navier
-from steklov_lab.profile_geometry import BoundaryProfile, GeometryError
+from steklov_lab.profile_geometry import (BoundaryProfile, DiffeoField,
+                                          GeometryError)
 from steklov_lab.spectral import (NoSteklovEigenvalues,
                                   SpectralConvergenceError, factor_spd,
                                   solve_steklov)
@@ -515,6 +516,29 @@ def test_norm_passes_assemble_no_matrix(monkeypatch):
     run_dbs_convergence(smoke_cfg("dbs-convergence"))
     mine = {kind for module, kind in calls if module == "steklov_lab.lab_cli"}
     assert mine and not {MASS, GRAD_MASS} & mine
+
+
+def test_navier_cell_inverts_the_layer_map_once(monkeypatch):
+    # each perturbed cell of a smoke navier-stability run inverts the layer
+    # map once for its volume points, every element row in one call, which
+    # its solve, its load and its norms share; each curvature-form cell adds
+    # one call for the top edge of its Gamma trace factor
+    shapes = []
+    physical_y = DiffeoField.physical_y
+
+    def spy(self, x, yhat, g=None):
+        shapes.append(np.shape(yhat))
+        return physical_y(self, x, yhat, g)
+
+    monkeypatch.setattr(DiffeoField, "physical_y", spy)
+    cfg = smoke_cfg("navier-stability")
+    run_navier_stability(cfg)
+    curvature = len(cfg.alphas) * len(cfg.eps_list)
+    cells = len(cfg.eps_list) + curvature
+    volume = [s for s in shapes if s[0] == cfg.ny]
+    assert len(volume) == cells
+    assert all(s[1] % cfg.quad_order ** 2 == 0 for s in volume)
+    assert len(shapes) == cells + curvature
 
 
 def test_dbs_cell_spectra_match_pencils_on_their_own_maps():

@@ -206,6 +206,35 @@ def test_physical_y_inverts_the_map():
         assert np.array_equal(given, own)
 
 
+def test_physical_y_stops_each_row_on_its_own():
+    # rows stacked into one call take the Newton steps, and so give the bits,
+    # of one call per row: a row below the layer (no step), rows that start
+    # at the top, on a steep graph, and inside the layer, which converge
+    # after different step counts, and a one-point row; with the profile
+    # values given or not, and with leading axes that flatten into rows
+    spec = spec_for(1.2, 0.125)
+    dif = build_diffeo(spec, fit_kappa_layer(spec))
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0, 1, (4, 30))
+    lo = dif.layer_bottom(x)
+    yhat = np.stack([lo[0] - rng.uniform(0.0, 0.5, 30), np.zeros(30),
+                     -rng.uniform(0.0, 0.02, 30),
+                     lo[3] + rng.uniform(0.0, 1.0, 30) * (0.0 - lo[3])])
+    g = spec.g(x)
+    one = [dif.physical_y(xr, yr) for xr, yr in zip(x, yhat)]
+    for got in (dif.physical_y(x, yhat), dif.physical_y(x, yhat, g)):
+        assert got.shape == yhat.shape
+        assert np.array_equal(got.view(np.uint64), np.stack(one).view(np.uint64))
+    stacked = dif.physical_y(x.reshape(2, 2, 30), yhat.reshape(2, 2, 30))
+    assert np.array_equal(stacked.reshape(4, 30), np.stack(one))
+    # one point per row, and a row broadcast against its abscissae
+    assert np.array_equal(dif.physical_y(x[:, :1], yhat[:, :1]),
+                          np.stack([r[:1] for r in one]))
+    row = dif.physical_y(x[2], yhat[2])
+    assert np.array_equal(dif.physical_y(x[2], np.broadcast_to(yhat[2], (3, 30))),
+                          np.broadcast_to(row, (3, 30)))
+
+
 def test_det_certificate_matches_column_loop():
     # the vectorized certificate samples the same grid as a loop over the
     # sample columns, so det_min and det_max agree bit for bit
