@@ -351,8 +351,9 @@ def _field(B, tags):
 
 
 def _combine(kind: FormKind, B, w):
-    """Local matrices (nel, 16, 16) of a volume form from the physical
-    derivative basis arrays B (nel, nq, 16) and weights w (nel, nq)."""
+    """Local matrices (..., nel, 16, 16) of a volume form from the physical
+    derivative basis arrays B (..., nel, nq, 16) and weights w (..., nel,
+    nq)."""
     if kind.on_boundary:
         raise ValueError(f"{kind} is not a volume form")
     terms = (factor * _gram(_field(B, P), _field(B, Q), w)
@@ -490,12 +491,12 @@ class CellPullBack:
         self.rep, self._chain = rep, None
         self._X, self._Y = _x_factors(tq, hx), _y_factors(tq, hy)
         if domain is not None:
-            shape = (mesh.ny, rep, nq * nq)
+            shape, flat = (mesh.ny, rep, nq * nq), (mesh.ny, rep * nq * nq)
             gs = [np.repeat(domain.spec.g(xq[:rep], k), nq, axis=1)
                   .reshape(1, -1) for k in range(3)]
             *chain, det, y = _chain_arrays(
-                domain, self.x[:rep].reshape(1, -1),
-                np.broadcast_to(self.y, shape).reshape(mesh.ny, -1), gs)
+                domain, np.broadcast_to(self.x[:rep].reshape(1, -1), flat),
+                np.broadcast_to(self.y, shape).reshape(flat), gs)
             self._chain = [arr.reshape(shape + (1,)) for arr in chain]
             self.y, self.w = y.reshape(shape), self.w / det.reshape(shape)
 
@@ -591,8 +592,7 @@ def _boundary_batches(kind, mesh, domain, quad_order):
     yield P, w, gdofs
     # sides x = 0 and x = w_len, one batch each over the element rows:
     # normal (-+1, 0), dS = dy_hat / det DPhi
-    ey_all = np.arange(mesh.ny)
-    hy = np.array([mesh.hy(ey) for ey in ey_all])
+    ey_all, hy = np.arange(mesh.ny), np.diff(mesh.ys)
     yq = (mesh.ys[:-1, None] + hy[:, None] * tq)[:, None, :]     # (ny, 1, nq)
     for ex, tx, x_edge, sgn in ((0, 0.0, 0.0, -1.0),
                                 (mesh.nx - 1, 1.0, mesh.w_len, 1.0)):
