@@ -20,7 +20,11 @@ flat strip and pulled back through the layer map:
   `mark_essential(mesh, "DirichletAll+ClampGamma")`, whose products take
   the seeded vectors at its free DOFs
 - NormalTrace and BoundaryMass on Gamma and on the whole boundary, as forms
-  (`assemble`) and as factors (`assemble_boundary_factor`)
+  (`assemble`) and as factors (`assemble_boundary_factor`), each factor
+  also as the experiments build it, read from the `CellPullBack` that a
+  volume pass has read first (entry `<kind>.shared.factor`); a tree whose
+  `assemble_boundary_factor` takes no `cell` saves its standalone factor
+  under that name, so the two trees' entries compare bit for bit
 - the Navier load of a fixed smooth datum (`assemble_navier_load`)
 - the Gram values of Mass, GradMass and HessianEnergy at two seeded vectors
   (`sobolev_forms`), the terms of every norm the experiments report
@@ -40,6 +44,7 @@ other array changes its shape, or if a symmetric form of the new tree is
 not exactly symmetric.
 """
 
+import inspect
 import json
 import os
 import shutil
@@ -141,6 +146,11 @@ def dump(cell, out_dir):
                 save(f"{side}.{kind}{label}.product1", A @ vectors[0, dofs.free])
                 save(f"{side}.{kind}{label}.product2",
                      A @ vectors[:, dofs.free].T)
+        shared = {}
+        if "cell" in inspect.signature(assemble_boundary_factor).parameters:
+            from steklov_lab.assembly import CellPullBack
+            shared["cell"] = CellPullBack(mesh, domain, quad)
+            assemble(HESSIAN_ENERGY, mesh, dm, domain, quad, **shared)
         for make in (normal_trace, boundary_mass):
             for part in ("Gamma", "All"):
                 kind = make(part)
@@ -148,6 +158,9 @@ def dump(cell, out_dir):
                                                        quad).matrix)
                 save_matrix(f"{side}.{kind}.factor", assemble_boundary_factor(
                     kind, mesh, dm, domain, quad))
+                save_matrix(f"{side}.{kind}.shared.factor",
+                            assemble_boundary_factor(kind, mesh, dm, domain,
+                                                     quad, **shared))
         save(f"{side}.NavierLoad", assemble_navier_load(datum, mesh, dm, domain,
                                                         quad))
         save(f"{side}.SobolevGrams", sobolev_forms(

@@ -15,14 +15,15 @@ a = h_x, b = h_y evaluated at the physical point,
 and the volume element is dx = det(DPhi)^{-1} dx_hat.  On the oscillating
 graph the surface element is sqrt(1 + g'^2) dx' and the outward normal is
 (-g', 1)/sqrt(1 + g'^2).  Volume and boundary integrals take this chain rule
-through one pull-back, `_pull_back`; each cell's volume quadrature is pulled
-back once, as a `CellPullBack`, for every pass over it.
+through one pull-back, `_pull_back`, at the points of one `CellPullBack` per
+cell, its volume and its edges, which every pass over the cell reads.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -390,20 +391,16 @@ def _resolution_warning(mesh: Mesh, domain: DiffeoField | None):
             f"{want} for graph slope {spec.sup_g(1):.3g})", stacklevel=3)
 
 
-def _chain_arrays(domain: DiffeoField, x, yref, gs=None):
-    """Physical chain-rule data at reference points (x, yref), arrays that
-    broadcast to (rows, points), each row of points one layer-map inversion;
-    gs, if given, holds g_eps, g_eps' and g_eps'' at x.
-
-    Returns (a, b, hxx, hxy, hyy, det, y) arrays of shape (rows, points),
-    where y is the physical ordinate of each point.
-    """
-    y = domain.physical_y(x, yref, None if gs is None else gs[0])
-    _, hx, hy, hxx, hxy, hyy = domain.h_derivs(x, y, gs)
-    det = 1.0 - hy
+def _pull_points(domain: DiffeoField, x, yref, gs=None):
+    """Physical ordinates y, shaped as yref, and det DPhi (rows, points) at
+    reference points (x, yref), (rows, ...) each, each row one layer-map
+    inversion; gs, if given, holds g_eps, g_eps' and g_eps'' at x."""
+    x, yr = x.reshape(len(yref), -1), yref.reshape(len(yref), -1)
+    y = domain.physical_y(x, yr, None if gs is None else gs[0])
+    det = 1.0 - domain.h_derivs(x, y, gs)[2]
     if np.min(det) <= 0.0:
         raise GeometryError("det DPhi <= 0 at a quadrature point")
-    return hx, hy, hxx, hxy, hyy, det, y
+    return y.reshape(yref.shape), det
 
 
 # derivative tag -> (x order, y order) of the basis arrays
@@ -411,17 +408,16 @@ _DERIVS = {"v": (0, 0), "x": (1, 0), "y": (0, 1),
            "xx": (2, 0), "xy": (1, 1), "yy": (0, 2)}
 
 
-def _pull_back(tags, X, Y, chain):
+def _pull_back(tags, X, Y, domain, x, y, gs=None):
     """The one reference -> physical pull-back of every integral's basis.
 
     Maps each derivative tag in `tags` to the physical-derivative basis
     array (rows, nel, npts, 16) of the tensor points of element rows, from
     the factors X = `_x_factors` and Y = `_y_factors` (one per row) of the
-    reference basis, through the chain rule with the arrays chain = (a, b,
-    hxx, hxy, hyy) of `_chain_arrays`, each shaped (rows, nel, npts, 1).  On
-    the flat strip chain is None, and the basis is the reference basis, with
-    nel = 1.  Each reference basis array is built the first time the chain
-    rule reads it.
+    reference basis, through the chain rule at the physical points (x, y)
+    (rows, nel, npts) of `domain` (gs as in `_pull_points`); on the flat
+    strip, domain None, it is the reference basis, with nel = 1.  Each
+    reference basis array is built the first time the chain rule reads it.
     """
     ref = {}
 
@@ -430,9 +426,10 @@ def _pull_back(tags, X, Y, chain):
             dx, dy = _DERIVS[tag]
             ref[tag] = _tensor_basis(X[dx], Y[dy])[:, None]
         return ref[tag]
-    if chain is None:
+    if domain is None:
         return {tag: r(tag) for tag in tags}
-    a, b, hxx, hxy, hyy = chain
+    a, b, hxx, hxy, hyy = (arr[..., None]
+                           for arr in domain.h_derivs(x, y, gs)[1:])
     rule = {
         "v": lambda: np.broadcast_to(r("v"), a.shape[:-1] + (16,)),
         "x": lambda: r("x") - a * r("y"),
@@ -459,51 +456,60 @@ _CHUNK_BYTES = 4 << 20
 
 
 class CellPullBack:
-    """One cell's volume quadrature, pulled back once for every pass over it.
+    """One cell's quadrature, pulled back once for every pass over it: the
+    volume that `basis` reads and the boundary edges that `edges` reads.
 
     The layer map depends on x only through the eps-periodic g_eps, so each
     element row is pulled back on one period, its first rep =
-    `_period_elements` elements, and element ex has the data of element ex
-    % rep.  All ny rows are pulled back together, in one layer-map
-    inversion with a Newton row per element row.  The cell keeps the
-    physical quadrature points, x (nx, nq*nq) and y (ny, rep, nq*nq), the
-    weights w (ny, rep, nq*nq), 1/det DPhi included, and what `basis` reads:
-    the basis x-factors, each row's y-factors and the chain-rule arrays.  On
-    the flat strip rep is 1, and y and w are those of each row's one
-    element.  `assemble`, `assemble_navier_load` and `sobolev_forms` read a
-    cell given to them and build their own otherwise.
+    `_period_elements` elements (1 on the flat strip), and element ex has
+    the data of element ex % rep.  The first volume read inverts the layer
+    map on all ny rows at once, a Newton row per element row.  The cell
+    keeps the Gauss rule, y and w (ny, rep, nq*nq), w with 1/det DPhi, one
+    period's abscissae and g_eps, g_eps', g_eps'' and the basis factors,
+    but no chain-rule array, so that it stays small across a factorization.
+    `assemble` and the other passes read a cell given to them, or their own.
     """
 
     def __init__(self, mesh: Mesh, domain: DiffeoField | None = None,
                  quad_order: int | None = None):
         self.mesh, self.domain = mesh, domain
-        self.quad_order = nq = _quad_order(domain, quad_order)
-        tq, wq = gauss01(nq)
-        hx = mesh.w_len / mesh.nx
-        hy = np.diff(mesh.ys)
-        xq = mesh.xs[:-1, None] + hx * tq[None, :]                   # (nx, nq)
-        self.x = np.repeat(xq, nq, axis=1)                       # (nx, nq*nq)
-        yq = mesh.ys[:-1, None] + hy[:, None] * tq                   # (ny, nq)
-        self.y = np.tile(yq, nq)[:, None, :]                  # (ny, 1, nq*nq)
-        w = (wq * hx)[:, None] * (wq * hy[:, None])[:, None, :]
-        self.w = w.reshape(mesh.ny, 1, -1)
-        rep = 1 if domain is None else _period_elements(mesh, domain)
-        self.rep, self._chain = rep, None
-        self._X, self._Y = _x_factors(tq, hx), _y_factors(tq, hy)
-        if domain is not None:
-            shape, flat = (mesh.ny, rep, nq * nq), (mesh.ny, rep * nq * nq)
-            gs = [np.repeat(domain.spec.g(xq[:rep], k), nq, axis=1)
-                  .reshape(1, -1) for k in range(3)]
-            *chain, det, y = _chain_arrays(
-                domain, np.broadcast_to(self.x[:rep].reshape(1, -1), flat),
-                np.broadcast_to(self.y, shape).reshape(flat), gs)
-            self._chain = [arr.reshape(shape + (1,)) for arr in chain]
-            self.y, self.w = y.reshape(shape), self.w / det.reshape(shape)
+        self.quad_order = _quad_order(domain, quad_order)
+        self.tq, self.wq = gauss01(self.quad_order)
+        self.hx = mesh.w_len / mesh.nx
+        self.rep = 1 if domain is None else _period_elements(mesh, domain)
+        self._X = _x_factors(self.tq, self.hx)
 
-    @property
-    def basis_bytes(self) -> int:
-        """The bytes of one basis array on one element row."""
-        return self.w[0].nbytes * 16
+    @cached_property
+    def _Y(self):
+        return _y_factors(self.tq, np.diff(self.mesh.ys))
+
+    @cached_property
+    def _volume(self):
+        """(y, w, x, gs): y and w, and one period's abscissae x and g_eps,
+        g_eps', g_eps'' there, (rep, nq*nq) each (None on the flat strip)."""
+        mesh, domain, nq = self.mesh, self.domain, self.quad_order
+        hy = np.diff(mesh.ys)
+        yq = mesh.ys[:-1, None] + hy[:, None] * self.tq              # (ny, nq)
+        y = np.tile(yq, nq)[:, None, :]                       # (ny, 1, nq*nq)
+        w = (self.wq * self.hx)[:, None] * (self.wq * hy[:, None])[:, None, :]
+        w = w.reshape(mesh.ny, 1, -1)
+        if domain is None:
+            return y, w, None, None
+        xq = self.xq[:self.rep]
+        x, *gs = (np.repeat(a, nq, axis=1) for a in
+                  [xq] + [domain.spec.g(xq, k) for k in range(3)])
+        shape, flat = (mesh.ny, self.rep, nq * nq), (mesh.ny, x.size)
+        y, det = _pull_points(domain, np.broadcast_to(x.reshape(1, -1), flat),
+                              np.broadcast_to(y, shape),
+                              [g.reshape(1, -1) for g in gs])
+        return y, w / det.reshape(shape), x, gs
+
+    # abscissae xq (nx, nq) and x (nx, nq*nq), y, w, basis bytes per row
+    xq = property(lambda self: self.mesh.xs[:-1, None] + self.hx * self.tq)
+    x = property(lambda self: np.repeat(self.xq, self.quad_order, axis=1))
+    y = property(lambda self: self._volume[0])
+    w = property(lambda self: self._volume[1])
+    basis_bytes = property(lambda self: self.w[0].nbytes * 16)
 
     def chunks(self, row_bytes: int):
         """Slices of consecutive element rows, in ey order, whose temporaries
@@ -514,10 +520,60 @@ class CellPullBack:
 
     def basis(self, tags, rows: slice) -> dict:
         """`_pull_back` of `tags` on the element rows `rows`: each tag's
-        basis arrays (rows, rep, nq*nq, 16).  They are built per call and
-        not kept, so that a cell held across a factorization stays small."""
-        chain = self._chain and [arr[rows] for arr in self._chain]
-        return _pull_back(tags, self._X, [Y[rows] for Y in self._Y], chain)
+        basis arrays (rows, rep, nq*nq, 16)."""
+        y, _, x, gs = self._volume
+        return _pull_back(tags, self._X, [Y[rows] for Y in self._Y],
+                          self.domain, x, y[rows], gs)
+
+    def _edge(self, comps, X, Y, x, yref):
+        """Trace rows (rows * nel, npts, 16), the sum of c times the basis
+        array of tag over comps {tag: c}, and det DPhi (rows, npts), at
+        reference points x, yref (rows, nel, npts), a Newton row per row,
+        from basis factors X and Y with a row each."""
+        y, det = None, 1.0
+        if self.domain is not None:
+            y, det = _pull_points(self.domain, x, yref)
+        B = _pull_back(tuple(comps), X, Y, self.domain, x, y)
+        P = reduce(np.add, (c * B[tag] for tag, c in comps.items()))
+        P = np.broadcast_to(P, x.shape + (16,))
+        return P.reshape(-1, x.shape[-1], 16), det
+
+    def edges(self, kind: FormKind):
+        """Yield (P, w, gdofs) per boundary edge of `kind`, the top first:
+        trace rows P (nel, nq, 16), weights w (nel, nq) and the element DOF
+        indices.  Each edge inverts the layer map at its own points, a
+        Newton row per element row on the sides.  A normal maps derivative
+        tags to its nonzero components, so no zero term enters the sum; the
+        forms square the normal derivative, so its sign is free."""
+        mesh, xq, hy = self.mesh, self.xq, np.diff(self.mesh.ys)
+        trace, value = kind.name == "NormalTrace", {"v": 1.0}
+        # top, the graph y = g_eps(x) at y_hat = 0: normal (-g', 1) and
+        # dS = sqrt(1 + g'^2) dx, so the trace carries 1/sqrt(1 + g'^2);
+        # bottom, y = -1 below the layer: normal (0, 1), dS = dx
+        w = np.tile(self.wq * self.hx, (mesh.nx, 1))                # (nx, nq)
+        normal, w_top = {"y": 1.0}, w
+        if self.domain is not None:
+            gp = self.domain.spec.g(xq, 1)
+            normal = {"x": -gp[:, :, None], "y": 1.0}
+            s = np.sqrt(1.0 + gp ** 2)
+            w_top = w / s if trace else w * s
+        for t, ey, y_edge, nrm, wt in ((1.0, mesh.ny - 1, 0.0, normal, w_top),
+                                       (0.0, 0, mesh.ys[0], {"y": 1.0}, w)):
+            P, _ = self._edge(nrm if trace else value, self._X,
+                              _y_factors(np.array([t]), hy[ey:ey + 1]),
+                              xq[None], np.full((1,) + xq.shape, y_edge))
+            yield P, wt, _elem_gdofs(mesh, np.arange(mesh.nx), ey)
+            if kind.part == "Gamma":
+                return
+        # sides x = 0 and x = w_len, the element rows of each at once:
+        # normal (-+1, 0), dS = dy_hat / det DPhi
+        yq = (mesh.ys[:-1, None] + hy[:, None] * self.tq)[:, None, :]
+        for ex, t, x_edge in ((0, 0.0, 0.0), (mesh.nx - 1, 1.0, mesh.w_len)):
+            P, det = self._edge({"x": 2.0 * t - 1.0} if trace else value,
+                                _x_factors(np.array([t]), self.hx), self._Y,
+                                np.full_like(yq, x_edge), yq)
+            yield P, (self.wq * hy[:, None]) / det, _elem_gdofs(
+                mesh, ex, np.arange(mesh.ny))
 
 
 def _cell(mesh: Mesh, domain: DiffeoField | None, quad_order: int | None,
@@ -532,106 +588,28 @@ def _cell(mesh: Mesh, domain: DiffeoField | None, quad_order: int | None,
     return cell
 
 
-def _boundary_batches(kind, mesh, domain, quad_order):
-    """Yield (P, w, gdofs) per boundary batch: trace rows P (nel, nq, 16),
-    quadrature weights w (nel, nq) and the element DOF indices.
-
-    The basis goes through `_pull_back`; each edge gives only its reference
-    points, 1-D weights, unnormalised normal and surface factor.  A normal
-    maps derivative tags to its nonzero components, so no zero term enters
-    the sum.  The forms square the normal derivative, so its sign is free:
-    the bottom keeps (0, 1).  Each edge is one batch, with one layer-map
-    inversion per element row on the sides, so every point keeps the bits
-    of a batch per row.
-    """
-    nq = quad_order
-    tq, wq = gauss01(nq)
-    hx = mesh.w_len / mesh.nx
-    ex_all = np.arange(mesh.nx)
-    xq = mesh.xs[:-1, None] + hx * tq[None, :]                       # (nx, nq)
-    trace = kind.name == "NormalTrace"
-
-    def batch(ex, ey, tx, ty, x, yref, normal):
-        """(P, det, gdofs) on the elements (ex, ey) at the points (tx, ty),
-        whose reference coordinates x, yref (rows, nel, npts) have a row per
-        element row in ey."""
-        comps = normal if trace else {"v": 1.0}
-        hy = [mesh.hy(e) for e in np.atleast_1d(ey)]
-        chain, det = None, 1.0
-        if domain is not None:
-            *chain, det, _ = _chain_arrays(domain, x.reshape(len(hy), -1),
-                                           yref.reshape(len(hy), -1))
-            chain = [arr.reshape(x.shape + (1,)) for arr in chain]
-            det = det.reshape(-1, x.shape[-1])
-        B = _pull_back(tuple(comps), _x_factors(tx, hx), _y_factors(ty, hy),
-                       chain)
-        (tag, c), *rest = comps.items()
-        P = c * B[tag]
-        for tag, c in rest:
-            P = P + c * B[tag]
-        P = np.broadcast_to(P, x.shape + (16,)).reshape(-1, x.shape[-1], 16)
-        return P, det, _elem_gdofs(mesh, ex, ey)
-
-    # top, the graph y = g_eps(x) at y_hat = 0: normal (-g', 1) and
-    # dS = sqrt(1 + g'^2) dx, so the trace carries 1/sqrt(1 + g'^2)
-    w = np.tile(wq * hx, (mesh.nx, 1))                               # (nx, nq)
-    normal, w_top = {"y": 1.0}, w
-    if domain is not None:
-        gp = domain.spec.g(xq, 1)
-        normal = {"x": -gp[:, :, None], "y": 1.0}
-        s = np.sqrt(1.0 + gp ** 2)
-        w_top = w / s if trace else w * s
-    P, _, gdofs = batch(ex_all, mesh.ny - 1, tq, np.ones(1), xq[None],
-                        np.zeros((1,) + xq.shape), normal)
-    yield P, w_top, gdofs
-    if kind.part == "Gamma":
-        return
-    # bottom, y = -1 below the layer: normal (0, 1), dS = dx
-    P, _, gdofs = batch(ex_all, 0, tq, np.zeros(1), xq[None],
-                        np.full((1,) + xq.shape, mesh.ys[0]), {"y": 1.0})
-    yield P, w, gdofs
-    # sides x = 0 and x = w_len, one batch each over the element rows:
-    # normal (-+1, 0), dS = dy_hat / det DPhi
-    ey_all, hy = np.arange(mesh.ny), np.diff(mesh.ys)
-    yq = (mesh.ys[:-1, None] + hy[:, None] * tq)[:, None, :]     # (ny, 1, nq)
-    for ex, tx, x_edge, sgn in ((0, 0.0, 0.0, -1.0),
-                                (mesh.nx - 1, 1.0, mesh.w_len, 1.0)):
-        P, det, gdofs = batch(ex, ey_all, np.array([tx]), tq,
-                              np.full_like(yq, x_edge), yq, {"x": sgn})
-        yield P, (wq * hy[:, None]) / det, gdofs
-
-
 def assemble_boundary_factor(kind: FormKind, mesh: Mesh, dofmap: DofMap,
                              domain: DiffeoField | None = None,
-                             quad_order: int | None = None) -> sp.csr_matrix:
-    """Quadrature factor C of a boundary form, B = C C^T in free numbering.
-
-    Columns correspond to boundary quadrature points, so the form's value at
-    a free vector u is ||C^T u||^2, a sum of squares that needs no n x n
-    matrix.
-    """
+                             quad_order: int | None = None,
+                             cell: CellPullBack | None = None) -> sp.csr_matrix:
+    """Quadrature factor C of a boundary form, B = C C^T in free numbering,
+    from the edges of `cell` (as in `assemble`).  Columns correspond to
+    boundary quadrature points, so the form's value at a free vector u is
+    ||C^T u||^2, a sum of squares that needs no n x n matrix."""
     if not kind.on_boundary:
         raise ValueError("factored assembly is for boundary forms")
-    quad_order = _quad_order(domain, quad_order)
-    free_idx = dofmap.free_index()
-    rows, cols, vals = [], [], []
-    col0 = 0
-    for P, w, gdofs in _boundary_batches(kind, mesh, domain, quad_order):
-        nel, nq, _ = P.shape
+    parts, col0 = [], 0
+    for P, w, gdofs in _cell(mesh, domain, quad_order, cell).edges(kind):
         entries = P * np.sqrt(w)[:, :, None]          # (nel, nq, 16)
-        fi = free_idx[gdofs]                          # (nel, 16)
-        r = np.broadcast_to(fi[:, None, :], entries.shape).ravel()
-        cidx = col0 + np.arange(nel * nq).reshape(nel, nq)
-        c = np.broadcast_to(cidx[:, :, None], entries.shape).ravel()
-        v = entries.ravel()
+        c = col0 + np.arange(w.size).reshape(w.shape + (1,))
+        r, c = np.broadcast_arrays(dofmap.free_index()[gdofs][:, None], c)
         keep = r >= 0
-        rows.append(r[keep])
-        cols.append(c[keep])
-        vals.append(v[keep])
-        col0 += nel * nq
-    C = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dofmap.n_free, col0))
+        parts.append((entries[keep], r[keep], c[keep]))
+        col0 += w.size
+    # joined as temporaries: the int64 indices go once C has its own
+    vals, rows, cols = zip(*parts)
+    C = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                       np.concatenate(cols))), (dofmap.n_free, col0))
     return C.tocsr()
 
 
@@ -650,12 +628,12 @@ def assemble(kind: FormKind, mesh: Mesh, dofmap: DofMap,
     is exactly symmetric; its FeSystem keeps C as `factor`, which the
     Steklov solves read.
     """
-    quad_order = _quad_order(domain, quad_order)
+    cell = _cell(mesh, domain, quad_order, cell)
     _resolution_warning(mesh, domain)
     if kind.on_boundary:
-        C = assemble_boundary_factor(kind, mesh, dofmap, domain, quad_order)
-        return FeSystem(mesh, dofmap, kind, domain, factor=C)
-    cell = _cell(mesh, domain, quad_order, cell)
+        return FeSystem(mesh, dofmap, kind, domain, factor=(
+            assemble_boundary_factor(kind, mesh, dofmap, domain, quad_order,
+                                     cell)))
     S = np.zeros((mesh.nx + 1, mesh.ny + 1, 4, 3, 3, 4))
     # per row: the lower halves' sums and a few basis arrays
     for rows in cell.chunks(S[:, 0].nbytes + 4 * cell.basis_bytes):

@@ -410,8 +410,10 @@ def _sweep(cfg, alphas, solve):
 
 def _steklov_cell(cfg, mesh, bc, form, part, domain):
     dm = mark_essential(mesh, bc)
-    A = assemble(form, mesh, dm, domain, cfg.quad_order)
-    B = assemble(normal_trace(part), mesh, dm, domain, cfg.quad_order)
+    cell = CellPullBack(mesh, domain, cfg.quad_order)   # A's and B's
+    A, B = (assemble(kind, mesh, dm, domain, cfg.quad_order, cell)
+            for kind in (form, normal_trace(part)))
+    del cell                                # freed before the solve
     return solve_steklov(A, B, k=cfg.k, seed=cfg.seed)
 
 
@@ -517,9 +519,10 @@ def run_dbs_convergence(config: ExperimentConfig) -> ExperimentReport:
         # the four pencils share one DOF map and, per domain, one trace form
         # and one pull-back, which the H2 distance's pass reads too
         dm = mark_essential(mesh, "DirichletAll")
-        traces = [(d, CellPullBack(mesh, d, cfg.quad_order),
-                   assemble(normal_trace("All"), mesh, dm, d, cfg.quad_order))
-                  for d in (dif, None)]
+        traces = [(d, cell, assemble(normal_trace("All"), mesh, dm, d,
+                                     cfg.quad_order, cell))
+                  for d in (dif, None)
+                  for cell in [CellPullBack(mesh, d, cfg.quad_order)]]
         spectra = {}
         for tag, form in (("lap", LAPLACIAN_ENERGY), ("hess", HESSIAN_ENERGY)):
             # each A goes straight into its solve, so no A outlives its solve
@@ -637,13 +640,13 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
         return flat
 
     def error_norms(mesh, dif, form, sol_0):
-        """The solve's DOF map and free solution vector, and the pulled-back
-        L2, gradient and energy norms of w = u_eps - u_0; the energy form is
-        the solved one (bending or curvature).  w is taken in defect form,
+        """The solve's DOF map and free solution vector, the pulled-back L2,
+        gradient and energy norms of w = u_eps - u_0, the energy form being
+        the solved one (bending or curvature), and the one pull-back of the
+        cell that the solve and the norms read.  w is taken in defect form,
         A_eps^{-1} (F_eps - A_eps u_0), on the solve's factor, so that the
         factor's rounding enters it relative to w, not to the two solutions
-        whose difference it is.  The solve and the norms read one
-        pull-back of the cell, freed with it."""
+        whose difference it is."""
         cell = CellPullBack(mesh, dif, cfg.quad_order)
         sol_e = solve_navier(mesh, f_triple, form=form, domain=dif,
                              quad_order=cfg.quad_order, cell=cell)
@@ -654,8 +657,8 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
         # full-DOF norms; L2 and gradient by quadrature, energy on A
         mass, grad = sobolev_forms((MASS, GRAD_MASS), w, mesh, dm, dif,
                                    cfg.quad_order, cell)[:, 0, 0]
-        return dm, u_eps, tuple(float(np.sqrt(v))
-                                for v in (mass, grad, w @ (A @ w)))
+        return dm, u_eps, tuple(float(np.sqrt(v)) for v in (
+            mass, grad, w @ (A @ w))), cell
 
     def gamma_residual(mesh, dm, u_eps):
         """Does the empirical limit satisfy the curvature-shifted flat
@@ -696,13 +699,14 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
     # then the normal trace on the oscillating edge
     flat = flat_solutions(cfg.alphas, HESSIAN_ENERGY)
 
-    def curvature_cell(mesh, dif, cell):
-        dm, u_eps, nrm = error_norms(mesh, dif, HESSIAN_ENERGY, flat[mesh.nx])
-        Cg = assemble_boundary_factor(normal_trace("Gamma"), mesh, dm, dif,
-                                      cfg.quad_order)
-        trace = float(np.linalg.norm(Cg.T @ u_eps))
+    def curvature_cell(mesh, dif, key):
+        dm, u_eps, nrm, cell = error_norms(mesh, dif, HESSIAN_ENERGY,
+                                           flat[mesh.nx])
+        trace = float(np.linalg.norm(assemble_boundary_factor(
+            normal_trace("Gamma"), mesh, dm, dif, cfg.quad_order, cell).T @ u_eps))
+        del cell            # freed before the curvature-shifted solve
         # metric n = -15 is read off the critical cell at eps_min alone
-        critical = abs(cell[0] - 1.5) < 1e-12 and cell[1] == e1
+        critical = abs(key[0] - 1.5) < 1e-12 and key[1] == e1
         return nrm + (trace,), (gamma_residual(mesh, dm, u_eps) if critical
                                 else None)
 

@@ -68,8 +68,7 @@ def solve_navier(mesh: Mesh, f, form: FormKind = LAPLACIAN_ENERGY,
     `cell` if given.
     """
     dofmap = mark_essential(mesh, "DirichletAll")
-    if cell is None:
-        cell = CellPullBack(mesh, domain, quad_order)
+    cell = cell or CellPullBack(mesh, domain, quad_order)
     system = assemble(form, mesh, dofmap, domain, quad_order, cell)
     F = assemble_navier_load(f, mesh, dofmap, domain, quad_order, cell)
     factor = factor_spd(system)
@@ -155,7 +154,7 @@ def build_ntn(mesh: Mesh, domain: DiffeoField | None = None,
     N = 0.5 * (N + N.T)
 
     T = assemble_boundary_factor(boundary_mass("All"), mesh, full, domain,
-                                 quad_order).T @ E
+                                 quad_order, cell).T @ E
     J0 = T.T @ T
     ev = np.linalg.eigvalsh(J0)
     if ev.min() <= ev.max() * 1e-12:

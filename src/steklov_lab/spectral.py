@@ -86,14 +86,17 @@ def _as_matrix(A):
 def factor_spd(A) -> SpdFactor:
     """Banded Cholesky factor of an SPD matrix in its own DOF order.
 
-    A is a volume FeSystem, read in the chunks of its `entries`, or a
-    sparse matrix, read from its canonical CSR form as one chunk.  Before
-    the band is allocated, a non-finite entry raises ValueError, and a band
-    whose storage, 8 (band + 1) n bytes, would exceed SPD_FACTOR_BUDGET
-    raises MemoryError; then one loop writes the entries with col >= row of
-    either.  A matrix that is not positive definite raises LinAlgError.
+    A is a volume FeSystem (a boundary one raises ValueError), read in the
+    chunks of its `entries`, or a sparse matrix, read from its canonical CSR
+    form as one chunk.  Before the band is allocated, a non-finite entry
+    raises ValueError, and a band whose storage, 8 (band + 1) n bytes, would
+    exceed SPD_FACTOR_BUDGET raises MemoryError; then one loop writes the
+    entries with col >= row of either.  A matrix that is not positive
+    definite raises LinAlgError.
     """
     if isinstance(A, FeSystem):
+        if A.blocks is None:
+            raise ValueError(f"{A.kind} carries no node-pair blocks to factor")
         n, band, chunks = A.n_free, A.half_bandwidth(), A.entries()
         finite = np.isfinite(A.blocks).all()
     else:

@@ -20,9 +20,9 @@ from steklov_lab.assembly import (CellPullBack, FeFunction, GRAD_MASS,
                                   sobolev_forms)
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
 from steklov_lab.spectral import factor_spd
-from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
-                                          KappaLayer, build_diffeo,
-                                          fit_kappa_layer)
+from steklov_lab.profile_geometry import (BoundaryProfile, DiffeoField,
+                                          DomainSpec, KappaLayer,
+                                          build_diffeo, fit_kappa_layer)
 
 from oracles import interpolate
 
@@ -621,6 +621,75 @@ def test_boundary_factor_reproduces_the_form(pulled_back):
             assert abs(C @ C.T - B).max() <= 1e-13 * scale, kind
             assert np.sum((C.T @ u) ** 2) == pytest.approx(u @ (B @ u),
                                                            rel=1e-13, abs=1e-300)
+
+
+def _bits(C):
+    return [getattr(C, part).tobytes() for part in ("indptr", "indices", "data")]
+
+
+@pytest.mark.parametrize("pulled_back", [False, True])
+def test_boundary_factor_from_a_shared_cell_has_the_bits_of_its_own(
+        pulled_back):
+    # a factor read from a cell that a volume pass has already pulled back
+    # is bit for bit the factor built on a cell of its own
+    m = build_mesh(64, 4, grading=0.8)
+    dif = cos_diffeo(alpha=2.0, eps=0.125) if pulled_back else None
+    for dm in (DofMap.unconstrained(m),
+               mark_essential(m, "DirichletAll+ClampGamma")):
+        cell = CellPullBack(m, dif)
+        assemble(HESSIAN_ENERGY, m, dm, dif, cell=cell)
+        for kind in (normal_trace("Gamma"), normal_trace("All"),
+                     boundary_mass("Gamma"), boundary_mass("All")):
+            C = assemble_boundary_factor(kind, m, dm, dif, cell=cell)
+            alone = assemble_boundary_factor(kind, m, dm, dif)
+            assert C.shape == alone.shape and _bits(C) == _bits(alone), kind
+            B = assemble(kind, m, dm, dif, cell=cell)
+            assert _bits(B.factor) == _bits(alone), kind
+    other = build_mesh(64, 5, grading=0.8)
+    with pytest.raises(ValueError, match="the pull-back is of another cell"):
+        assemble_boundary_factor(normal_trace("All"), other,
+                                 DofMap.unconstrained(other), dif, cell=cell)
+
+
+def _counting(monkeypatch):
+    """Counts of the `hermite1d` calls and shapes of the reference
+    ordinates of the `physical_y` calls made from here on."""
+    calls = {"hermite1d": 0, "physical_y": []}
+    hermite, physical_y = assembly.hermite1d, DiffeoField.physical_y
+
+    def count_hermite(*args):
+        calls["hermite1d"] += 1
+        return hermite(*args)
+
+    def spy(self, x, yhat, g=None):
+        calls["physical_y"].append(np.shape(yhat))
+        return physical_y(self, x, yhat, g)
+    monkeypatch.setattr(assembly, "hermite1d", count_hermite)
+    monkeypatch.setattr(DiffeoField, "physical_y", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ny", [2, 5])
+def test_boundary_factor_pulls_back_only_its_edges(monkeypatch, ny):
+    # from a built cell, an All factor takes its 12 one-point basis rows per
+    # edge (top and bottom y, left and right x); alone, it adds the cell's x-
+    # and y-factors and inverts the layer map on its edges only, one call
+    # per edge, and a Gamma factor builds no y-factor of the element rows
+    m, dif = build_mesh(64, ny, grading=0.8), cos_diffeo(alpha=2.0, eps=0.125)
+    dm, nq = DofMap.unconstrained(m), 6
+    cell = CellPullBack(m, dif)
+    assemble(MASS, m, dm, dif, cell=cell)
+    calls = _counting(monkeypatch)
+    assemble_boundary_factor(normal_trace("All"), m, dm, dif, cell=cell)
+    assert calls["hermite1d"] == 12
+    assert len(calls["physical_y"]) == 4
+    for part, edges, hermite in (("Gamma", 1, 6), ("All", 4, 15 + 3 * ny)):
+        calls["hermite1d"], calls["physical_y"] = 0, []
+        assemble_boundary_factor(normal_trace(part), m, dm, dif)
+        assert calls["hermite1d"] == hermite, part
+        assert len(calls["physical_y"]) == edges, part
+        volume = (ny, cell.rep * nq * nq)
+        assert all(s != volume for s in calls["physical_y"]), part
 
 
 # ---------------------------------------------------------------------------

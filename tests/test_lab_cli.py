@@ -541,6 +541,36 @@ def test_navier_cell_inverts_the_layer_map_once(monkeypatch):
     assert len(shapes) == cells + curvature
 
 
+def test_degeneration_cell_shares_its_pull_back_with_the_trace(monkeypatch):
+    # each perturbed cell of a smoke degeneration run inverts the layer map
+    # once for its volume points, every element row in one call, and its
+    # NormalTrace(All) factor, read through the same cell, once per edge.
+    # Every pencil, the two flat ones too, builds its cell's basis factors
+    # once (3 x-factors, 3 y-factors per element row) and its four edges'
+    # one-point rows (12)
+    shapes, hermite = [], []
+    physical_y, hermite1d = DiffeoField.physical_y, assembly.hermite1d
+
+    def spy(self, x, yhat, g=None):
+        shapes.append(np.shape(yhat))
+        return physical_y(self, x, yhat, g)
+
+    def count(*args):
+        hermite.append(1)
+        return hermite1d(*args)
+
+    monkeypatch.setattr(DiffeoField, "physical_y", spy)
+    monkeypatch.setattr(assembly, "hermite1d", count)
+    cfg = smoke_cfg("degeneration", eps_list=(0.0625, 0.03125))
+    run_degeneration(cfg)
+    cells = len(cfg.eps_list)
+    volume = [s for s in shapes if s[0] == cfg.ny
+              and s[1] % cfg.quad_order ** 2 == 0]
+    assert len(volume) == cells
+    assert len(shapes) == cells * (1 + 4)
+    assert len(hermite) == (cells + 2) * (3 + 3 * cfg.ny + 12)
+
+
 def test_dbs_cell_spectra_match_pencils_on_their_own_maps():
     # the cell's four pencils share one DOF map and one trace form per
     # domain; each spectrum is bit-identical to that of its pencil assembled

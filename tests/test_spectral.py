@@ -316,6 +316,14 @@ def test_factor_spd_refuses_non_finite_entries_before_the_band():
         assert peak < 8 * (band + 1) * A.n_free      # the band's bytes
 
 
+def test_factor_spd_of_a_boundary_form_names_the_form():
+    # a boundary FeSystem keeps its factor C, not node-pair blocks
+    _, B = square_pencil(4, part="Gamma")
+    with pytest.raises(ValueError, match=r"NormalTrace\(Gamma\) carries no "
+                                         "node-pair blocks"):
+        factor_spd(B)
+
+
 def test_block_readers_keep_their_temporaries_per_chunk():
     # A @ X and factor_spd(A) read a volume form's node-pair blocks a slab
     # of node columns at a time.  Beside the product, or the factor's band,
