@@ -391,13 +391,13 @@ def _resolution_warning(mesh: Mesh, domain: DiffeoField | None):
             f"{want} for graph slope {spec.sup_g(1):.3g})", stacklevel=3)
 
 
-def _pull_points(domain: DiffeoField, x, yref, gs=None):
+def _pull_points(domain: DiffeoField, x, yref):
     """Physical ordinates y, shaped as yref, and det DPhi (rows, points) at
     reference points (x, yref), (rows, ...) each, each row one layer-map
-    inversion; gs, if given, holds g_eps, g_eps' and g_eps'' at x."""
+    inversion."""
     x, yr = x.reshape(len(yref), -1), yref.reshape(len(yref), -1)
-    y = domain.physical_y(x, yr, None if gs is None else gs[0])
-    det = 1.0 - domain.h_derivs(x, y, gs)[2]
+    y = domain.physical_y(x, yr)
+    det = domain.det(x, y)
     if np.min(det) <= 0.0:
         raise GeometryError("det DPhi <= 0 at a quadrature point")
     return y.reshape(yref.shape), det
@@ -408,14 +408,14 @@ _DERIVS = {"v": (0, 0), "x": (1, 0), "y": (0, 1),
            "xx": (2, 0), "xy": (1, 1), "yy": (0, 2)}
 
 
-def _pull_back(tags, X, Y, domain, x, y, gs=None):
+def _pull_back(tags, X, Y, domain, x, y):
     """The one reference -> physical pull-back of every integral's basis.
 
     Maps each derivative tag in `tags` to the physical-derivative basis
     array (rows, nel, npts, 16) of the tensor points of element rows, from
     the factors X = `_x_factors` and Y = `_y_factors` (one per row) of the
     reference basis, through the chain rule at the physical points (x, y)
-    (rows, nel, npts) of `domain` (gs as in `_pull_points`); on the flat
+    (rows, nel, npts) of `domain`, x broadcasting against y; on the flat
     strip, domain None, it is the reference basis, with nel = 1.  Each
     reference basis array is built the first time the chain rule reads it.
     """
@@ -429,7 +429,7 @@ def _pull_back(tags, X, Y, domain, x, y, gs=None):
     if domain is None:
         return {tag: r(tag) for tag in tags}
     a, b, hxx, hxy, hyy = (arr[..., None]
-                           for arr in domain.h_derivs(x, y, gs)[1:])
+                           for arr in domain.h_derivs(x, y)[1:])
     rule = {
         "v": lambda: np.broadcast_to(r("v"), a.shape[:-1] + (16,)),
         "x": lambda: r("x") - a * r("y"),
@@ -465,8 +465,8 @@ class CellPullBack:
     the data of element ex % rep.  The first volume read inverts the layer
     map on all ny rows at once, a Newton row per element row.  The cell
     keeps the Gauss rule, y and w (ny, rep, nq*nq), w with 1/det DPhi, one
-    period's abscissae and g_eps, g_eps', g_eps'' and the basis factors,
-    but no chain-rule array, so that it stays small across a factorization.
+    period's abscissae and the basis factors, but no chain-rule array and no
+    g_eps, so that it stays small across a factorization.
     `assemble` and the other passes read a cell given to them, or their own.
     """
 
@@ -485,8 +485,8 @@ class CellPullBack:
 
     @cached_property
     def _volume(self):
-        """(y, w, x, gs): y and w, and one period's abscissae x and g_eps,
-        g_eps', g_eps'' there, (rep, nq*nq) each (None on the flat strip)."""
+        """(y, w, x): y and w, and one period's abscissae x (rep, nq*nq),
+        None on the flat strip."""
         mesh, domain, nq = self.mesh, self.domain, self.quad_order
         hy = np.diff(mesh.ys)
         yq = mesh.ys[:-1, None] + hy[:, None] * self.tq              # (ny, nq)
@@ -494,15 +494,12 @@ class CellPullBack:
         w = (self.wq * self.hx)[:, None] * (self.wq * hy[:, None])[:, None, :]
         w = w.reshape(mesh.ny, 1, -1)
         if domain is None:
-            return y, w, None, None
-        xq = self.xq[:self.rep]
-        x, *gs = (np.repeat(a, nq, axis=1) for a in
-                  [xq] + [domain.spec.g(xq, k) for k in range(3)])
+            return y, w, None
+        x = np.repeat(self.xq[:self.rep], nq, axis=1)
         shape, flat = (mesh.ny, self.rep, nq * nq), (mesh.ny, x.size)
         y, det = _pull_points(domain, np.broadcast_to(x.reshape(1, -1), flat),
-                              np.broadcast_to(y, shape),
-                              [g.reshape(1, -1) for g in gs])
-        return y, w / det.reshape(shape), x, gs
+                              np.broadcast_to(y, shape))
+        return y, w / det.reshape(shape), x
 
     # abscissae xq (nx, nq) and x (nx, nq*nq), y, w, basis bytes per row
     xq = property(lambda self: self.mesh.xs[:-1, None] + self.hx * self.tq)
@@ -521,9 +518,9 @@ class CellPullBack:
     def basis(self, tags, rows: slice) -> dict:
         """`_pull_back` of `tags` on the element rows `rows`: each tag's
         basis arrays (rows, rep, nq*nq, 16)."""
-        y, _, x, gs = self._volume
+        y, _, x = self._volume
         return _pull_back(tags, self._X, [Y[rows] for Y in self._Y],
-                          self.domain, x, y[rows], gs)
+                          self.domain, x, y[rows])
 
     def _edge(self, comps, X, Y, x, yref):
         """Trace rows (rows * nel, npts, 16), the sum of c times the basis

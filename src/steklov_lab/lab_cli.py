@@ -408,13 +408,17 @@ def _sweep(cfg, alphas, solve):
     return {cell: (mesh, solve(mesh, dif, cell)) for mesh, dif, cell in setups}
 
 
-def _steklov_cell(cfg, mesh, bc, form, part, domain):
+def _steklov_cell(cfg, mesh, bc, forms, part, domain):
+    """The Steklov solve of each volume form in `forms` against
+    NormalTrace(part), in order: the pencils share one DOF map, one trace
+    factor B and one pull-back of the cell, and each A goes straight into
+    its solve, so that no A outlives it."""
     dm = mark_essential(mesh, bc)
-    cell = CellPullBack(mesh, domain, cfg.quad_order)   # A's and B's
-    A, B = (assemble(kind, mesh, dm, domain, cfg.quad_order, cell)
-            for kind in (form, normal_trace(part)))
-    del cell                                # freed before the solve
-    return solve_steklov(A, B, k=cfg.k, seed=cfg.seed)
+    cell = CellPullBack(mesh, domain, cfg.quad_order)
+    B = assemble(normal_trace(part), mesh, dm, domain, cfg.quad_order, cell)
+    return [solve_steklov(assemble(form, mesh, dm, domain, cfg.quad_order,
+                                   cell), B, k=cfg.k, seed=cfg.seed)
+            for form in forms]
 
 
 def _base_header(cfg: ExperimentConfig):
@@ -466,14 +470,14 @@ def run_trichotomy(config: ExperimentConfig) -> ExperimentReport:
     ]))
     mesh0 = cfg.reference_mesh()
     lam0 = _steklov_cell(cfg, mesh0, "DirichletAll+ClampSigma",
-                         HESSIAN_ENERGY, "Gamma", None).eigenvalues
+                         (HESSIAN_ENERGY,), "Gamma", None)[0].eigenvalues
     gamma = solve_cell(cfg.profile(1.5)).gamma
     report.add(0.0, 0.0, mesh0.nx, mesh0.ny, 0, gamma, 0.0, 0.0, "Info")
     report.data(0.0, 0.0, mesh0, 1, lam0, lam0)
 
     cells = _sweep(cfg, cfg.alphas, lambda mesh, dif, _: _steklov_cell(
-        cfg, mesh, "DirichletAll+ClampSigma", HESSIAN_ENERGY, "Gamma",
-        dif).eigenvalues)
+        cfg, mesh, "DirichletAll+ClampSigma", (HESSIAN_ENERGY,), "Gamma",
+        dif)[0].eigenvalues)
     for a in cfg.alphas:
         targets = lam0 + gamma if abs(a - 1.5) < 1e-12 else lam0
         for e in cfg.eps_list:
@@ -516,32 +520,23 @@ def run_dbs_convergence(config: ExperimentConfig) -> ExperimentReport:
     ]))
 
     def solve(mesh, dif, _):
-        # the four pencils share one DOF map and, per domain, one trace form
-        # and one pull-back, which the H2 distance's pass reads too
-        dm = mark_essential(mesh, "DirichletAll")
-        traces = [(d, cell, assemble(normal_trace("All"), mesh, dm, d,
-                                     cfg.quad_order, cell))
-                  for d in (dif, None)
-                  for cell in [CellPullBack(mesh, d, cfg.quad_order)]]
-        spectra = {}
-        for tag, form in (("lap", LAPLACIAN_ENERGY), ("hess", HESSIAN_ENERGY)):
-            # each A goes straight into its solve, so no A outlives its solve
-            spectra[tag] = tuple(solve_steklov(
-                assemble(form, mesh, dm, d, cfg.quad_order, cell), B,
-                k=cfg.k, seed=cfg.seed) for d, cell, B in traces)
+        # both forms' pencils on each domain, perturbed then flat
+        lap, hess = zip(*(_steklov_cell(
+            cfg, mesh, "DirichletAll", (LAPLACIAN_ENERGY, HESSIAN_ENERGY),
+            "All", d) for d in (dif, None)))
         # transplanted H2 distance of the leading bending-form eigenfunction,
         # the norm of w = q_eps - s q_ref with s the sign of the Mass cross
         # term q_eps^T M q_ref.  One quadrature pass takes both candidates
         # q_eps -+ q_ref; by polarization s = -1 iff q_eps + q_ref has the
         # smaller L2 norm.  w vanishes on the constrained DOFs of the map
-        s_eps, s_ref = spectra["lap"]
-        q_eps, q_ref = s_eps.modes[:, 0], s_ref.modes[:, 0]
+        q_eps, q_ref = (s.modes[:, 0] for s in lap)
         grams = sobolev_forms((MASS, GRAD_MASS, HESSIAN_ENERGY),
-                              (q_eps - q_ref, q_eps + q_ref), mesh, dm, dif,
-                              cfg.quad_order, traces[0][1])
+                              (q_eps - q_ref, q_eps + q_ref), mesh,
+                              mark_essential(mesh, "DirichletAll"), dif,
+                              cfg.quad_order)
         norms = grams.diagonal(axis1=1, axis2=2)
         val = norms[:, int(norms[0, 1] < norms[0, 0])].sum()
-        return spectra, float(np.sqrt(max(val, 0.0)))
+        return {"lap": lap, "hess": hess}, float(np.sqrt(max(val, 0.0)))
 
     cells = _sweep(cfg, (cfg.alpha,), solve)
     for tag, base in (("lap", 0), ("hess", 100)):
@@ -580,14 +575,14 @@ def run_degeneration(config: ExperimentConfig) -> ExperimentReport:
         f"{THRESHOLDS['degeneration_gap']}); n=-2 max successive gap ratio",
     ]))
     mesh0 = cfg.reference_mesh()
-    clamp = _steklov_cell(cfg, mesh0, "DirichletAll+ClampGamma",
-                          HESSIAN_ENERGY, "All", None).eigenvalues
-    plain = _steklov_cell(cfg, mesh0, "DirichletAll",
-                          HESSIAN_ENERGY, "All", None).eigenvalues
+    clamp, plain = (_steklov_cell(cfg, mesh0, bc, (HESSIAN_ENERGY,), "All",
+                                  None)[0].eigenvalues
+                    for bc in ("DirichletAll+ClampGamma", "DirichletAll"))
     report.data(0.0, 0.0, mesh0, 301, clamp, plain)
 
     cells = _sweep(cfg, (cfg.alpha,), lambda mesh, dif, _: _steklov_cell(
-        cfg, mesh, "DirichletAll", HESSIAN_ENERGY, "All", dif).eigenvalues)
+        cfg, mesh, "DirichletAll", (HESSIAN_ENERGY,), "All",
+        dif)[0].eigenvalues)
     for e in cfg.eps_list:
         mesh, lam = cells[cfg.alpha, e]
         report.data(cfg.alpha, e, mesh, 1, lam, clamp)
@@ -640,10 +635,10 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
         return flat
 
     def error_norms(mesh, dif, form, sol_0):
-        """The solve's DOF map and free solution vector, the pulled-back L2,
-        gradient and energy norms of w = u_eps - u_0, the energy form being
-        the solved one (bending or curvature), and the one pull-back of the
-        cell that the solve and the norms read.  w is taken in defect form,
+        """The solve's DOF map and free solution vector, and the pulled-back
+        L2, gradient and energy norms of w = u_eps - u_0, the energy form
+        being the solved one (bending or curvature); the solve and the norms
+        read one pull-back of the cell.  w is taken in defect form,
         A_eps^{-1} (F_eps - A_eps u_0), on the solve's factor, so that the
         factor's rounding enters it relative to w, not to the two solutions
         whose difference it is."""
@@ -658,7 +653,7 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
         mass, grad = sobolev_forms((MASS, GRAD_MASS), w, mesh, dm, dif,
                                    cfg.quad_order, cell)[:, 0, 0]
         return dm, u_eps, tuple(float(np.sqrt(v)) for v in (
-            mass, grad, w @ (A @ w))), cell
+            mass, grad, w @ (A @ w)))
 
     def gamma_residual(mesh, dm, u_eps):
         """Does the empirical limit satisfy the curvature-shifted flat
@@ -700,11 +695,10 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
     flat = flat_solutions(cfg.alphas, HESSIAN_ENERGY)
 
     def curvature_cell(mesh, dif, key):
-        dm, u_eps, nrm, cell = error_norms(mesh, dif, HESSIAN_ENERGY,
-                                           flat[mesh.nx])
+        dm, u_eps, nrm = error_norms(mesh, dif, HESSIAN_ENERGY, flat[mesh.nx])
+        # the factor pulls back the top edge alone
         trace = float(np.linalg.norm(assemble_boundary_factor(
-            normal_trace("Gamma"), mesh, dm, dif, cfg.quad_order, cell).T @ u_eps))
-        del cell            # freed before the curvature-shifted solve
+            normal_trace("Gamma"), mesh, dm, dif, cfg.quad_order).T @ u_eps))
         # metric n = -15 is read off the critical cell at eps_min alone
         critical = abs(key[0] - 1.5) < 1e-12 and key[1] == e1
         return nrm + (trace,), (gamma_residual(mesh, dm, u_eps) if critical

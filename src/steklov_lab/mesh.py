@@ -26,7 +26,6 @@ class Mesh:
     nx: int
     ny: int
     w_len: float
-    grading: float
     xs: np.ndarray          # nx+1 column abscissae
     ys: np.ndarray          # ny+1 row ordinates, ys[-1] = 0
 
@@ -120,7 +119,7 @@ def build_mesh(nx: int, ny: int, grading: float = 1.0, w_len: float = 1.0) -> Me
     """Tensor mesh of (0, w_len) x (-1, 0) on the rows of `graded_rows`."""
     if nx < 1:
         raise ValueError("nx must be >= 1")
-    return Mesh(nx=nx, ny=ny, w_len=float(w_len), grading=float(grading),
+    return Mesh(nx=nx, ny=ny, w_len=float(w_len),
                 xs=np.linspace(0.0, w_len, nx + 1), ys=graded_rows(ny, grading))
 
 

@@ -191,12 +191,11 @@ class DiffeoField:
         t2, t3 = t * t, t * t * t
         return d, t, t2, t3, g * t3, 3.0 * g * t2 / d
 
-    def h_derivs(self, x, y, gs=None):
-        """h, h_x, h_y, h_xx, h_xy, h_yy at physical points (vectorized); gs,
-        if given, holds g_eps, g_eps' and g_eps'' at x."""
-        x = np.asarray(x, dtype=float)
+    def h_derivs(self, x, y):
+        """h, h_x, h_y, h_xx, h_xy, h_yy at physical points (vectorized), with
+        g_eps, g_eps' and g_eps'' evaluated at x, which broadcasts against y."""
         y = np.asarray(y, dtype=float)
-        g, gp, gpp = gs if gs is not None else [self.spec.g(x, k) for k in range(3)]
+        g, gp, gpp = (self.spec.g(x, k) for k in range(3))
         d, t, t2, t3, h, hy = self._blend(g, y)
         hx = gp * t3 - 3.0 * g * gp * t2 / d
         hxx = (gpp * t3 - 6.0 * gp * gp * t2 / d
@@ -215,20 +214,18 @@ class DiffeoField:
     def det(self, x, y):
         return 1.0 - self._blend(self.spec.g(x), np.asarray(y, dtype=float))[5]
 
-    def physical_y(self, x, yhat, g=None):
+    def physical_y(self, x, yhat):
         """Invert y - h(x, y) = yhat for y (vectorized safeguarded Newton).
 
         y -> y - h(x, y) is strictly increasing (det DPhi > 0), so the root is
-        unique in [yhat, g_eps(x)].  x, yhat and g broadcast to (..., points);
+        unique in [yhat, g_eps(x)].  x and yhat broadcast to (..., points);
         each row of points (a 1-D input is one row) stops on its own, once its
         residual is below 1e-13 (1 + sup g_eps), after at most 60 steps, so
         it takes the steps, and has the bits, of a call on that row alone.
-        g_eps(x) is evaluated once, or taken from g if given; each step needs
-        only h and h_y.
+        g_eps is evaluated once, at x; each step needs only h and h_y.
         """
-        x = np.asarray(x, dtype=float)
-        g = self.spec.g(x) if g is None else np.asarray(g, dtype=float)
-        shape = np.broadcast_shapes(x.shape, np.shape(yhat), g.shape)
+        g = self.spec.g(x)
+        shape = np.broadcast_shapes(g.shape, np.shape(yhat))
         rows = (-1, shape[-1] if shape else 1)
         yhat, g = (np.broadcast_to(a, shape).reshape(rows)
                    for a in (np.asarray(yhat, dtype=float), g))

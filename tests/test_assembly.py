@@ -21,8 +21,9 @@ from steklov_lab.assembly import (CellPullBack, FeFunction, GRAD_MASS,
 from steklov_lab.mesh import DofMap, build_mesh, mark_essential
 from steklov_lab.spectral import factor_spd
 from steklov_lab.profile_geometry import (BoundaryProfile, DiffeoField,
-                                          DomainSpec, KappaLayer,
-                                          build_diffeo, fit_kappa_layer)
+                                          DomainSpec, GeometryError,
+                                          KappaLayer, build_diffeo,
+                                          fit_kappa_layer)
 
 from oracles import interpolate
 
@@ -661,9 +662,9 @@ def _counting(monkeypatch):
         calls["hermite1d"] += 1
         return hermite(*args)
 
-    def spy(self, x, yhat, g=None):
+    def spy(self, x, yhat):
         calls["physical_y"].append(np.shape(yhat))
-        return physical_y(self, x, yhat, g)
+        return physical_y(self, x, yhat)
     monkeypatch.setattr(assembly, "hermite1d", count_hermite)
     monkeypatch.setattr(DiffeoField, "physical_y", spy)
     return calls
@@ -690,6 +691,25 @@ def test_boundary_factor_pulls_back_only_its_edges(monkeypatch, ny):
         assert len(calls["physical_y"]) == edges, part
         volume = (ny, cell.rep * nq * nq)
         assert all(s != volume for s in calls["physical_y"]), part
+
+
+@pytest.mark.parametrize("kappa", [0.04, 0.01])
+def test_folded_layer_map_fails_the_det_check_on_its_edges(kappa):
+    # a layer map built directly, without build_diffeo's certificate, whose
+    # layer is too thin for the graph: det DPhi = 1 - 3 g_eps / (k_hat kappa)
+    # is negative at the top of the crests.  Every boundary factor reads the
+    # top edge first and raises there, built alone or from a cell
+    spec = DomainSpec(epsilon=0.25,
+                      profile=BoundaryProfile.fourier_cosine([1.0, 1.0], 2.0))
+    dif = DiffeoField(spec, KappaLayer(kappa_eps=kappa, k_hat=8.0))
+    m = build_mesh(16, 6, grading=0.7)
+    dm = DofMap.unconstrained(m)
+    for kind in (normal_trace("Gamma"), normal_trace("All"),
+                 boundary_mass("Gamma"), boundary_mass("All")):
+        for cell in (None, CellPullBack(m, dif)):
+            with pytest.raises(GeometryError,
+                               match=r"det DPhi <= 0 at a quadrature point"):
+                assemble_boundary_factor(kind, m, dm, dif, cell=cell)
 
 
 # ---------------------------------------------------------------------------

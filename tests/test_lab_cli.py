@@ -365,6 +365,24 @@ def test_tracer_sites_resolve():
         t.uninstall()
 
 
+def test_navier_solves_pass_their_domain_by_keyword(monkeypatch):
+    # the benchmark's traced Navier check tells a flat solve from a
+    # perturbed one by the `domain` keyword of each solve_navier call made
+    # from lab_cli (perfbench/checks.py, TraceRecorder._navier); it would
+    # misread a domain passed by position
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return solve_navier(*args, **kwargs)
+
+    monkeypatch.setattr(lab_cli, "solve_navier", spy)
+    run_navier_stability(smoke_cfg("navier-stability"))
+    assert calls and all("domain" in kwargs for kwargs in calls)
+    assert any(kw["domain"] is None for kw in calls)
+    assert any(kw["domain"] is not None for kw in calls)
+
+
 BENCH_SMOKE = "ny = 6\nreference_nx = 16\nk = 2\neps_list = 1/8, 1/16\n"
 
 
@@ -526,9 +544,9 @@ def test_navier_cell_inverts_the_layer_map_once(monkeypatch):
     shapes = []
     physical_y = DiffeoField.physical_y
 
-    def spy(self, x, yhat, g=None):
+    def spy(self, x, yhat):
         shapes.append(np.shape(yhat))
-        return physical_y(self, x, yhat, g)
+        return physical_y(self, x, yhat)
 
     monkeypatch.setattr(DiffeoField, "physical_y", spy)
     cfg = smoke_cfg("navier-stability")
@@ -551,9 +569,9 @@ def test_degeneration_cell_shares_its_pull_back_with_the_trace(monkeypatch):
     shapes, hermite = [], []
     physical_y, hermite1d = DiffeoField.physical_y, assembly.hermite1d
 
-    def spy(self, x, yhat, g=None):
+    def spy(self, x, yhat):
         shapes.append(np.shape(yhat))
-        return physical_y(self, x, yhat, g)
+        return physical_y(self, x, yhat)
 
     def count(*args):
         hermite.append(1)

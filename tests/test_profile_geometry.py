@@ -193,25 +193,14 @@ def test_physical_y_inverts_the_map():
     assert np.array_equal(dif.physical_y(xx, yhat), yhat)
     top = dif.physical_y(x, np.zeros_like(x))
     assert np.max(np.abs(top - spec.g(x))) < 1e-13
-    # profile values given by the caller, taken once at distinct abscissae
-    # and repeated over the points that share them, as an assembly pass does,
-    # give the same bits as the calls that evaluate the profile themselves
-    xq = rng.uniform(0, 1, (40, 6))
-    xs = np.repeat(xq, 6, axis=1).ravel()
-    yhat = rng.uniform(-1.0, 0.0, xs.size)
-    gs = [np.repeat(spec.g(xq, k), 6, axis=1).ravel() for k in range(3)]
-    y = dif.physical_y(xs, yhat)
-    assert np.array_equal(dif.physical_y(xs, yhat, gs[0]), y)
-    for given, own in zip(dif.h_derivs(xs, y, gs), dif.h_derivs(xs, y)):
-        assert np.array_equal(given, own)
 
 
 def test_physical_y_stops_each_row_on_its_own():
     # rows stacked into one call take the Newton steps, and so give the bits,
     # of one call per row: a row below the layer (no step), rows that start
     # at the top, on a steep graph, and inside the layer, which converge
-    # after different step counts, and a one-point row; with the profile
-    # values given or not, and with leading axes that flatten into rows
+    # after different step counts, and a one-point row; and with leading
+    # axes that flatten into rows
     spec = spec_for(1.2, 0.125)
     dif = build_diffeo(spec, fit_kappa_layer(spec))
     rng = np.random.default_rng(9)
@@ -220,11 +209,10 @@ def test_physical_y_stops_each_row_on_its_own():
     yhat = np.stack([lo[0] - rng.uniform(0.0, 0.5, 30), np.zeros(30),
                      -rng.uniform(0.0, 0.02, 30),
                      lo[3] + rng.uniform(0.0, 1.0, 30) * (0.0 - lo[3])])
-    g = spec.g(x)
     one = [dif.physical_y(xr, yr) for xr, yr in zip(x, yhat)]
-    for got in (dif.physical_y(x, yhat), dif.physical_y(x, yhat, g)):
-        assert got.shape == yhat.shape
-        assert np.array_equal(got.view(np.uint64), np.stack(one).view(np.uint64))
+    got = dif.physical_y(x, yhat)
+    assert got.shape == yhat.shape
+    assert np.array_equal(got.view(np.uint64), np.stack(one).view(np.uint64))
     stacked = dif.physical_y(x.reshape(2, 2, 30), yhat.reshape(2, 2, 30))
     assert np.array_equal(stacked.reshape(4, 30), np.stack(one))
     # one point per row, and a row broadcast against its abscissae
