@@ -5,6 +5,8 @@ Usage: python scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT --workload W
            --seeds S [S ...] --label L [--seconds 20] [--out DIR]
        python scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT --default E
            --pairs P --label L [--out DIR]
+       python scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT --tier1
+           --pairs P --label L [--out DIR]
 
 For each seed, runs `python3 perfbench/run.py --workload W --seed S
 --seconds N --trace 0` once in each checkout, one after the other; which
@@ -21,9 +23,16 @@ does and records each column's largest relative change and every verdict
 that flips.  A run fails if it exits with a code other than 0 (every metric
 Satisfied) or 1 (one is not).
 
+With `--tier1` each run is instead the tier-1 suite, `python -m pytest -q
+--continue-on-collection-errors` in the checkout with its src/ on the path
+and one BLAS thread, P alternating pairs.  A run records the same three
+metrics and its counts of passed and failed tests; it fails if pytest exits
+with a code other than 0 (every test passed) or 1 (some failed).
+
 Writes BENCH_<L>.json under DIR (default: CHANGE_ROOT).  The file holds one
-entry per workload, under "workloads", and one per default experiment, under
-"defaults", so runs of others with the same label add to it.  An entry holds
+entry per workload, under "workloads", one per default experiment, under
+"defaults", and the tier-1 entry, under "tier1" as "pytest", so runs of
+others with the same label add to it.  An entry holds
 each pair's values, each side's median and quartiles per metric, the number
 of pairs the change won (it did better than the parent), and each side's
 attempted and failed operations.  The file also records the machine: CPU
@@ -35,6 +44,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -64,22 +74,45 @@ def run_once(root, workload, seed, seconds) -> dict:
     return json.loads(lines[-1])
 
 
-def run_default(root, experiment, out_dir) -> dict:
-    """Wall time, child CPU time and child peak RSS of one default-config
-    run of the experiment in the checkout at root, and its exit code."""
+def one_thread_env(root) -> dict:
+    """The environment of a run on the checkout's src/, with one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    return env
+
+
+def timed_child(cmd, root, stdout) -> dict:
+    """Wall time, child CPU time and child peak RSS of one run of cmd in the
+    checkout at root, and its exit code."""
     t0 = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "steklov_lab.lab_cli", experiment, "--out",
-         out_dir], cwd=root, env=env, stdout=subprocess.DEVNULL)
+    proc = subprocess.Popen(cmd, cwd=root, env=one_thread_env(root),
+                            stdout=stdout)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
     return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
             "peak_rss_mb": usage.ru_maxrss / 1024,     # ru_maxrss is in KiB
-            "exit": proc.returncode}
+            "exit": os.waitstatus_to_exitcode(status)}
+
+
+def run_default(root, experiment, out_dir) -> dict:
+    """One default-config run of the experiment in the checkout at root."""
+    return timed_child([sys.executable, "-m", "steklov_lab.lab_cli",
+                        experiment, "--out", out_dir], root, subprocess.DEVNULL)
+
+
+def run_tier1(root) -> dict:
+    """One tier-1 run in the checkout at root, with its test counts."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
+        res = timed_child([sys.executable, "-m", "pytest", "-q", "-p",
+                           "no:cacheprovider",
+                           "--continue-on-collection-errors"], root, out)
+        out.seek(0)
+        tail = out.read().strip().splitlines()[-1:]
+    for word in ("passed", "failed"):
+        found = re.search(rf"(\d+) {word}", tail[0]) if tail else None
+        res[word] = int(found.group(1)) if found else 0
+    return res
 
 
 def cpu_model() -> str:
@@ -179,6 +212,25 @@ def default_pairs(roots, args):
     return pairs, ops, ok
 
 
+def tier1_pairs(roots, args):
+    """Alternating tier-1 pairs: (pairs, operations, ok)."""
+    pairs, ops, ok = [], {side: [0, 0] for side in SIDES}, True
+    for i in range(args.pairs):
+        pair = {"first": SIDES[i % 2]}
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            res = run_tier1(roots[side])
+            failed = res.pop("exit") not in (0, 1)
+            pair[side] = res
+            ops[side][0] += 1
+            ops[side][1] += failed
+            ok &= not failed
+        pairs.append(pair)
+        print(f"pair {i}: " + "  ".join(
+            f"{n} {pair['parent'][n]:.4g} -> {pair['change'][n]:.4g}"
+            for n in pair["parent"]), flush=True)
+    return pairs, ops, ok
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_root")
@@ -186,6 +238,7 @@ def main(argv=None) -> int:
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload")
     what.add_argument("--default", metavar="EXPERIMENT")
+    what.add_argument("--tier1", action="store_true")
     parser.add_argument("--seeds", type=int, nargs="+")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--label", required=True)
@@ -204,10 +257,13 @@ def main(argv=None) -> int:
         entry = {"date": time.strftime("%Y-%m-%d"), "seconds": args.seconds}
         group, name = "workloads", args.workload
     else:
-        specs = DEFAULT_SPECS
-        pairs, ops, ok = default_pairs(roots, args)
-        entry = {"date": time.strftime("%Y-%m-%d")}
-        group, name = "defaults", args.default
+        specs, entry = DEFAULT_SPECS, {"date": time.strftime("%Y-%m-%d")}
+        if args.default:
+            pairs, ops, ok = default_pairs(roots, args)
+            group, name = "defaults", args.default
+        else:
+            pairs, ops, ok = tier1_pairs(roots, args)
+            group, name = "tier1", "pytest"
 
     entry.update({"operations": {side: {"attempted": a, "failed": f}
                                  for side, (a, f) in ops.items()},
@@ -222,7 +278,7 @@ def main(argv=None) -> int:
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             record.update({k: v for k, v in json.load(fh).items()
-                           if k in ("workloads", "defaults")})
+                           if k in ("workloads", "defaults", "tier1")})
     record.setdefault(group, {})[name] = entry
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)

@@ -662,13 +662,16 @@ def run_navier_stability(config: ExperimentConfig) -> ExperimentReport:
         scale on a graded mesh, and only first-order norms converge in this
         regime)."""
         sol_0 = flat[mesh.nx]
-        Bg_ref = assemble(normal_trace("Gamma"), mesh, dm).matrix
-        A_gam = sol_0.system.matrix + gamma * Bg_ref
-        factor_gam = factor_spd(A_gam)
+        # A_gam = A_0 + gamma C C^T, C the flat Gamma trace factor, is
+        # factored from A_0's blocks and C, and multiplied through them
+        A_0, C = sol_0.system, assemble_boundary_factor(normal_trace("Gamma"),
+                                                        mesh, dm)
+        factor_gam = factor_spd(A_0, C, -gamma)
         u_gam = factor_gam.solve(sol_0.load)
         # u_eps - u_gam in defect form, A_gam^{-1} (A_gam u_eps - F_0), so
         # that the factor's rounding enters relative to the difference
-        w_free = factor_gam.solve(A_gam @ u_eps - sol_0.load)
+        w_free = factor_gam.solve(A_0 @ u_eps + gamma * (C @ (C.T @ u_eps))
+                                  - sol_0.load)
         del factor_gam          # freed before the mass/gradient pass
         mass, grad = sobolev_forms((MASS, GRAD_MASS), (w_free, u_gam), mesh,
                                    dm).diagonal(axis1=1, axis2=2)

@@ -12,8 +12,14 @@ under symmetric diagonal scaling, van der Sluis 1969); residual
 certificates are those of the Jacobi-scaled pencil (DAD, DBD) with
 D = diag(A)^{-1/2}, where B y = C (C^T y).  Methods:
 
-  lanczos   ARPACK in mode 1 on T, one banded solve per step; `auto` takes
-            it whenever ARPACK can run on T (k < m);
+  lanczos   ARPACK in mode 1 on T, one banded solve per step, with
+            ncv = min(m, max(2k + 1, 20)), tol 1e-10 and at most two
+            restarts; `auto` takes it whenever ARPACK can run on T (k < m).
+            A run that has not converged then (a clustered pencil) is
+            retried once on T_s = C^T (A - s B)^{-1} C, whose eigenvalues
+            1/(d - s) spread the cluster: s is 0.99 times the upper
+            estimate of d_1 from a Rayleigh-Ritz step on the first run's
+            Krylov inputs, lowered while A - s B does not factor;
   dense     eigh of the k largest mu of the n x n pencil, the independent
             check, and `auto`'s choice when k >= m.
 
@@ -24,6 +30,10 @@ order.  On the tensor meshes the column-major Hermite numbering is already
 banded, with half-bandwidth 4 (ny + 2) - 1.  A volume form is read only
 through its FeSystem's entries, products and diagonal, so no solve builds
 its CSR, and this module knows nothing of its node-pair blocks' layout.
+`factor_spd` also factors a shifted matrix A - s C C^T from A and the
+factor C, in the same band loop: the Lanczos retry's A - s B, and the
+curvature-shifted A + gamma B_Gamma of navier-stability's metric n = -15.
+By Sylvester's law of inertia, A - s B is positive definite iff s < d_1.
 """
 
 from __future__ import annotations
@@ -45,6 +55,16 @@ SPD_FACTOR_BUDGET = 1 << 30     # bytes of one factor band or one dense pencil
 # largest of the lab, read 1.2e-9, 6.4e-9 and 3.3e-8 (eps = 1/32, 1/64,
 # 1/128; 98,300 to 393,212 DOFs), 30 times below it
 LANCZOS_RESIDUAL_TOL = 1e-6
+# ARPACK's settings: scipy's own ncv rule, max(2k + 1, 20), Ritz estimates
+# to 1e-10 relative and at most two restarts.  maxiter 1 shifts pencils that
+# converge at 38 products; 2 shifts only the clustered ones.
+_NCV = 20
+_ARPACK_TOL = 1e-10
+_ARPACK_MAXITER = 2
+_SHIFT = 0.99           # s = 0.99 / theta, below the estimate 1/theta >= d_1
+_BACKOFF = 0.9          # s's factor each time A - s B does not factor
+_MAX_BACKOFFS = 20
+_GRAM_CUTOFF = 1e-10    # relative, on the eigenvalues of the record's Z^T Z
 
 
 class NoSteklovEigenvalues(RuntimeError):
@@ -64,6 +84,8 @@ class SteklovSpectrum:
     residuals: np.ndarray              # ||As y - d Bs y|| / ||As y|| on the
                                        # Jacobi-scaled pencil, y = D^{-1} q
     method: str
+    shift: float = 0.0                 # Lanczos: the sigma of A - sigma B
+    backoffs: int = 0                  # Lanczos: sigma's lowerings to get it
 
 
 class SpdFactor:
@@ -83,16 +105,21 @@ def _as_matrix(A):
     return sp.csr_matrix(m) if not sp.issparse(m) else m.tocsr()
 
 
-def factor_spd(A) -> SpdFactor:
-    """Banded Cholesky factor of an SPD matrix in its own DOF order.
+def factor_spd(A, C=None, sigma: float = 0.0) -> SpdFactor:
+    """Banded Cholesky factor of the SPD matrix A - sigma C C^T in A's own
+    DOF order (sigma = 0 factors A itself).
 
     A is a volume FeSystem (a boundary one raises ValueError), read in the
     chunks of its `entries`, or a sparse matrix, read from its canonical CSR
-    form as one chunk.  Before the band is allocated, a non-finite entry
-    raises ValueError, and a band whose storage, 8 (band + 1) n bytes, would
-    exceed SPD_FACTOR_BUDGET raises MemoryError; then one loop writes the
-    entries with col >= row of either.  A matrix that is not positive
-    definite raises LinAlgError.
+    form as one chunk.  C, read only at sigma != 0, is an n x m sparse
+    factor; the upper entries of C C^T are scipy's sparse product, each
+    summed column by column of C.  Before the band is allocated, a
+    non-finite entry raises ValueError, and a band whose storage,
+    8 (band + 1) n bytes, would exceed SPD_FACTOR_BUDGET raises MemoryError;
+    then one loop writes the entries with col >= row of A, and sigma times
+    those of C C^T are subtracted.  A matrix that is not positive definite
+    raises LinAlgError: by Sylvester's law of inertia, for SPD A that is
+    sigma >= the pencil's smallest eigenvalue d_1, up to rounding.
     """
     if isinstance(A, FeSystem):
         if A.blocks is None:
@@ -106,6 +133,10 @@ def factor_spd(A) -> SpdFactor:
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         n, band = A.shape[0], int((A.indices - rows).max(initial=0))
         finite, chunks = np.isfinite(A.data).all(), [(rows, A.indices, A.data)]
+    if sigma:
+        B = sp.triu(C @ C.T, format="coo")
+        band = max(band, int((B.col - B.row).max(initial=0)))
+        finite = finite and np.isfinite(B.data).all() and np.isfinite(sigma)
     if not finite:
         raise ValueError("SPD factor of a matrix with non-finite entries")
     need = 8 * (band + 1) * n
@@ -115,10 +146,13 @@ def factor_spd(A) -> SpdFactor:
             f"{need / 2**20:.0f} MB, above the {SPD_FACTOR_BUDGET / 2**20:.0f} "
             "MB SPD factor budget")
     ab = np.zeros((band + 1, n), order="F")   # LAPACK's layout: no copy
-    for rows, cols, values in chunks:   # ab[band + row - col, col], at
-        upper = cols >= rows            # flat index band (col + 1) + row
+    flat = ab.reshape(-1, order="F")          # ab[band + row - col, col], at
+    for rows, cols, values in chunks:         # flat index band (col + 1) + row
+        upper = cols >= rows
         at = band * (cols + np.intp(1)) + rows
-        ab.reshape(-1, order="F")[at[upper]] = values[upper]
+        flat[at[upper]] = values[upper]
+    if sigma:
+        flat[band * (B.col + np.intp(1)) + B.row] -= sigma * B.data
     return SpdFactor(sla.cholesky_banded(ab, overwrite_ab=True, lower=False,
                                          check_finite=False))
 
@@ -170,25 +204,113 @@ def _solve_dense(A, C, k):
     return _finalize(A, C, mu, V, k, "dense", _jacobi(A))
 
 
+class _KrylovRecord:
+    """The inputs z_j of an ARPACK run's products y_j = T z_j as the columns
+    of one preallocated m x size block Z, and G = Z^T T Z, whose upper
+    triangle fills as the products arrive: G_ij = z_i^T y_j for i <= j.
+    Products past `size` go unrecorded; a run makes at most
+    1 + ncv + maxiter (ncv - k), as ARPACK builds ncv vectors from one more
+    product and each restart keeps at least k of them."""
+
+    def __init__(self, m: int, size: int):
+        self.Z = np.empty((m, size), order="F")
+        self.G = np.zeros((size, size))
+        self.n = 0
+
+    def add(self, z, y):
+        j = self.n
+        if j < self.Z.shape[1]:
+            self.Z[:, j] = z
+            self.G[:j + 1, j] = self.Z[:, :j + 1].T @ y
+            self.n = j + 1
+
+    def top_ritz(self) -> float:
+        """The largest Rayleigh-Ritz value of T on span(Z), so at most T's
+        largest eigenvalue.  span(Z) is orthonormalized through the Gram
+        matrix Z^T Z, dropping its directions below _GRAM_CUTOFF of the
+        largest: inputs of successive restarts are nearly dependent, and a
+        plain QR of them lets the rounding of T's products through."""
+        n = self.n
+        Z = self.Z[:, :n]
+        s, V = np.linalg.eigh(Z.T @ Z)
+        keep = s > _GRAM_CUTOFF * s[-1]
+        W = V[:, keep] / np.sqrt(s[keep])
+        G = np.triu(self.G[:n, :n])
+        G += np.triu(G, 1).T
+        return float(np.linalg.eigvalsh(W.T @ G @ W)[-1])
+
+
+def _arpack(factor, C, Ct, k, ncv, v0, record=None):
+    """ARPACK (mode 1) on T = C^T F^{-1} C, F the factored matrix, one banded
+    solve per product, each product going to `record` if one is given."""
+    def product(z):
+        y = Ct @ factor.solve(C @ z)
+        if record is not None:
+            record.add(z, y)
+        return y
+
+    m = C.shape[1]
+    T = spla.LinearOperator((m, m), dtype=float, matvec=product)
+    return spla.eigsh(T, k=k, which="LA", v0=v0, ncv=ncv, tol=_ARPACK_TOL,
+                      maxiter=_ARPACK_MAXITER)
+
+
+def _shifted_factor(A, C, sigma):
+    """The factor of A - sigma C C^T at sigma, lowered by _BACKOFF while the
+    matrix is not positive definite (sigma >= d_1): (factor, sigma, the
+    number of back-offs).  Past _MAX_BACKOFFS it raises
+    SpectralConvergenceError."""
+    for backoffs in range(_MAX_BACKOFFS + 1):
+        try:
+            return factor_spd(A, C, sigma), sigma, backoffs
+        except np.linalg.LinAlgError:
+            sigma *= _BACKOFF
+    raise SpectralConvergenceError(
+        f"no shift below d_1 found in {_MAX_BACKOFFS} back-offs")
+
+
 def _solve_lanczos(A, C, k, seed):
     """Implicitly restarted Lanczos (ARPACK, mode 1) on T = C^T A^{-1} C,
-    one banded solve per product, from a seeded start of length m; the
-    modes are then q = A^{-1} C Z, one block solve.  A certificate above
-    LANCZOS_RESIDUAL_TOL raises SpectralConvergenceError."""
+    one banded solve per product, from a seeded start of length m, with
+    ncv = min(m, max(2k + 1, 20)), tol 1e-10 and at most two restarts; the
+    modes are then q = A^{-1} C Z, one block solve.
+
+    A run that has not converged by then is retried once with a shift
+    (spectral transformation Lanczos; Ericsson and Ruhe 1980, Grimes, Lewis
+    and Simon 1994): theta, the top Rayleigh-Ritz value of T on the first
+    run's inputs, gives 1/theta >= d_1, and the same ARPACK run on
+    T_s = C^T (A - s C C^T)^{-1} C at s = 0.99 / theta, backed off until
+    A - s C C^T factors, has the eigenvalues nu = 1/(d - s), which spread a
+    cluster of d.  Then d = s + 1/nu and q = (A - s C C^T)^{-1} C z.
+    A certificate above LANCZOS_RESIDUAL_TOL, taken on the unshifted pencil,
+    raises SpectralConvergenceError."""
     m = C.shape[1]
-    factor = factor_spd(A)
-    T = spla.LinearOperator((m, m), dtype=float,
-                            matvec=lambda z: C.T @ factor.solve(C @ z))
+    Ct = C.T.tocsr()
+    ncv = min(m, max(2 * k + 1, _NCV))
     v0 = np.random.default_rng(seed).standard_normal(m)
+    record = _KrylovRecord(m, 1 + ncv + _ARPACK_MAXITER * (ncv - k))
+    factor = factor_spd(A)
+    sigma, backoffs = 0.0, 0
     try:
-        mu, Z = spla.eigsh(T, k=k, which="LA", v0=v0,
-                           ncv=min(m, max(40, 4 * k)))
-    except spla.ArpackNoConvergence as exc:
-        raise SpectralConvergenceError(f"Lanczos did not converge: {exc}") from exc
-    if np.any(mu <= 0):
+        nu, Z = _arpack(factor, C, Ct, k, ncv, v0, record)
+        record = None
+    except spla.ArpackNoConvergence:
+        pass
+    if record is not None:  # out of the handler, whose traceback holds both
+        theta = record.top_ritz()
+        record = factor = None              # freed before the shifted band
+        factor, sigma, backoffs = _shifted_factor(A, C, _SHIFT / theta)
+        try:
+            nu, Z = _arpack(factor, C, Ct, k, ncv, v0)
+        except spla.ArpackNoConvergence as exc:
+            raise SpectralConvergenceError(
+                f"shifted Lanczos did not converge: {exc}") from exc
+    if np.any(nu <= 0):
         raise NoSteklovEigenvalues(
             "Lanczos returned nonpositive pencil directions")
-    out = _finalize(A, C, mu, factor.solve(C @ Z), k, "lanczos", _jacobi(A))
+    out = _finalize(A, C, nu / (1.0 + sigma * nu), factor.solve(C @ Z), k,
+                    "lanczos", _jacobi(A))      # mu = 1/d, d = sigma + 1/nu
+    out.shift, out.backoffs = sigma, backoffs
     worst = float(out.residuals.max())
     if worst > LANCZOS_RESIDUAL_TOL:
         raise SpectralConvergenceError(

@@ -383,6 +383,23 @@ def test_navier_solves_pass_their_domain_by_keyword(monkeypatch):
     assert any(kw["domain"] is not None for kw in calls)
 
 
+def test_navier_stability_builds_no_csr_of_a_volume_form(monkeypatch):
+    # every volume form of a navier-stability run is factored and multiplied
+    # from its node-pair blocks; metric n = -15 factors A_0 + gamma C C^T
+    # from A_0's blocks and the Gamma trace factor C
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return tocsr(*args)
+
+    tocsr = assembly._blocks_tocsr
+    monkeypatch.setattr(assembly, "_blocks_tocsr", spy)
+    rep = run_navier_stability(smoke_cfg("navier-stability"))
+    assert [r for r in rep.rows if r.n == -15]
+    assert calls == []
+
+
 BENCH_SMOKE = "ny = 6\nreference_nx = 16\nk = 2\neps_list = 1/8, 1/16\n"
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from steklov_lab.assembly import (_SLAB, LAPLACIAN_ENERGY, HESSIAN_ENERGY,
                                   assemble, normal_trace)
@@ -152,15 +153,157 @@ def test_residuals_are_taken_on_the_scaled_pencil():
     assert not np.allclose(raw, s.residuals, rtol=0.1, atol=0)
 
 
+def smoke_trichotomy_pencil(alpha, eps):
+    # a trichotomy cell at the smoke settings of tests/test_lab_cli.py
+    cfg = ExperimentConfig("trichotomy", ny=6, reference_nx=16,
+                           eps_list=(1 / 8, 1 / 16))
+    mesh, dif = cfg.mesh_for(alpha, eps), cfg.diffeo(alpha, eps)
+    dm = mark_essential(mesh, "DirichletAll+ClampSigma")
+    return (assemble(HESSIAN_ENERGY, mesh, dm, dif, cfg.quad_order),
+            assemble(normal_trace("Gamma"), mesh, dm, dif, cfg.quad_order))
+
+
+def counting_solves(monkeypatch):
+    """Count the banded solves of one vector, the Lanczos products."""
+    count = [0]
+    solve = spectral.SpdFactor.solve
+
+    def counted(self, b):
+        count[0] += np.ndim(b) == 1
+        return solve(self, b)
+
+    monkeypatch.setattr(spectral.SpdFactor, "solve", counted)
+    return count
+
+
+def arpack_reference(A, B, k, ncv=40):
+    """Ascending d of ARPACK at ncv 40 and tol 0 on T = C^T A^{-1} C, with
+    its product count."""
+    C, factor, count = B.factor, factor_spd(A), [0]
+
+    def product(z):
+        count[0] += 1
+        return C.T @ factor.solve(C @ z)
+
+    m = C.shape[1]
+    T = spla.LinearOperator((m, m), dtype=float, matvec=product)
+    mu = spla.eigsh(T, k=k, which="LA", ncv=ncv, tol=0,
+                    v0=np.random.default_rng(0).standard_normal(m))[0]
+    return np.sort(1.0 / mu), count[0]
+
+
+@pytest.mark.filterwarnings("ignore:only .* elements per oscillation period")
+def test_shifted_band_factor_matches_the_shifted_matrix():
+    # A - sigma C C^T from A's blocks and C has the bits of the factor of
+    # the CSR difference, on a flat and a pulled-back graded pencil.  By
+    # Sylvester's law it factors iff sigma < d_1.
+    for A, B in (square_pencil(8, grading=0.8), graded_pulled_back_pencil()):
+        C = B.factor
+        d = solve_steklov(A, B, k=2, method="dense").eigenvalues
+        assert d[1] > 1.01 * d[0]
+        for sigma in (-3.0 * d[0], 0.9 * d[0]):
+            assert np.array_equal(
+                factor_spd(A, C, sigma).band_factor,
+                factor_spd(A.matrix - sigma * (C @ C.T)).band_factor)
+        with pytest.raises(np.linalg.LinAlgError):
+            factor_spd(A, C, 1.01 * d[0])
+
+
+def test_separated_pencil_converges_in_one_krylov_build(monkeypatch):
+    # an alpha = 2 smoke trichotomy cell: ARPACK's first ncv = 20 vectors,
+    # from 21 products, hold both Ritz values to 1e-10; no shift is taken
+    A, B = smoke_trichotomy_pencil(2.0, 1 / 8)
+    ref, _ = arpack_reference(A, B, k=2)
+    count = counting_solves(monkeypatch)
+    s = solve_steklov(A, B, k=2)
+    assert count[0] <= 21, count[0]
+    assert (s.shift, s.backoffs) == (0.0, 0)
+    assert np.max(np.abs(s.eigenvalues - ref) / ref) <= 1e-12
+
+
+def test_krylov_record_estimate_drops_nearly_dependent_inputs():
+    # the inputs of successive ARPACK restarts are nearly dependent.  The
+    # record's Rayleigh-Ritz value keeps to span(Z) through Z^T Z with a
+    # relative cutoff, so the rounding of the products along a direction of
+    # two near copies (1e-9 apart, products off by 1e-13) cannot lift it
+    # above T's top eigenvalue, 2; without the cutoff it reads 10.2
+    rng = np.random.default_rng(0)
+    t = np.linspace(1.0, 2.0, 200)                 # T = diag(t)
+    Z = rng.standard_normal((200, 6))
+    record = spectral._KrylovRecord(200, 12)
+    for z in [*Z.T, *(Z.T + 1e-9 * rng.standard_normal((6, 200)))]:
+        record.add(z, t * z + 1e-13 * rng.standard_normal(200))
+    Q = np.linalg.qr(Z)[0]
+    want = np.linalg.eigvalsh(Q.T @ (t[:, None] * Q))[-1]
+    assert abs(record.top_ritz() - want) <= 1e-8 * want
+
+
+@pytest.fixture(scope="module")
+def clustered_pencil():
+    """The alpha = 1.2, eps = 1/8 smoke trichotomy cell and its dense d."""
+    A, B = smoke_trichotomy_pencil(1.2, 1 / 8)
+    return A, B, solve_steklov(A, B, k=2, method="dense").eigenvalues
+
+
+def test_clustered_pencil_takes_the_shifted_retry(monkeypatch,
+                                                  clustered_pencil):
+    # alpha = 1.2 smoke trichotomy cells: their first run does not converge
+    # in two restarts, and the retry at 0.99 / theta converges in one build.
+    # Measured: 57 + 21 products against ARPACK's 79 (eps = 1/8) and 192
+    # (eps = 1/16) at ncv 40 and tol 0; the shifts sit 1.0% below d_1.
+    A, B, dense = clustered_pencil
+    count = counting_solves(monkeypatch)
+    s = solve_steklov(A, B, k=2)
+    assert 0.98 * dense[0] < s.shift < dense[0] and s.backoffs == 0
+    assert np.max(np.abs(s.eigenvalues - dense) / dense) <= 1e-10
+    assert s.residuals.max() <= 1e-9
+    for eps in (1 / 8, 1 / 16):
+        A, B = smoke_trichotomy_pencil(1.2, eps)
+        ref, unshifted = arpack_reference(A, B, k=2)
+        count[0] = 0
+        s = solve_steklov(A, B, k=2)
+        assert s.shift > 0 and count[0] < unshifted, (count[0], unshifted)
+        assert np.max(np.abs(s.eigenvalues - ref) / ref) <= 1e-10
+
+
+def test_a_shift_above_d1_backs_off_before_arpack(monkeypatch,
+                                                  clustered_pencil):
+    # a shift forced to 1.3 / theta >= 1.3 d_1 does not factor; it is
+    # lowered by 0.9 until it does (three back-offs), and every factor that
+    # reaches ARPACK is of a matrix A - sigma B with sigma < d_1
+    A, B, dense = clustered_pencil
+    sigmas, factored = {}, []
+    factor, arpack = spectral.factor_spd, spectral._arpack
+
+    def spy_factor(A, C=None, sigma=0.0):
+        f = factor(A, C, sigma)
+        sigmas[id(f)] = sigma
+        return f
+
+    def spy_arpack(f, *args):
+        factored.append(sigmas[id(f)])
+        return arpack(f, *args)
+
+    monkeypatch.setattr(spectral, "factor_spd", spy_factor)
+    monkeypatch.setattr(spectral, "_arpack", spy_arpack)
+    monkeypatch.setattr(spectral, "_SHIFT", 1.3)
+    s = solve_steklov(A, B, k=2)
+    assert s.backoffs == 3 and factored == [0.0, s.shift]
+    assert s.shift < dense[0] < s.shift / 0.9
+    assert np.max(np.abs(s.eigenvalues - dense) / dense) <= 1e-10
+
+
 def test_one_eigen_solve_allocates_no_copy_of_A():
     # a pulled-back degeneration cell, alpha = 1 and eps = 1/64 on the
     # w_len = 1/4, ny = 16 strip: 24,572 free DOFs and m = 4,800 boundary
-    # points.  Beside the band and the ARPACK basis on the m points, the
-    # factor's index arrays, the solve's vectors, ARPACK's work vectors and
-    # the stencil's grids fit in half the bytes of A's node-pair blocks
-    # (7.2 MB); a CSR of A (9.7 MB) or a scaled copy of the blocks held
-    # through the solve does not.  Measured peak 16.7 MB against a bound of
-    # 18.6 MB (24.1 MB against 29.5 MB when the solve read A's CSR).
+    # points.  Beside the band and 40 vectors of length m (ARPACK's basis
+    # of 20 and 20 of the Lanczos record's 57 inputs), the record's other
+    # 37, the factor's index arrays, the solve's vectors, ARPACK's work
+    # vectors and the stencil's grids fit in half the bytes of A's node-pair
+    # blocks (7.2 MB); a CSR of A (9.7 MB) or a scaled copy of the blocks
+    # held through the solve does not.  Measured peak 18.0 MB
+    # against a bound of 18.6 MB (16.7 MB with ARPACK's basis of 40 and no
+    # record; 24.1 MB against 29.5 MB when the solve read A's CSR).
     cfg = ExperimentConfig("degeneration", alpha=1.0, eps_list=(1 / 32, 1 / 64),
                            ny=16, w_len=0.25)
     mesh = cfg.mesh_for(1.0, 1 / 64)
