@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError("k_hat must exceed 6 (blending layer depth)")
         if self.kappa_exponent < 0:
             raise ConfigError("kappa_exponent must be >= 0 (0: built-in kappa rule)")
+        if not self.alphas:
+            raise ConfigError("alphas must hold at least one exponent")
         for a in (self.alpha, *self.alphas):
             try:   # validated uncached: `profile` caches what a runner reads
                 BoundaryProfile.fourier_cosine(self.coefficients, a)

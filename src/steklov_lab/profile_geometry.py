@@ -48,7 +48,7 @@ class ProfileError(ValueError):
 
 
 class GeometryError(RuntimeError):
-    """The requested map is not a diffeomorphism (det DPhi <= 0 somewhere)."""
+    """Layer-map inversion stalled, or det DPhi <= 0 at a pulled-back point."""
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,11 @@ class BoundaryProfile:
         if not coeffs:
             raise ProfileError("need at least the constant coefficient c_0")
         p = BoundaryProfile(alpha=float(alpha), coefficients=coeffs)
-        p._validate()
-        return p
-
-    def _validate(self):
-        if self.alpha <= 0:
+        if p.alpha <= 0:
             raise ProfileError("alpha must be positive")
-        if self.min_value() < -1e-12:
+        if p.min_value() < -1e-12:
             raise ProfileError("profile must be nonnegative on the period cell")
+        return p
 
     def eval(self, y, order: int = 0):
         """D^order b at points y (1-periodic continuation)."""
@@ -141,6 +138,9 @@ class DomainSpec:
     def sup_g(self, order: int = 0) -> float:
         return self.epsilon ** (self.profile.alpha - order) * self.profile.sup_norm(order)
 
+    def inf_g(self) -> float:
+        return self.epsilon ** self.alpha * self.profile.min_value()
+
     def elements_per_period(self, floor: int = 8) -> int:
         """x-elements per oscillation period that resolve the graph g_eps.
 
@@ -163,29 +163,51 @@ class KappaLayer:
     kappa_eps: float
     k_hat: float = 8.0
 
+    @property
+    def depth(self) -> float:
+        return self.k_hat * self.kappa_eps
 
-@dataclass
+
+@dataclass(frozen=True)
 class DiffeoField:
     """Evaluable layer map h, the flattening diffeomorphism Phi and their derivatives.
 
     Phi(x, y) = (x, y - h(x, y)) sends Omega_eps onto the reference strip,
     equals the identity below the layer and maps (x, g_eps(x)) to (x, 0).
+    Construction requires k_hat > 6, kappa_eps > sup g_eps and a layer above
+    y = -1.  det DPhi = 1 - 3 g_eps t^2 / d for layer coordinate t and depth
+    d = k_hat kappa_eps, so det_min, at the highest crest's top, exceeds 1/2,
+    and det_max is 1 at the layer bottom unless g_eps < 0 somewhere.
     """
 
     spec: DomainSpec
     layer: KappaLayer
-    det_min: float = 1.0
-    det_max: float = 1.0
 
-    def layer_bottom(self, x):
-        """Physical height below which the map is the identity."""
-        return self.spec.g(x) - self.layer.k_hat * self.layer.kappa_eps
+    def __post_init__(self):
+        spec, layer = self.spec, self.layer
+        if layer.k_hat <= 6.0:
+            raise ProfileError(f"k_hat = {layer.k_hat} must exceed 6")
+        if layer.kappa_eps <= spec.sup_g():
+            raise ProfileError(
+                f"layer too thin: kappa_eps = {layer.kappa_eps:.4g} "
+                f"<= sup g_eps = {spec.sup_g():.4g}")
+        if layer.depth >= 1.0 + spec.inf_g():
+            raise ProfileError(
+                f"layer too deep: k_hat*kappa_eps = {layer.depth:.4g} reaches the bottom")
+
+    @property
+    def det_min(self) -> float:
+        return 1.0 - 3.0 * self.spec.sup_g() / self.layer.depth
+
+    @property
+    def det_max(self) -> float:
+        return 1.0 - 3.0 * min(self.spec.inf_g(), 0.0) / self.layer.depth
 
     def _blend(self, g, y):
         """(d, t, t^2, t^3, h, h_y): the layer depth d, the layer coordinate
         t = (y - layer bottom) / d clipped at 0, and h = g t^3, h_y = 3 g t^2 / d,
         for g = g_eps(x) given."""
-        d = self.layer.k_hat * self.layer.kappa_eps
+        d = self.layer.depth
         t = (y - (g - d)) / d
         t = np.clip(t, 0.0, None)
         t2, t3 = t * t, t * t * t
@@ -203,13 +225,6 @@ class DiffeoField:
         hxy = 3.0 * gp * t2 / d - 6.0 * g * gp * t / d ** 2
         hyy = 6.0 * g * t / d ** 2
         return h, hx, hy, hxx, hxy, hyy
-
-    def h(self, x, y):
-        return self.h_derivs(x, y)[0]
-
-    def phi(self, x, y):
-        """Reference image (x, y - h(x, y)) of a physical point."""
-        return np.asarray(x, dtype=float), np.asarray(y, dtype=float) - self.h(x, y)
 
     def det(self, x, y):
         return 1.0 - self._blend(self.spec.g(x), np.asarray(y, dtype=float))[5]
@@ -230,7 +245,7 @@ class DiffeoField:
         yhat, g = (np.broadcast_to(a, shape).reshape(rows)
                    for a in (np.asarray(yhat, dtype=float), g))
         sup_g = self.spec.sup_g()
-        below = yhat <= g - self.layer.k_hat * self.layer.kappa_eps
+        below = yhat <= g - self.layer.depth
         y = np.where(below, yhat, np.minimum(g, yhat + sup_g))
         scale = 1.0 + sup_g
         live = np.arange(len(y))           # the rows not yet converged
@@ -265,33 +280,11 @@ def default_kappa(alpha: float, eps: float) -> float:
     return eps ** (2.0 * atilde / 3.0)
 
 
-def build_diffeo(spec: DomainSpec, layer: KappaLayer,
-                 n_sample: int = 200) -> DiffeoField:
-    """Build the flattening diffeomorphism and certify det DPhi > 0 on a sample grid."""
-    if layer.k_hat <= 6.0:
-        raise ProfileError(f"k_hat = {layer.k_hat} must exceed 6")
-    if layer.kappa_eps <= spec.sup_g():
-        raise ProfileError(
-            f"layer too thin: kappa_eps = {layer.kappa_eps:.4g} "
-            f"<= sup g_eps = {spec.sup_g():.4g}")
-    depth = layer.k_hat * layer.kappa_eps
-    if depth >= 1.0 + spec.epsilon ** spec.alpha * spec.profile.min_value():
-        raise ProfileError(
-            f"layer too deep: k_hat*kappa_eps = {depth:.4g} reaches the bottom")
-
-    field_ = DiffeoField(spec=spec, layer=layer)
-    # n_sample heights from max(layer bottom, -1) to the graph in each of
-    # n_sample columns, as one (n_sample, n_sample) grid
-    xs = np.linspace(0.0, spec.w_len, n_sample)
-    lo = np.maximum(field_.layer_bottom(xs), -1.0)
-    ys = np.linspace(lo, spec.g(xs), n_sample, axis=1)
-    dets = field_.det(np.broadcast_to(xs[:, None], ys.shape), ys)
-    field_.det_min = float(np.min(dets))
-    field_.det_max = float(np.max(dets))
-    if field_.det_min <= 0.0:
-        raise GeometryError(
-            f"det DPhi = {field_.det_min:.4g} <= 0: layer map is not a diffeomorphism")
-    return field_
+def build_diffeo(spec: DomainSpec, layer: KappaLayer) -> DiffeoField:
+    """The flattening diffeomorphism of `layer` over `spec`.  `DiffeoField`
+    checks the layer itself; this name stays because perfbench's tracer
+    times the lab's layer-map builds through `lab_cli.build_diffeo`."""
+    return DiffeoField(spec, layer)
 
 
 def fit_kappa_layer(spec: DomainSpec, kappa: float | None = None,
@@ -300,18 +293,19 @@ def fit_kappa_layer(spec: DomainSpec, kappa: float | None = None,
 
     Starts from the kappa rule and the given k_hat and reduces first k_hat
     (toward its lower bound 6), then kappa (toward sup g_eps), so the layer
-    fits above the bottom of the strip.  Raises if no admissible pair exists,
+    fits above the bottom of the strip; a k_hat raised to 6.005 shrinks kappa
+    only if the layer would not fit.  Raises if no admissible pair exists,
     which happens once sup g_eps approaches 1/6.
     """
     sup_g = spec.sup_g()
-    cap = 0.999 * (1.0 + spec.epsilon ** spec.alpha * spec.profile.min_value())
+    cap = 0.999 * (1.0 + spec.inf_g())
     kap = kappa if kappa is not None else default_kappa(spec.alpha, spec.epsilon)
     kap = max(kap, 1.002 * sup_g) if sup_g > 0 else kap
     if k_hat * kap > cap:
         k_hat = cap / kap
     if k_hat < 6.005:
         k_hat = 6.005
-        kap = cap / k_hat
+        kap = min(kap, cap / k_hat)
     if kap <= sup_g:
         raise ProfileError(
             f"no admissible blending layer: sup g_eps = {sup_g:.4g} too large "

@@ -1,7 +1,8 @@
 """Independent oracles and probes that only the tests read: a finite-element
 cross-check of the cell problem's strange curvature, the Hermite
 interpolant of a function given with its derivatives, the variational
-normal derivative of a Navier solution, and the Rayleigh quotient."""
+normal derivative of a Navier solution, the Rayleigh quotient, and a
+sampled det DPhi over a layer map's blending layer."""
 
 import numpy as np
 
@@ -32,6 +33,16 @@ def normal_derivative_functional(sol, quad_order: int | None = None):
     u = sol.u
     _, op = _conormal_operator(u.mesh, sol.domain, quad_order)
     return np.asarray(op @ u.coeffs)
+
+
+def det_sample(dif, n: int = 200) -> np.ndarray:
+    """det DPhi on an (n, n) grid: n heights from max(layer bottom, -1) up to
+    the graph in each of n columns evenly spaced over (0, w_len)."""
+    spec = dif.spec
+    xs = np.linspace(0.0, spec.w_len, n)
+    lo = np.maximum(spec.g(xs) - dif.layer.depth, -1.0)
+    ys = np.linspace(lo, spec.g(xs), n, axis=1)
+    return dif.det(np.broadcast_to(xs[:, None], ys.shape), ys)
 
 
 def rayleigh(A, B, q) -> float:

@@ -22,10 +22,12 @@ from steklov_lab.mesh import build_mesh, mark_essential
 from steklov_lab.navier import (build_ntn, mixed_splitting_solve,
                                 ntn_eigenvalues, relative_h1_error,
                                 solve_navier)
-from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
-                                          KappaLayer, build_diffeo,
+from steklov_lab.profile_geometry import (BoundaryProfile, DiffeoField,
+                                          DomainSpec, KappaLayer,
                                           check_assumptions)
 from steklov_lab.spectral import solve_steklov
+
+from oracles import det_sample
 
 
 def report(num, ok, detail, elapsed):
@@ -68,14 +70,15 @@ def test_criterion_2_jacobian_bounds():
     rng = []
     for eps in (1 / 8, 1 / 16):
         spec = DomainSpec(epsilon=eps, profile=cos_profile(2.0))
-        dif = build_diffeo(spec, KappaLayer(kappa_eps=eps ** (4 / 3), k_hat=8.0),
-                           n_sample=200)
-        rng.append((dif.det_min, dif.det_max))
-    ok = all(0.5 <= lo <= hi <= 1.5 for lo, hi in rng)
+        dif = DiffeoField(spec, KappaLayer(kappa_eps=eps ** (4 / 3), k_hat=8.0))
+        dets = det_sample(dif)
+        rng.append((dif.det_min, np.min(dets), np.max(dets), dif.det_max))
+    # the sample is the independent check of the closed-form bounds
+    ok = all(0.5 <= lo <= s_lo <= s_hi <= hi <= 1.5 for lo, s_lo, s_hi, hi in rng)
     dt = time.time() - t0
     report(2, ok and dt < 5.0,
            "det DPhi on 200x200 layer samples: "
-           + ", ".join(f"[{lo:.4f}, {hi:.4f}]" for lo, hi in rng), dt)
+           + ", ".join(f"[{s_lo:.4f}, {s_hi:.4f}]" for _, s_lo, s_hi, _ in rng), dt)
 
 
 # ---------------------------------------------------------------------------

@@ -694,6 +694,8 @@ def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
     infinite.write_text("w_len = inf\nny = 6\nreference_nx = 16\n")
     threads = tmp_path / "threads.cfg"              # sweeps are serial
     threads.write_text("threads = 2\n")
+    no_alphas = tmp_path / "no_alphas.cfg"          # a sweep over no exponent
+    no_alphas.write_text("alphas = ,\n")
     cases = ((["trichotomy", "--threads", "2"],
               "unrecognized arguments: --threads 2"),
              (["trichotomy", "--config", str(threads)],
@@ -709,7 +711,9 @@ def test_cli_reports_config_errors_as_usage_errors(tmp_path, capsys):
              (["trichotomy", "--config", str(late_cell)],
               "cell alpha = 1.5, eps = 1/4: no admissible blending layer"),
              (["trichotomy", "--config", str(infinite)],
-              "w_len must be a finite number, got inf"))
+              "w_len must be a finite number, got inf"),
+             (["trichotomy", "--config", str(no_alphas)],
+              "alphas must hold at least one exponent"))
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
-                                          KappaLayer, ProfileError,
-                                          build_diffeo, check_assumptions,
-                                          default_kappa, fit_kappa_layer)
+from steklov_lab.lab_cli import EXPERIMENT_DEFAULTS, load_config
+from steklov_lab.profile_geometry import (BoundaryProfile, DiffeoField,
+                                          DomainSpec, KappaLayer, ProfileError,
+                                          check_assumptions, default_kappa,
+                                          fit_kappa_layer)
+
+from oracles import det_sample
 
 
 def cos_profile(alpha, coeffs=(1.0, 1.0)):
@@ -73,47 +76,51 @@ def test_domain_spec_headroom():
 # ---------------------------------------------------------------------------
 # diffeomorphism
 
+def h(dif, x, y):
+    """The layer map h, whose flattening map is Phi(x, y) = (x, y - h)."""
+    return dif.h_derivs(x, y)[0]
+
+
 def test_identity_below_layer():
     spec = spec_for(2.0, 0.125)
-    dif = build_diffeo(spec, KappaLayer(kappa_eps=0.1, k_hat=8.0))
+    dif = DiffeoField(spec, KappaLayer(kappa_eps=0.1, k_hat=8.0))
     x = np.linspace(0, 1, 40)
     y = np.full_like(x, -0.95)
-    xr, yr = dif.phi(x, y)
-    assert np.max(np.abs(yr - y)) == 0.0
+    assert np.max(np.abs(h(dif, x, y))) == 0.0
     assert np.max(np.abs(dif.det(x, y) - 1.0)) == 0.0
 
 
 def test_graph_maps_to_flat_top():
     spec = spec_for(2.0, 0.125)
-    dif = build_diffeo(spec, KappaLayer(kappa_eps=0.1, k_hat=8.0))
+    dif = DiffeoField(spec, KappaLayer(kappa_eps=0.1, k_hat=8.0))
     x = np.linspace(0, 1, 33)
     g = spec.g(x)
-    xr, yr = dif.phi(x, g)
-    assert np.max(np.abs(yr)) < 1e-14
+    assert np.max(np.abs(g - h(dif, x, g))) < 1e-14
 
 
 def test_jacobian_bounds_inside_certified_window():
     # alpha = 2, kappa = eps^(4/3), k_hat = 8: det within [1/2, 3/2]
     for eps in (0.125, 0.0625):
         spec = spec_for(2.0, eps)
-        dif = build_diffeo(spec, KappaLayer(kappa_eps=eps ** (4.0 / 3.0), k_hat=8.0),
-                           n_sample=200)
-        assert 0.5 <= dif.det_min <= dif.det_max <= 1.5
+        dif = DiffeoField(spec, KappaLayer(kappa_eps=eps ** (4.0 / 3.0), k_hat=8.0))
+        dets = det_sample(dif)
+        assert 0.5 <= dif.det_min <= np.min(dets)
+        assert np.max(dets) <= dif.det_max <= 1.5
 
 
 def test_layer_parameter_errors():
     spec = spec_for(2.0, 0.125)
-    with pytest.raises(ProfileError):
-        build_diffeo(spec, KappaLayer(kappa_eps=0.1, k_hat=6.0))
-    with pytest.raises(ProfileError):
-        build_diffeo(spec, KappaLayer(kappa_eps=spec.sup_g() * 0.5, k_hat=8.0))
-    with pytest.raises(ProfileError):
-        build_diffeo(spec, KappaLayer(kappa_eps=0.13, k_hat=8.0))   # too deep
+    with pytest.raises(ProfileError, match="must exceed 6"):
+        DiffeoField(spec, KappaLayer(kappa_eps=0.1, k_hat=6.0))
+    with pytest.raises(ProfileError, match="layer too thin"):
+        DiffeoField(spec, KappaLayer(kappa_eps=spec.sup_g() * 0.5, k_hat=8.0))
+    with pytest.raises(ProfileError, match="layer too deep"):
+        DiffeoField(spec, KappaLayer(kappa_eps=0.13, k_hat=8.0))
 
 
 def _layer_points(spec, dif, n, rng):
     x = rng.uniform(0.0, spec.w_len, n)
-    lo = np.maximum(dif.layer_bottom(x), -1.0)
+    lo = np.maximum(spec.g(x) - dif.layer.depth, -1.0)
     hi = spec.g(x)
     y = lo + rng.uniform(0.02, 0.98, n) * (hi - lo)
     return x, y
@@ -122,13 +129,12 @@ def _layer_points(spec, dif, n, rng):
 @pytest.mark.parametrize("layer", [KappaLayer(kappa_eps=0.1, k_hat=8.0)])
 def test_h_bounds_and_top_match(layer):
     spec = spec_for(2.0, 0.125)
-    dif = build_diffeo(spec, layer)
+    dif = DiffeoField(spec, layer)
     rng = np.random.default_rng(3)
     x, y = _layer_points(spec, dif, 500, rng)
-    h = dif.h(x, y)
-    assert np.max(np.abs(h)) <= spec.sup_g() + 1e-15
+    assert np.max(np.abs(h(dif, x, y))) <= spec.sup_g() + 1e-15
     g = spec.g(x)
-    assert np.max(np.abs(dif.h(x, g) - g)) < 1e-15
+    assert np.max(np.abs(h(dif, x, g) - g)) < 1e-15
 
 
 def _fd2(f, x, y, which, d=2e-5):
@@ -151,12 +157,12 @@ def _fd2(f, x, y, which, d=2e-5):
 @pytest.mark.parametrize("layer", [KappaLayer(kappa_eps=0.1, k_hat=8.0)])
 def test_second_derivatives_match_finite_differences(layer):
     spec = spec_for(2.0, 0.125)
-    dif = build_diffeo(spec, layer)
+    dif = DiffeoField(spec, layer)
     rng = np.random.default_rng(7)
     x, y = _layer_points(spec, dif, 1000, rng)
     _, _, _, hxx, hxy, hyy = dif.h_derivs(x, y)
     for exact, which in ((hxx, "xx"), (hxy, "xy"), (hyy, "yy")):
-        fd = _fd2(dif.h, x, y, which)
+        fd = _fd2(lambda x, y: h(dif, x, y), x, y, which)
         scale = np.max(np.abs(exact))
         assert np.max(np.abs(exact - fd)) <= 1e-5 * scale
 
@@ -168,7 +174,7 @@ def test_hessian_scale_decays_when_condition_holds():
     for eps in (1 / 8, 1 / 16, 1 / 32, 1 / 64):
         spec = spec_for(2.0, eps)
         kap = default_kappa(2.0, eps)
-        dif = build_diffeo(spec, KappaLayer(kappa_eps=kap, k_hat=8.0))
+        dif = DiffeoField(spec, KappaLayer(kappa_eps=kap, k_hat=8.0))
         x, y = _layer_points(spec, dif, 4000, rng)
         _, _, _, hxx, hxy, hyy = dif.h_derivs(x, y)
         size = np.sqrt(hxx ** 2 + 2 * hxy ** 2 + hyy ** 2)
@@ -178,16 +184,15 @@ def test_hessian_scale_decays_when_condition_holds():
 
 def test_physical_y_inverts_the_map():
     spec = spec_for(2.0, 0.125)
-    dif = build_diffeo(spec, KappaLayer(kappa_eps=0.1, k_hat=8.0))
+    dif = DiffeoField(spec, KappaLayer(kappa_eps=0.1, k_hat=8.0))
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, 400)
     yhat = rng.uniform(-1.0, 0.0, 400)
     y = dif.physical_y(x, yhat)
-    _, yr = dif.phi(x, y)
-    assert np.max(np.abs(yr - yhat)) < 1e-12
+    assert np.max(np.abs(y - h(dif, x, y) - yhat)) < 1e-12
     # at or below the layer bottom the map is the identity: yhat comes back
     # exactly; the flat top yhat = 0 comes back as the graph g_eps(x)
-    lo = dif.layer_bottom(x)
+    lo = spec.g(x) - dif.layer.depth
     yhat = np.concatenate([lo, lo - rng.uniform(0.0, 1.0 + lo)])
     xx = np.concatenate([x, x])
     assert np.array_equal(dif.physical_y(xx, yhat), yhat)
@@ -202,10 +207,10 @@ def test_physical_y_stops_each_row_on_its_own():
     # after different step counts, and a one-point row; and with leading
     # axes that flatten into rows
     spec = spec_for(1.2, 0.125)
-    dif = build_diffeo(spec, fit_kappa_layer(spec))
+    dif = DiffeoField(spec, fit_kappa_layer(spec))
     rng = np.random.default_rng(9)
     x = rng.uniform(0, 1, (4, 30))
-    lo = dif.layer_bottom(x)
+    lo = spec.g(x) - dif.layer.depth
     yhat = np.stack([lo[0] - rng.uniform(0.0, 0.5, 30), np.zeros(30),
                      -rng.uniform(0.0, 0.02, 30),
                      lo[3] + rng.uniform(0.0, 1.0, 30) * (0.0 - lo[3])])
@@ -223,22 +228,40 @@ def test_physical_y_stops_each_row_on_its_own():
                           np.broadcast_to(row, (3, 30)))
 
 
-def test_det_certificate_matches_column_loop():
-    # the vectorized certificate samples the same grid as a loop over the
-    # sample columns, so det_min and det_max agree bit for bit
-    for alpha, eps, n in ((2.0, 0.125, 200), (1.5, 0.0625, 200), (1.2, 0.125, 37)):
-        spec = spec_for(alpha, eps)
-        layer = fit_kappa_layer(spec)
-        dif = build_diffeo(spec, layer, n_sample=n)
-        dets = []
-        for x in np.linspace(0.0, spec.w_len, n):
-            lo = float(dif.layer_bottom(np.array([x]))[0])
-            hi = float(spec.g(np.array([x]))[0])
-            ys = np.linspace(max(lo, -1.0), hi, n)
-            dets.append(dif.det(np.full_like(ys, x), ys))
-        dets = np.concatenate(dets)
-        assert dif.det_min == float(np.min(dets))
-        assert dif.det_max == float(np.max(dets))
+def _default_layer_maps():
+    """{(experiment, alpha, eps): layer map} for every distinct cell that
+    the four experiments sweep at their default configs."""
+    maps = {}
+    for name in EXPERIMENT_DEFAULTS:
+        cfg = load_config(name)
+        alphas = ((cfg.alpha,) if name in ("dbs-convergence", "degeneration")
+                  else {cfg.alpha, *cfg.alphas})
+        for a in alphas:
+            for e in cfg.eps_list:
+                maps[name, a, e] = cfg.diffeo(a, e)
+    return maps
+
+
+def test_det_bounds_contain_the_sampled_det():
+    # det DPhi = 1 - 3 g_eps t^2 / d is smallest at the crest top and 1 at
+    # the layer bottom.  The 200 x 200 sample reaches both on the default
+    # profile (a crest at x = 0), so there the closed form is its extremes
+    maps = _default_layer_maps()
+    assert len(maps) == 24
+    for key, dif in maps.items():
+        dets = det_sample(dif)
+        assert dif.det_min == np.min(dets), key
+        assert dif.det_max == np.max(dets) == 1.0, key
+    lowest = min(maps, key=lambda k: maps[k].det_min)
+    assert lowest[1:] == (1.2, 0.125)
+    assert maps[lowest].det_min == pytest.approx(0.50469, abs=5e-6)
+    # b = 1 - cos(2 pi y) / 2 crests at x = (j + 1/2) eps, between the
+    # sampled columns x = i / 36
+    spec = spec_for(2.0, 0.125, coeffs=(1.0, -0.5))
+    dif = DiffeoField(spec, fit_kappa_layer(spec))
+    dets = det_sample(dif, 37)
+    assert 0.5 < dif.det_min < np.min(dets)
+    assert np.max(dets) <= dif.det_max
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +298,16 @@ def test_fit_kappa_layer_feasibility():
     assert lay.kappa_eps > spec_for(1.2, 0.125).sup_g()
     with pytest.raises(ProfileError):
         fit_kappa_layer(spec_for(1.0, 0.125))   # sup g = 1/4 > 1/6
+
+
+def test_fit_kappa_layer_keeps_the_rule_when_it_raises_k_hat():
+    # k_hat = 6.001 is raised to 6.005; the rule's layer fits, so kappa
+    # stays eps^(7/6), not the depth cap's 0.999 / 6.005
+    spec = spec_for(2.0, 1 / 32)
+    lay = fit_kappa_layer(spec, k_hat=6.001)
+    assert lay.k_hat == 6.005
+    assert lay.kappa_eps == default_kappa(2.0, 1 / 32)
+    assert lay.kappa_eps == pytest.approx(0.01754, abs=5e-6)
 
 
 @settings(max_examples=25, deadline=None)

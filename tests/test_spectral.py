@@ -12,8 +12,8 @@ from steklov_lab.assembly import (_SLAB, LAPLACIAN_ENERGY, HESSIAN_ENERGY,
                                   assemble, normal_trace)
 from steklov_lab.lab_cli import ExperimentConfig
 from steklov_lab.mesh import build_mesh, mark_essential
-from steklov_lab.profile_geometry import (BoundaryProfile, DomainSpec,
-                                          build_diffeo, fit_kappa_layer)
+from steklov_lab.profile_geometry import (BoundaryProfile, DiffeoField,
+                                          DomainSpec, fit_kappa_layer)
 from steklov_lab import spectral
 from steklov_lab.spectral import (SPD_FACTOR_BUDGET, NoSteklovEigenvalues,
                                   SpectralConvergenceError, _finalize,
@@ -64,7 +64,7 @@ def graded_pulled_back_pencil():
     dm = mark_essential(m, "DirichletAll")
     spec = DomainSpec(epsilon=1 / 8,
                       profile=BoundaryProfile.fourier_cosine([1.0, 1.0], 2.0))
-    dif = build_diffeo(spec, fit_kappa_layer(spec))
+    dif = DiffeoField(spec, fit_kappa_layer(spec))
     return (assemble(HESSIAN_ENERGY, m, dm, dif),
             assemble(normal_trace("All"), m, dm, dif))
 
@@ -392,7 +392,7 @@ def test_sweep_keeps_first_eigenvalue_bounded_below():
     worst = np.inf
     for eps in (1 / 8, 1 / 16, 1 / 32):
         spec = DomainSpec(epsilon=eps, profile=prof)
-        dif = build_diffeo(spec, fit_kappa_layer(spec))
+        dif = DiffeoField(spec, fit_kappa_layer(spec))
         A = assemble(LAPLACIAN_ENERGY, m, dm, dif)
         B = assemble(normal_trace("All"), m, dm, dif)
         worst = min(worst, solve_steklov(A, B, k=1).eigenvalues[0])
